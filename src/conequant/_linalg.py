@@ -7,7 +7,7 @@ beyond "first nonzero" are needed because the arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 
@@ -115,16 +115,19 @@ def invert(a_rows) -> list[list[Fraction]]:
     return [row[n:] for row in red[:n]]
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integers n_i and the least positive den with values[i] == n_i / den.
+
+    ``values`` is a sequence of rationals (``Fraction`` or ``int``).
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, preserving direction."""
-    fracs = [Fraction(x) for x in vec]
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    ints = [int(f * scale) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    ints, _ = common_denominator(vec)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints)

@@ -2,9 +2,10 @@
 verification, and exact JSON region documents.
 
 Commands: uniquantile, region, tukey, depth, verify.  Exit codes: 0 ok,
-1 input error, 2 hypothesis violation (integral N*p or an invalid cone),
-3 verification failure.  Documents serialize every scalar as an exact
-rational string; identical inputs produce byte-identical documents.
+1 input or output error, 2 hypothesis violation (integral N*p or an
+invalid cone), 3 verification failure.  Documents serialize every scalar
+as an exact rational string; identical inputs produce byte-identical
+documents.
 """
 
 from __future__ import annotations
@@ -157,10 +158,17 @@ def document_bytes(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     payload = document_bytes(doc)
     if out_path:
-        Path(out_path).write_text(payload)
+        _write_text(out_path, payload)
     else:
         sys.stdout.write(payload)
 
@@ -196,7 +204,7 @@ def write_plot(result: QuantileRegion, path: str) -> bool:
         )
         verts.sort(key=_angle_key(center))
     lines = [f"{float(v[0])!r},{float(v[1])!r}" for v in verts]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
     return True
 
 
@@ -316,6 +324,16 @@ def _containment_witness(p, q) -> str:
     return "recession directions"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="conequant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a region against the oracles")
     add_common(p_verify)
-    p_verify.add_argument("--trials", type=int, default=1000)
+    p_verify.add_argument("--trials", type=_positive_int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -73,17 +73,11 @@ class DataCloud:
         return len(self.points[0])
 
     @cached_property
-    def int_form(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """Points as integer rows over per-point positive denominators."""
-        nums: list[tuple[int, ...]] = []
-        dens: list[int] = []
-        for p in self.points:
-            den = 1
-            for c in p:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            nums.append(tuple(int(c * den) for c in p))
-            dens.append(den)
-        return nums, dens
+    def int_form(self) -> tuple[list[tuple[int, ...]], int]:
+        """Points as integer rows over one common positive denominator."""
+        flat, den = _linalg.common_denominator([c for p in self.points for c in p])
+        d = self.dim
+        return [tuple(flat[i : i + d]) for i in range(0, len(flat), d)], den
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
 
-from . import kernels
 from ._linalg import primitive
 from .core import (
     Cone,
@@ -30,7 +28,7 @@ from .core import (
 from .errors import DimensionMismatch, DimensionNot2
 from .polyhedra import Halfspace, Polyhedron
 from .quantile import QuantileRegion
-from .univariate import ScalarSample, quantile_direct
+from .univariate import ScalarSample, count_le, project, quantile_direct
 from .vlp import basis_vertices
 
 ORACLE_PROVENANCE = "oracle-2d"
@@ -182,7 +180,7 @@ def membership_sample(
     rng = random.Random(seed)
     d = cloud.dim
     k = level.ceil_np
-    xnums, xdens = cloud.int_form
+    rows, den = cloud.int_form
     gens: tuple[Vector, ...] = ()
     if cone is not None:
         gens = basis_vertices(make_dual_basis(cone))
@@ -199,12 +197,8 @@ def membership_sample(
                 sum((c * v[j] for c, v in zip(coefs, gens)), Fraction(0))
                 for j in range(d)
             )
-        wden = 1
-        for wi in w:
-            wden = wden * wi.denominator // gcd(wden, wi.denominator)
-        wnums = [int(wi * wden) for wi in w]
-        pnums, pdens = kernels.proj_pairs(xnums, xdens, wnums, wden)
+        keys, kden = project(rows, den, w)
         t = sum((wi * zi for wi, zi in zip(w, z_vec)), Fraction(0))
-        if kernels.count_le(pnums, pdens, t.numerator, t.denominator) < k:
+        if count_le(keys, kden, t) < k:
             return False
     return True

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from . import kernels
+from ._linalg import common_denominator
 from .core import DataCloud, QuantileLevel, Vector, as_vector
 from .errors import DimensionMismatch
 
@@ -36,10 +37,106 @@ class ScalarSample:
         return len(self.values)
 
     @cached_property
-    def pairs(self) -> tuple[list[int], list[int]]:
-        nums = [v.numerator for v in self.values]
-        dens = [v.denominator for v in self.values]
-        return nums, dens
+    def keys(self) -> tuple[list[int], int]:
+        """The values as integer keys over one common denominator."""
+        return common_denominator(self.values)
+
+
+# The integer scalar layer.  A cloud projected onto a rational direction is a
+# list of integer keys over one common denominator; ordering, order
+# statistics, the pinball loss, threshold counts and the greedy transport
+# solution all run on those keys, and Fractions appear only in results.
+
+
+def project(rows: list[tuple[int, ...]], den: int, w: Vector) -> tuple[list[int], int]:
+    """Keys and their denominator for the projections w.x_i.
+
+    ``rows``/``den`` is a cloud's ``int_form``; w.x_i == keys[i] / kden with
+    kden = den * lcm(denominators of w).
+    """
+    wnums, wden = common_denominator(w)
+    return [sum(map(mul, wnums, row)) for row in rows], wden * den
+
+
+def ascending(keys: list[int]) -> list[int]:
+    """Indices in ascending key order; equal keys keep the lower index first."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def count_le(keys: list[int], den: int, t: Fraction) -> int:
+    """#{i : keys[i] / den <= t}."""
+    # integer keys: key <= t*den exactly when key <= floor(t*den)
+    bound = t.numerator * den // t.denominator
+    return sum(1 for x in keys if x <= bound)
+
+
+def _loss_num(keys: list[int], t: int, p: Fraction) -> int:
+    """Pinball loss at the key t, in units of 1/(den * p.denominator)."""
+    above = sum(x - t for x in keys if x > t)
+    below = sum(t - x for x in keys if x < t)
+    return p.numerator * above + (p.denominator - p.numerator) * below
+
+
+def quantile_and_loss(
+    keys: list[int], den: int, asc: list[int], level: QuantileLevel
+) -> tuple[Fraction, Fraction]:
+    """The ceil(N p)-th smallest value and the pinball loss there."""
+    t = keys[asc[level.ceil_np - 1]]
+    return Fraction(t, den), Fraction(_loss_num(keys, t, level.p), den * level.p.denominator)
+
+
+def greedy_masses(
+    keys: list[int], asc: list[int], p: Fraction
+) -> tuple[list[int], list[int]]:
+    """The greedy optimum (u, v) of the scalarized transport program, in
+    integer units of 1/p.denominator.
+
+    Feed u-mass (capacity p per point) to the largest keys and v-mass
+    (capacity 1-p per point) to the smallest, growing the common budget while
+    the marginal gain is positive and splitting at the stop.  Among equal keys
+    the lower index is served first on both sides, which makes the solution
+    reproducible.  ``asc`` is ``ascending(keys)``.
+    """
+    n = len(keys)
+    # reverse=True keeps equal keys in index order
+    desc = sorted(range(n), key=keys.__getitem__, reverse=True)
+    cap_u = p.numerator
+    cap_v = p.denominator - p.numerator
+    u = [0] * n
+    v = [0] * n
+    hi = 0  # next u receiver, walking the descending order
+    lo = 0  # next v receiver, walking the ascending order
+    room_u = cap_u
+    room_v = cap_v
+    while hi < n and lo < n:
+        iu = desc[hi]
+        iv = asc[lo]
+        if keys[iu] <= keys[iv]:
+            break
+        step = min(room_u, room_v)
+        u[iu] += step
+        v[iv] += step
+        room_u -= step
+        room_v -= step
+        if room_u == 0:
+            hi += 1
+            room_u = cap_u
+        if room_v == 0:
+            lo += 1
+            room_v = cap_v
+    return u, v
+
+
+def support_point(
+    rows: list[tuple[int, ...]], den: int, u: list[int], v: list[int], pden: int
+) -> Vector:
+    """sum_i x_i (u_i - v_i) for a cloud's ``int_form`` and masses in units
+    of 1/pden."""
+    active = [(row, a - b) for row, a, b in zip(rows, u, v) if a != b]
+    scale = den * pden
+    return tuple(
+        Fraction(sum(row[j] * m for row, m in active), scale) for j in range(len(rows[0]))
+    )
 
 
 def _check_count(sample: ScalarSample, level: QuantileLevel) -> None:
@@ -56,20 +153,19 @@ def quantile_direct(sample: ScalarSample, level: QuantileLevel) -> Fraction:
     The result is always a member of the sample.
     """
     _check_count(sample, level)
-    nums, dens = sample.pairs
-    num, den = kernels.kth_value(nums, dens, level.ceil_np)
-    return Fraction(num, den)
+    keys, den = sample.keys
+    return Fraction(sorted(keys)[level.ceil_np - 1], den)
 
 
 def pinball_loss(sample: ScalarSample, level: QuantileLevel, t) -> Fraction:
     """sum_i p*(x_i - t)^+ + (1-p)*(x_i - t)^-  (always >= 0)."""
     _check_count(sample, level)
     t = Fraction(t)
-    nums, dens = sample.pairs
-    num, den = kernels.pinball_at(
-        nums, dens, level.p.numerator, level.p.denominator, t.numerator, t.denominator
-    )
-    return Fraction(num, den)
+    keys, den = sample.keys
+    # over the denominator den * t.denominator both t and every value are keys
+    scaled = [x * t.denominator for x in keys]
+    num = _loss_num(scaled, t.numerator * den, level.p)
+    return Fraction(num, den * t.denominator * level.p.denominator)
 
 
 def pinball_right_derivative(sample: ScalarSample, level: QuantileLevel, t) -> Fraction:
@@ -79,10 +175,8 @@ def pinball_right_derivative(sample: ScalarSample, level: QuantileLevel, t) -> F
     nonnegative from the minimizer on.
     """
     _check_count(sample, level)
-    t = Fraction(t)
-    nums, dens = sample.pairs
-    count = kernels.count_le(nums, dens, t.numerator, t.denominator)
-    return count - level.n * level.p
+    keys, den = sample.keys
+    return count_le(keys, den, Fraction(t)) - level.n * level.p
 
 
 def minimize_pinball_loss(
@@ -95,11 +189,8 @@ def minimize_pinball_loss(
     """
     _check_count(sample, level)
     level.require_valid()
-    nums, dens = sample.pairs
-    tn, td, gn, gd = kernels.scalar_summary(
-        nums, dens, level.p.numerator, level.p.denominator, level.ceil_np
-    )
-    return Fraction(tn, td), Fraction(gn, gd)
+    keys, den = sample.keys
+    return quantile_and_loss(keys, den, ascending(keys), level)
 
 
 @dataclass(frozen=True)
@@ -120,14 +211,8 @@ class ScalarizedSolution:
 def solve_scalarized_lp(
     cloud: DataCloud, level: QuantileLevel, w
 ) -> ScalarizedSolution:
-    """Maximize sum_i (w.x_i)(u_i - v_i) by a greedy pairing rule.
-
-    Sort the projections; feed u-mass (capacity p per point) to the largest
-    values and v-mass (capacity 1-p per point) to the smallest, growing the
-    common budget while the marginal gain is positive and splitting
-    fractionally at the stop.  Among equal projections the lower data index
-    is served first, which makes the solution reproducible.
-    """
+    """Maximize sum_i (w.x_i)(u_i - v_i) by the greedy pairing rule of
+    :func:`greedy_masses` on the projections."""
     w_vec = as_vector(w)
     if len(w_vec) != cloud.dim:
         raise DimensionMismatch(
@@ -135,51 +220,13 @@ def solve_scalarized_lp(
         )
     if level.n != cloud.n:
         raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
-    xnums, xdens = cloud.int_form
-    wden = 1
-    for c in w_vec:
-        wden = wden * c.denominator // _gcd(wden, c.denominator)
-    wnums = [int(c * wden) for c in w_vec]
-    pnums, pdens = kernels.proj_pairs(xnums, xdens, wnums, wden)
-    asc = kernels.sort_perm(pnums, pdens)
-    desc = kernels.sort_perm([-a for a in pnums], pdens)
-    z = [Fraction(pnums[i], pdens[i]) for i in range(cloud.n)]
-
-    n = cloud.n
-    p = level.p
-    u = [Fraction(0)] * n
-    v = [Fraction(0)] * n
-    hi = 0  # next u receiver, walking the descending order
-    lo = 0  # next v receiver, walking the ascending order
-    room_u = p
-    room_v = 1 - p
-    while hi < n and lo < n:
-        iu = desc[hi]
-        iv = asc[lo]
-        if z[iu] <= z[iv]:
-            break
-        step = min(room_u, room_v)
-        u[iu] += step
-        v[iv] += step
-        room_u -= step
-        room_v -= step
-        if room_u == 0:
-            hi += 1
-            room_u = p
-        if room_v == 0:
-            lo += 1
-            room_v = 1 - p
-
-    active = [(i, u[i] - v[i]) for i in range(n) if u[i] != v[i]]
-    value = sum((z[i] * diff for i, diff in active), Fraction(0))
-    support = tuple(
-        sum((cloud.points[i][j] * diff for i, diff in active), Fraction(0))
-        for j in range(cloud.dim)
+    rows, den = cloud.int_form
+    keys, kden = project(rows, den, w_vec)
+    u, v = greedy_masses(keys, ascending(keys), level.p)
+    pd = level.p.denominator
+    return ScalarizedSolution(
+        u=tuple(Fraction(a, pd) for a in u),
+        v=tuple(Fraction(b, pd) for b in v),
+        value=Fraction(sum(x * (a - b) for x, a, b in zip(keys, u, v)), kden * pd),
+        support_point=support_point(rows, den, u, v, pd),
     )
-    return ScalarizedSolution(u=tuple(u), v=tuple(v), value=value, support_point=support)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from . import kernels
 from ._linalg import primitive
 from .core import DataCloud, DualConeBasis, QuantileLevel, Vector, as_vector
 from .errors import DimensionMismatch, EmptyBasis
 from .polyhedra import Equation, Halfspace, Polyhedron, _PointedCone
-from .univariate import solve_scalarized_lp
+from .univariate import ascending, greedy_masses, project, quantile_and_loss, support_point
 
 
 @dataclass(frozen=True)
@@ -166,9 +164,7 @@ def benson_dual_solve(
         solver_cloud = DataCloud(tuple(basis.permute(p) for p in cloud.points))
     else:
         solver_cloud = cloud
-    xnums, xdens = solver_cloud.int_form
-    pn, pd = level.p.numerator, level.p.denominator
-    k = level.ceil_np
+    rows, den = solver_cloud.int_form
 
     outer = list(initial_outer(basis).halfspaces)
     engine = _PointedCone(d + 1)
@@ -177,6 +173,8 @@ def benson_dual_solve(
     engine.add_row(tuple([0] * d + [1]))
     assert engine.ready, "initial outer approximation is not pointed"
 
+    # (w, t, g) per vertex coords; the projection itself is not kept, since a
+    # vertex that needs a cut is cut off and never comes back
     cache: dict[Vector, tuple[Vector, Fraction, Fraction]] = {}
     cut_keys = {h.key() for h in outer}
     confirmed: dict[Vector, DualImagePoint] = {}
@@ -185,39 +183,33 @@ def benson_dual_solve(
     cuts_added = 0
     scalarizations = 0
 
-    def oracle(coords: Vector) -> tuple[Vector, Fraction, Fraction]:
-        nonlocal scalarizations
-        hit = cache.get(coords)
-        if hit is not None:
-            return hit
-        w = _solver_weight(coords, basis)
-        wden = 1
-        for wi in w:
-            wden = wden * wi.denominator // gcd(wden, wi.denominator)
-        wnums = [int(wi * wden) for wi in w]
-        pnums, pdens = kernels.proj_pairs(xnums, xdens, wnums, wden)
-        tn, td, gn, gd = kernels.scalar_summary(pnums, pdens, pn, pd, k)
-        out = (w, Fraction(tn, td), Fraction(gn, gd))
-        scalarizations += 1
-        cache[coords] = out
-        return out
-
     while True:
         rounds += 1
         verts = sorted(_engine_vertices(engine))
         new_cuts: list[Halfspace] = []
         for v in verts:
             coords, mu = v[:-1], v[-1]
-            w, t, g = oracle(coords)
+            hit = cache.get(coords)
+            keys = None
+            if hit is None:
+                w = _solver_weight(coords, basis)
+                keys, kden = project(rows, den, w)
+                asc = ascending(keys)
+                hit = cache[coords] = (w, *quantile_and_loss(keys, kden, asc, level))
+                scalarizations += 1
+            g = hit[2]
             if mu == g:
                 if coords not in confirmed:
                     confirmed[coords] = DualImagePoint(coords, mu)
                 continue
             if mu > g:
                 raise AssertionError("outer vertex ended up above the dual image")
-            sol = solve_scalarized_lp(solver_cloud, level, w)
+            if keys is None:
+                raise AssertionError("a cut-off vertex came back")
+            masses = greedy_masses(keys, asc, level.p)
+            y = support_point(rows, den, *masses, level.p.denominator)
             scalarizations += 1
-            cut = _cut_from_support(sol.support_point, basis)
+            cut = _cut_from_support(y, basis)
             key = cut.key()
             if key not in cut_keys:
                 cut_keys.add(key)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,21 @@ class TestRegionDocuments:
         assert out == ""
         assert json.loads(out_path.read_text())["empty"] is False
 
+    @pytest.mark.parametrize("option", ["--out", "--plot"])
+    def test_unwritable_output_exits_1(self, option, square, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "file"
+        code, _, err = run_cli(
+            ["tukey", square, "--p", "3/10", option, str(target)], capsys
+        )
+        assert code == 1
+        assert err.startswith(f"error: cannot write {target}")
+        # a directory is not writable as a file either
+        code, _, err = run_cli(
+            ["tukey", square, "--p", "3/10", option, str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert err.startswith("error: cannot write")
+
     def test_plot_cycle(self, tmp_path, capsys):
         data = tmp_path / "diamond.csv"
         data.write_text("1,0\n0,1\n-1,0\n0,-1\n2,2\n")
@@ -227,6 +243,19 @@ class TestDepthAndVerify:
         )
         assert code == 0
         assert "membership sampling" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3", "many"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_verify_rejects_trials_below_one(self, trials, dim, tmp_path, capsys):
+        data = tmp_path / "cube.csv"
+        corners = product((0, 1), repeat=dim)
+        data.write_text("".join(",".join(map(str, c)) + "\n" for c in corners))
+        code, out, err = run_cli(
+            ["verify", str(data), "--p", "3/10", "--trials", trials], capsys
+        )
+        assert code == 1
+        assert "error:" in err and "--trials" in err
+        assert out == ""
 
     def test_missing_file_exits_1(self, capsys):
         code, _, _ = run_cli(["depth", "nope.csv", "0,0"], capsys)

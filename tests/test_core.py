@@ -60,8 +60,9 @@ class TestDataCloud:
 
     def test_int_form_reproduces_points(self):
         cloud = DataCloud.from_rows([["1/2", "2/3"], ["-5", "0.2"]])
-        nums, dens = cloud.int_form
-        for row, den, point in zip(nums, dens, cloud.points):
+        rows, den = cloud.int_form
+        assert den == 30  # lcm of the denominators 2, 3, 1 and 5
+        for row, point in zip(rows, cloud.points):
             assert tuple(Fraction(a, den) for a in row) == point
 
 
