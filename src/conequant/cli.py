@@ -3,7 +3,8 @@ verification, and exact JSON region documents.
 
 Commands: uniquantile, region, tukey, depth, verify.  Exit codes: 0 ok,
 1 input or output error, 2 hypothesis violation (integral N*p or an
-invalid cone), 3 verification failure.  Documents serialize every scalar
+invalid cone), 3 verification failure, 4 internal invariant failure (a bug
+in conequant).  Documents serialize every scalar
 as an exact rational string; identical inputs produce byte-identical
 documents.
 """
@@ -26,7 +27,7 @@ from .core import (
     parse_rational,
     validate_cone,
 )
-from .errors import ConequantError, DimensionMismatch, IntegralNp
+from .errors import ConequantError, DimensionMismatch, IntegralNp, InternalInvariantError
 from .lp import OPTIMAL, build_lp_dual, simplex_solve
 from .oracle import membership_sample, oracle_region_2d
 from .polyhedra import poly_equal
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 class CliInputError(Exception):
@@ -193,9 +195,19 @@ def _angle_key(center):
 
 def write_plot(result: QuantileRegion, path: str) -> bool:
     """Ordered vertex cycle as decimal lines, for 2-D nonempty bounded
-    regions only; returns whether a file was written."""
+    regions only; returns whether a file was written.  When none is, a note
+    on stderr says why."""
     region = result.region
-    if region.dim != 2 or region.is_empty or not region.is_bounded:
+    if region.dim != 2:
+        skipped = f"the region is {region.dim}-dimensional, not 2-D"
+    elif region.is_empty:
+        skipped = "the region is empty"
+    elif not region.is_bounded:
+        skipped = "the region is unbounded"
+    else:
+        skipped = None
+    if skipped:
+        print(f"note: plot {path} not written: {skipped}", file=sys.stderr)
         return False
     verts = list(region.vertices)
     if len(verts) > 2:
@@ -216,7 +228,10 @@ def cmd_uniquantile(args) -> int:
     level, _ = _parse_level(args.p, cloud.n, nudge=False)
     q = quantile_direct(sample, level)
     t_star, loss = minimize_pinball_loss(sample, level)
-    assert t_star == q
+    if t_star != q:
+        raise InternalInvariantError(
+            "the pinball loss minimizer is not the direct quantile"
+        )
     suffix = ""
     if args.check:
         outcome = simplex_solve(build_lp_dual(cloud, level, (Fraction(1),)))
@@ -394,6 +409,9 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalInvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except IntegralNp as exc:
         print(f"error: {exc} (pass --nudge to adjust the level)", file=sys.stderr)
         return EXIT_HYPOTHESIS

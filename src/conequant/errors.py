@@ -42,3 +42,10 @@ class MalformedProgram(ConequantError):
 
 class DimensionNot2(ConequantError):
     """The exact planar oracle only handles two-dimensional data."""
+
+
+class InternalInvariantError(ConequantError):
+    """A solver invariant failed: a bug in this package, not bad input.
+
+    Raised by explicit checks, so that it also fires under ``python -O``.
+    """

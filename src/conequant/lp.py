@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .core import DataCloud, QuantileLevel, as_vector, project_data
-from .errors import DimensionMismatch, MalformedProgram
+from .errors import DimensionMismatch, InternalInvariantError, MalformedProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -295,7 +295,10 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
     sx = _Simplex(lp)
     sx.setup_phase1()
     outcome = sx.iterate()
-    assert outcome == OPTIMAL, "phase 1 is bounded below by zero"
+    if outcome != OPTIMAL:
+        raise InternalInvariantError(
+            "phase 1 is bounded below by zero but did not end optimal"
+        )
     infeas = sum(
         (sx.value_of(j) for j in range(sx.n_real, sx.ncols)), Fraction(0)
     )

@@ -25,7 +25,7 @@ from .core import (
     as_vector,
     make_dual_basis,
 )
-from .errors import DimensionMismatch, DimensionNot2
+from .errors import DimensionMismatch, DimensionNot2, InternalInvariantError
 from .polyhedra import Halfspace, Polyhedron
 from .quantile import QuantileRegion
 from .univariate import ScalarSample, count_le, project, quantile_direct
@@ -139,7 +139,10 @@ def oracle_region_2d(
         arcs = [(crit[i], crit[i + 1]) for i in range(len(crit) - 1)]
     for a, b in arcs:
         mid = primitive((a[0] + b[0], a[1] + b[1]))
-        assert any(mid), "consecutive directions are never antipodal"
+        if not any(mid):
+            raise InternalInvariantError(
+                "two consecutive critical directions are antipodal"
+            )
         proj = [_dot2(mid, p) for p in cloud.points]
         order = sorted(range(len(proj)), key=lambda i: (proj[i], i))
         anchor = cloud.points[order[k - 1]]

@@ -2,10 +2,12 @@
 redundancy removal and set equality.
 
 Conversions run the double description method on the homogenization of the
-polyhedron: lineality is split off first by exact nullspace computation, a
-pointed cone engine (integer arithmetic, primitive ray vectors, adjacency by
-combinatorial prefilter plus the algebraic rank test) enumerates extreme
-rays, and generators with positive homogenizing coordinate become vertices.
+polyhedron.  When the constraint rows are rank deficient, lineality is split
+off first by exact nullspace computation; otherwise the cone is pointed and
+is handed over as it is.  A pointed cone engine (integer arithmetic,
+primitive ray vectors, zero sets as bitmasks, adjacency by a popcount
+prefilter and then the exact combinatorial test) enumerates extreme rays,
+and generators with positive homogenizing coordinate become vertices.
 A lineality direction appears in the V-representation as a pair of opposite
 rays; the "vertices" of a non-pointed polyhedron are canonical
 representatives of its minimal faces.
@@ -15,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import _linalg
 from .core import Vector, as_vector
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInvariantError
 
 IntVec = tuple[int, ...]
 
@@ -84,33 +87,14 @@ class Equation:
         return _linalg.dot(self.normal, r) == 0
 
 
-class _RankTracker:
-    """Incremental row-independence test via a running elimination basis."""
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def try_add(self, row) -> bool:
-        vec = [Fraction(x) for x in row]
-        for r, p in zip(self.rows, self.pivots):
-            if vec[p] != 0:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, r)]
-        pivot = next((j for j in range(self.width) if vec[j] != 0), None)
-        if pivot is None:
-            return False
-        pv = vec[pivot]
-        vec = [a / pv for a in vec]
-        self.rows.append(vec)
-        self.pivots.append(pivot)
-        return True
-
-
 class _PointedCone:
     """Double description for a pointed cone {x : row.x >= 0} under
     incremental row insertion.  Rows and rays are primitive integer vectors.
+
+    ``zerosets[i]`` has bit k set exactly when ``processed[k]`` is zero on
+    ``rays[i]``.  The first ``dim`` linearly independent rows, taken greedily
+    in input order, bootstrap a simplicial cone; every later row is inserted
+    by the double description step.
     """
 
     def __init__(self, dim: int) -> None:
@@ -118,8 +102,8 @@ class _PointedCone:
         self.processed: list[IntVec] = []
         self.rays: list[IntVec] = []
         self.zerosets: list[int] = []
+        self._basis: list[IntVec] = []
         self._pending: list[IntVec] = []
-        self._tracker = _RankTracker(dim)
         self._initialized = False
 
     def add_rows(self, rows) -> None:
@@ -131,35 +115,28 @@ class _PointedCone:
             raise DimensionMismatch("constraint row has the wrong width")
         if all(v == 0 for v in row):
             return
-        if not self._initialized:
+        if self._initialized:
+            self._insert(row)
+        elif _linalg.int_rank(self._basis + [row]) > len(self._basis):
+            self._basis.append(row)
+            if len(self._basis) == self.dim:
+                self._bootstrap()
+        else:
             self._pending.append(row)
-            if self._tracker.try_add(row):
-                if len(self._tracker.pivots) == self.dim:
-                    self._bootstrap()
-            return
-        self._insert(row)
 
     def _bootstrap(self) -> None:
-        # the independent rows collected so far define a simplicial cone whose
-        # extreme rays are the columns of the inverse matrix
-        chosen: list[IntVec] = []
-        tracker = _RankTracker(self.dim)
-        rest: list[IntVec] = []
-        for row in self._pending:
-            if len(chosen) < self.dim and tracker.try_add(row):
-                chosen.append(row)
-            else:
-                rest.append(row)
-        inv = _linalg.invert([list(map(Fraction, r)) for r in chosen])
+        # the independent rows define a simplicial cone whose extreme rays
+        # are the columns of the inverse matrix
+        inv = _linalg.invert([list(map(Fraction, r)) for r in self._basis])
         cols = [
             tuple(inv[i][k] for i in range(self.dim)) for k in range(self.dim)
         ]
-        self.processed = list(chosen)
+        self.processed = self._basis
         self.rays = [_linalg.primitive(c) for c in cols]
         full = (1 << self.dim) - 1
         self.zerosets = [full & ~(1 << i) for i in range(self.dim)]
         self._initialized = True
-        self._pending = []
+        rest, self._basis, self._pending = self._pending, [], []
         for row in rest:
             self._insert(row)
 
@@ -172,60 +149,62 @@ class _PointedCone:
         return self._initialized
 
     def _insert(self, row: IntVec) -> None:
-        vals = [sum(a * b for a, b in zip(row, ray)) for ray in self.rays]
-        neg = [i for i, v in enumerate(vals) if v < 0]
+        rays, zerosets = self.rays, self.zerosets
+        vals = [sum(map(mul, row, ray)) for ray in rays]
         bit = 1 << len(self.processed)
         self.processed.append(row)
+        neg = [i for i, v in enumerate(vals) if v < 0]
         if not neg:
             for i, v in enumerate(vals):
                 if v == 0:
-                    self.zerosets[i] |= bit
+                    zerosets[i] |= bit
             return
         pos = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
-        newborn: list[IntVec] = []
+        # a face spanned by two rays is 2-dimensional only if at least dim-2
+        # rows are tight on both
+        need = self.dim - 2
+        keep_rays = [rays[i] for i in pos + zero]
+        keep_zs = [zerosets[i] for i in pos] + [zerosets[i] | bit for i in zero]
         for ip in pos:
+            zp = zerosets[ip]
             for im in neg:
-                if not self._adjacent(ip, im):
+                mask = zp & zerosets[im]
+                if mask.bit_count() < need or not self._adjacent(ip, im):
                     continue
                 tp, tm = vals[ip], vals[im]
-                combo = tuple(
-                    tp * b - tm * a for a, b in zip(self.rays[ip], self.rays[im])
-                )
-                newborn.append(_linalg.primitive(combo))
-        keep_rays = [self.rays[i] for i in pos + zero]
-        keep_zs = [
-            self.zerosets[i] | (bit if i in zero else 0) for i in pos + zero
-        ]
-        for ray in newborn:
-            keep_rays.append(ray)
-            zs = 0
-            for k, prow in enumerate(self.processed):
-                if sum(a * b for a, b in zip(prow, ray)) == 0:
-                    zs |= 1 << k
-            keep_zs.append(zs)
+                combo = tuple(tp * b - tm * a for a, b in zip(rays[ip], rays[im]))
+                keep_rays.append(_linalg.primitive(combo))
+                # a positive combination of two rays, each nonnegative on
+                # every processed row, is zero exactly where both are
+                keep_zs.append(mask | bit)
         self.rays = keep_rays
         self.zerosets = keep_zs
 
     def _adjacent(self, i: int, j: int) -> bool:
+        """Whether rays i and j span a 2-face: no third ray is zero on every
+        row that both are zero on (Fukuda & Prodon 1996, combinatorial test)."""
         mask = self.zerosets[i] & self.zerosets[j]
         for k, zs in enumerate(self.zerosets):
             if k != i and k != j and zs & mask == mask:
                 return False
-        tight = [
-            self.processed[k]
-            for k in range(len(self.processed))
-            if mask >> k & 1
-        ]
-        return _linalg.int_rank(tight) == self.dim - 2
+        return True
 
 
 def _dd_cone(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
     """Lines and extreme rays of the general cone {x : row.x >= 0}."""
     live = [r for r in rows if any(r)]
+    if _linalg.int_rank(live) == dim:
+        # full rank: the cone is pointed, so the engine runs on the rows as
+        # they are
+        engine = _PointedCone(dim)
+        engine.add_rows(live)
+        engine.finish()
+        return [], engine.rays
     lines = [_linalg.primitive(v) for v in _linalg.nullspace(live, dim)]
     if not live:
         return lines, []
+    # split off the lineality space: run the engine in the row space
     red, _ = _linalg.rref([list(map(Fraction, r)) for r in live])
     basis = [tuple(r) for r in red]
     s = len(basis)
@@ -372,13 +351,17 @@ class Polyhedron:
         rays: list[Vector] = []
         for g in raw:
             z0 = g[-1]
-            assert z0 >= 0, "homogenizing coordinate escaped its halfspace"
+            if z0 < 0:
+                raise InternalInvariantError(
+                    "homogenizing coordinate escaped its halfspace"
+                )
             if z0 > 0:
                 verts.append(tuple(Fraction(v, z0) for v in g[:-1]))
             else:
                 rays.append(tuple(Fraction(v) for v in g[:-1]))
         for ln in lines:
-            assert ln[-1] == 0
+            if ln[-1] != 0:
+                raise InternalInvariantError("a line leaves the homogenizing hyperplane")
             vec = tuple(Fraction(v) for v in ln[:-1])
             rays.append(vec)
             rays.append(tuple(-v for v in vec))
@@ -410,7 +393,10 @@ class Polyhedron:
         for ln in lines:
             n, off = ln[:-1], ln[-1]
             if all(v == 0 for v in n):
-                assert off == 0
+                if off != 0:
+                    raise InternalInvariantError(
+                        "an equation with a zero normal has a nonzero offset"
+                    )
                 continue
             equations.append(Equation(tuple(map(Fraction, n)), Fraction(-off)).canonical())
         # directions of the affine hull, for filtering constraints that are
@@ -484,7 +470,8 @@ def remove_redundant(p: Polyhedron) -> Polyhedron:
             bounds=tuple((None, None) for _ in range(p.dim)),
         )
         outcome = simplex_solve(lp)
-        assert outcome.status != INFEASIBLE, "nonempty polyhedron lost feasibility"
+        if outcome.status == INFEASIBLE:
+            raise InternalInvariantError("nonempty polyhedron lost feasibility")
         if outcome.status != OPTIMAL or outcome.value < h.offset:
             kept.append(h)
     return Polyhedron.from_hrep(kept, p.equations, dim=p.dim)

@@ -16,7 +16,7 @@ from .core import (
     make_dual_basis,
     validate_cone,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInvariantError
 from .polyhedra import Halfspace, Polyhedron, remove_redundant
 from .vlp import BensonStats, benson_dual_solve, halfspaces_of
 
@@ -165,7 +165,8 @@ def tukey_depth(cloud: DataCloud, z) -> int:
     n = cloud.n
     for k in range(n, 0, -1):
         level = QuantileLevel(Fraction(2 * k - 1, 2 * n), n)
-        assert level.ceil_np == k
+        if level.ceil_np != k:
+            raise InternalInvariantError("depth level does not have count threshold k")
         if tukey_region(cloud, level).region.contains(z_vec):
             return k
     return 0

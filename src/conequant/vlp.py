@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from ._linalg import primitive
 from .core import DataCloud, DualConeBasis, QuantileLevel, Vector, as_vector
-from .errors import DimensionMismatch, EmptyBasis
+from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
 from .polyhedra import Equation, Halfspace, Polyhedron, _PointedCone
 from .univariate import ascending, greedy_masses, project, quantile_and_loss, support_point
 
@@ -111,7 +111,10 @@ def initial_outer(basis: DualConeBasis) -> Polyhedron:
         coef = tuple(s * (g[j] - g[-1] * c[j] / c[-1]) for j in range(d - 1))
         const = g[-1] / c[-1]
         if all(v == 0 for v in coef):
-            assert const >= 0, "validated cone yielded an infeasible constant row"
+            if const < 0:
+                raise InternalInvariantError(
+                    "validated cone yielded an infeasible constant row"
+                )
             continue
         halfspaces.append(Halfspace(coef + (Fraction(0),), -const))
     floor = Halfspace(tuple(Fraction(0) for _ in range(d - 1)) + (Fraction(1),), Fraction(0))
@@ -171,7 +174,8 @@ def benson_dual_solve(
     for h in outer:
         engine.add_row(_homogenized(h))
     engine.add_row(tuple([0] * d + [1]))
-    assert engine.ready, "initial outer approximation is not pointed"
+    if not engine.ready:
+        raise InternalInvariantError("initial outer approximation is not pointed")
 
     # (w, t, g) per vertex coords; the projection itself is not kept, since a
     # vertex that needs a cut is cut off and never comes back
@@ -203,9 +207,11 @@ def benson_dual_solve(
                     confirmed[coords] = DualImagePoint(coords, mu)
                 continue
             if mu > g:
-                raise AssertionError("outer vertex ended up above the dual image")
+                raise InternalInvariantError(
+                    "outer vertex ended up above the dual image"
+                )
             if keys is None:
-                raise AssertionError("a cut-off vertex came back")
+                raise InternalInvariantError("a cut-off vertex came back")
             masses = greedy_masses(keys, asc, level.p)
             y = support_point(rows, den, *masses, level.p.denominator)
             scalarizations += 1
@@ -224,9 +230,10 @@ def benson_dual_solve(
 
     verts = sorted(_engine_vertices(engine))
     rays = sorted(_engine_rays(engine))
-    assert rays == [tuple([Fraction(0)] * (d - 1)) + (Fraction(1),)], (
-        "dual image recession cone must be the upward value ray"
-    )
+    if rays != [tuple([Fraction(0)] * (d - 1)) + (Fraction(1),)]:
+        raise InternalInvariantError(
+            "dual image recession cone is not the upward value ray"
+        )
     image = Polyhedron(d, tuple(outer), (), tuple(verts), tuple(rays), False)
     entries = []
     image_vertices = []
@@ -256,7 +263,10 @@ def _engine_vertices(engine: _PointedCone) -> list[Vector]:
     out = []
     for ray in engine.rays:
         z0 = ray[-1]
-        assert z0 >= 0
+        if z0 < 0:
+            raise InternalInvariantError(
+                "homogenizing coordinate escaped its halfspace"
+            )
         if z0 > 0:
             out.append(tuple(Fraction(v, z0) for v in ray[:-1]))
     return out

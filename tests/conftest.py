@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from conequant import (
     Cone,
     ConequantError,
@@ -91,3 +93,18 @@ def random_vrep_polyhedron(rng: random.Random, dim: int):
         if any(r):
             rays.append(r)
     return Polyhedron.from_vrep(verts, rays, dim=dim)
+
+
+@pytest.fixture
+def value_below_vertex(monkeypatch):
+    """Make the Benson oracle report a loss value one below the true one, so
+    the outer vertices it checks lie above the dual image it reports."""
+    import conequant.vlp as vlp
+
+    real = vlp.quantile_and_loss
+
+    def below(*args):
+        t, g = real(*args)
+        return t, g - 1
+
+    monkeypatch.setattr(vlp, "quantile_and_loss", below)

@@ -187,6 +187,41 @@ class TestRegionDocuments:
             assert cross >= 0
 
 
+    @pytest.mark.parametrize(
+        "args,reason",
+        [
+            (
+                ["region", str(GOLDEN / "twopoint.csv"), "--p", "3/4",
+                 "--cone", str(GOLDEN / "orthant2.txt")],
+                "the region is unbounded",
+            ),
+            (["tukey", str(GOLDEN / "triangle.csv"), "--p", "2/5"], "the region is empty"),
+            (["tukey", "CUBE", "--p", "3/16"], "the region is 3-dimensional, not 2-D"),
+        ],
+        ids=["unbounded", "empty", "3-D"],
+    )
+    def test_plot_skip_is_noted(self, args, reason, tmp_path, capsys):
+        cube = tmp_path / "cube.csv"
+        corners = product((0, 1), repeat=3)
+        cube.write_text("".join(",".join(map(str, c)) + "\n" for c in corners))
+        args = [str(cube) if a == "CUBE" else a for a in args]
+        _, before, _ = run_cli(args, capsys)
+        plot = tmp_path / "cycle.csv"
+        code, out, err = run_cli(args + ["--plot", str(plot)], capsys)
+        assert code == 0
+        assert out == before
+        assert not plot.exists()
+        assert err == f"note: plot {plot} not written: {reason}\n"
+
+
+class TestInternalInvariant:
+    def test_broken_invariant_exits_4(self, square, value_below_vertex, capsys):
+        code, out, err = run_cli(["tukey", square, "--p", "3/10"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal invariant failed: ")
+
+
 class TestConeErrors:
     def test_cone_with_line_exits_2(self, square, tmp_path, capsys):
         cone = tmp_path / "bad.txt"

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -15,7 +17,9 @@ from conequant import (
     remove_redundant,
     vrep_to_hrep,
 )
+from conequant._linalg import int_rank, nullspace, primitive
 from conequant.lp import INFEASIBLE, LinearProgram, simplex_solve
+from conequant.polyhedra import _PointedCone
 
 F = Fraction
 
@@ -262,3 +266,82 @@ class TestRoundTrips:
                 assert sum(y[i] * h.normal[j] for i, h in enumerate(p.halfspaces)) == 0
             assert sum(y[i] * h.offset for i, h in enumerate(p.halfspaces)) > 0
         assert empties >= 5
+
+
+def _brute_force_rays(rows, dim):
+    """Extreme rays of the pointed cone {x : row.x >= 0}: the feasible
+    kernel directions of every rank dim-1 set of dim-1 rows."""
+    rays = set()
+    for sub in combinations(rows, dim - 1):
+        if int_rank(list(sub)) != dim - 1:
+            continue
+        (kernel,) = nullspace(sub, dim)
+        for sign in (1, -1):
+            ray = primitive(tuple(sign * c for c in kernel))
+            if all(sum(map(mul, row, ray)) >= 0 for row in rows):
+                rays.add(ray)
+    return rays
+
+
+def _square_pyramid(dim):
+    """Four facets through one point: in dim 3 the cone over a square, whose
+    apex is the origin; in dim 4 the homogenized square pyramid, whose apex
+    is an extreme ray on four facets where a simple 3-D vertex has three."""
+    if dim == 3:
+        return [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    return [
+        (0, 0, 1, 0),
+        (-1, 0, -1, 1),
+        (1, 0, -1, 1),
+        (0, -1, -1, 1),
+        (0, 1, -1, 1),
+        (0, 0, 0, 1),
+    ]
+
+
+class TestPointedConeEngine:
+    """The incremental double description against brute force."""
+
+    def _check(self, rows, dim):
+        engine = _PointedCone(dim)
+        engine.add_rows(rows)
+        engine.finish()
+        assert len(set(engine.rays)) == len(engine.rays)
+        assert set(engine.rays) == _brute_force_rays(rows, dim)
+        for ray, zs in zip(engine.rays, engine.zerosets):
+            tight = sum(
+                1 << k
+                for k, row in enumerate(engine.processed)
+                if sum(map(mul, row, ray)) == 0
+            )
+            assert zs == tight
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_square_pyramid_apex(self, dim):
+        rows = _square_pyramid(dim)
+        self._check(rows, dim)
+        rng = random.Random(dim)
+        for _ in range(10):
+            rng.shuffle(rows)
+            self._check(rows, dim)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_random_cones(self, dim):
+        rng = random.Random(600 + dim)
+        checked = 0
+        while checked < 40:
+            rows = [
+                tuple(rng.randint(-2, 2) for _ in range(dim))
+                for _ in range(rng.randint(dim, dim + 5))
+            ]
+            if int_rank(rows) < dim:
+                continue
+            # duplicates, zero rows and positive combinations are redundant
+            extra = [rng.choice(rows) for _ in range(rng.randint(0, 2))]
+            for _ in range(rng.randint(0, 2)):
+                a, b = rng.sample(rows, 2)
+                extra.append(tuple(x + 2 * y for x, y in zip(a, b)))
+            rows += extra + [(0,) * dim]
+            rng.shuffle(rows)
+            self._check(rows, dim)
+            checked += 1

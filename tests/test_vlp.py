@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from conequant import (
     EmptyBasis,
     Halfspace,
     IntegralNp,
+    InternalInvariantError,
     Polyhedron,
     QuantileLevel,
     ScalarSample,
@@ -237,3 +242,40 @@ class TestHalfspacesOf:
         )
         with pytest.raises(EmptyBasis):
             halfspaces_of(hollow)
+
+
+class TestInternalInvariants:
+    """A broken solver invariant raises a typed error, also under python -O."""
+
+    def test_value_below_outer_vertex_raises(self, value_below_vertex):
+        cloud = DataCloud.from_rows([[0, 0], [1, 0], [0, 1], [1, 1]])
+        basis = make_dual_basis(orthant(2), (1, 1))
+        with pytest.raises(InternalInvariantError, match="above the dual image"):
+            benson_dual_solve(cloud, QuantileLevel(F(3, 10), 4), basis)
+
+    def test_raised_under_optimize_flag(self):
+        import conequant
+
+        script = """
+from fractions import Fraction
+import conequant as cq
+import conequant.vlp as vlp
+
+real = vlp.quantile_and_loss
+vlp.quantile_and_loss = lambda *a: (real(*a)[0], real(*a)[1] - 1)
+cloud = cq.DataCloud.from_rows([[0, 0], [1, 0], [0, 1], [1, 1]])
+basis = cq.make_dual_basis(cq.validate_cone([[1, 0], [0, 1]]), (1, 1))
+try:
+    cq.benson_dual_solve(cloud, cq.QuantileLevel(Fraction(3, 10), 4), basis)
+except cq.InternalInvariantError:
+    print(__debug__, "InternalInvariantError")
+"""
+        src = str(Path(conequant.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "InternalInvariantError"]
