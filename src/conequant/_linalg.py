@@ -7,6 +7,7 @@ beyond "first nonzero" are needed because the arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
@@ -131,3 +132,26 @@ def primitive(vec) -> tuple[int, ...]:
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints)
+
+
+def cross(a, b):
+    """The planar cross product a[0]*b[1] - a[1]*b[0]."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def angle_cmp(a, b) -> int:
+    """Order nonzero planar vectors counter-clockwise by angle from the
+    positive x axis, in [0, 2*pi); 0 when they point the same way.
+
+    Exact for integers and rationals: the half plane first, then the sign of
+    the cross product, which is a total order within one half plane.
+    """
+    ha = 0 if a[1] > 0 or (a[1] == 0 and a[0] > 0) else 1
+    hb = 0 if b[1] > 0 or (b[1] == 0 and b[0] > 0) else 1
+    if ha != hb:
+        return ha - hb
+    cr = cross(a, b)
+    return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+
+angle_key = cmp_to_key(angle_cmp)

@@ -15,10 +15,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cmp_to_key
 from pathlib import Path
 
-from ._linalg import primitive
+from ._linalg import angle_key
 from .core import (
     Cone,
     DataCloud,
@@ -175,24 +174,6 @@ def _emit(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _angle_key(center):
-    def cmp(a, b):
-        da = primitive(tuple(x - c for x, c in zip(a, center)))
-        db = primitive(tuple(x - c for x, c in zip(b, center)))
-        ha = 0 if (da[1] > 0 or (da[1] == 0 and da[0] > 0)) else 1
-        hb = 0 if (db[1] > 0 or (db[1] == 0 and db[0] > 0)) else 1
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = da[0] * db[1] - da[1] * db[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    return cmp_to_key(cmp)
-
-
 def write_plot(result: QuantileRegion, path: str) -> bool:
     """Ordered vertex cycle as decimal lines, for 2-D nonempty bounded
     regions only; returns whether a file was written.  When none is, a note
@@ -214,7 +195,7 @@ def write_plot(result: QuantileRegion, path: str) -> bool:
         center = tuple(
             sum((v[j] for v in verts), Fraction(0)) / len(verts) for j in range(2)
         )
-        verts.sort(key=_angle_key(center))
+        verts.sort(key=lambda v: angle_key((v[0] - center[0], v[1] - center[1])))
     lines = [f"{float(v[0])!r},{float(v[1])!r}" for v in verts]
     _write_text(path, "\n".join(lines) + "\n")
     return True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from ._linalg import primitive
+from ._linalg import angle_key, cross, primitive
 from .core import (
     Cone,
     DataCloud,
@@ -47,27 +47,6 @@ def _dot2(w: IntDir, x: Vector) -> Fraction:
     return w[0] * x[0] + w[1] * x[1]
 
 
-def _half(v: IntDir) -> int:
-    x, y = v
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-
-def _cross(a: IntDir, b: IntDir) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _angle_cmp(a: IntDir, b: IntDir) -> int:
-    ha, hb = _half(a), _half(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cr = _cross(a, b)
-    if cr > 0:
-        return -1
-    if cr < 0:
-        return 1
-    return 0
-
-
 def critical_directions(cloud: DataCloud, cone: Cone | None) -> CriticalDirectionSet:
     """Both normals of every difference of distinct data points, plus the
     extreme rays of the dual cone (cone case) or the axis directions (Tukey
@@ -85,7 +64,7 @@ def critical_directions(cloud: DataCloud, cone: Cone | None) -> CriticalDirectio
             dirs.add((-n[0], -n[1]))
     if cone is None:
         dirs.update([(1, 0), (-1, 0), (0, 1), (0, -1)])
-        ordered = sorted(dirs, key=cmp_to_key(_angle_cmp))
+        ordered = sorted(dirs, key=angle_key)
         return CriticalDirectionSet(tuple(ordered))
     in_dual = [w for w in dirs if cone.dual_contains(tuple(map(Fraction, w)))]
     boundary: set[IntDir] = set()
@@ -99,7 +78,7 @@ def critical_directions(cloud: DataCloud, cone: Cone | None) -> CriticalDirectio
     sector = set(in_dual) | boundary
     # the sector spans less than a half turn, so the cross product is a
     # total order on it once anchored anywhere inside
-    ordered = sorted(sector, key=cmp_to_key(lambda a, b: -_cross(a, b)))
+    ordered = sorted(sector, key=cmp_to_key(lambda a, b: -cross(a, b)))
     return CriticalDirectionSet(tuple(ordered))
 
 

@@ -6,7 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
+from ._linalg import angle_key, common_denominator, int_rank, primitive
 from .core import (
     Cone,
     DataCloud,
@@ -16,7 +19,7 @@ from .core import (
     make_dual_basis,
     validate_cone,
 )
-from .errors import DimensionMismatch, InternalInvariantError
+from .errors import DimensionMismatch
 from .polyhedra import Halfspace, Polyhedron, remove_redundant
 from .vlp import BensonStats, benson_dual_solve, halfspaces_of
 
@@ -154,19 +157,107 @@ def region_membership(
 
 
 def tukey_depth(cloud: DataCloud, z) -> int:
-    """Largest k such that z lies in the depth-k region; 0 outside the hull.
+    """Tukey (halfspace) depth of z: the least number of data points in a
+    closed halfspace whose boundary passes through z.  It is the largest k
+    with z in the depth-k region, and 0 outside the convex hull.
 
-    Sweeps levels downward using p = (k - 1/2)/N, which is always a valid
-    level with count threshold exactly k.
+    Counted directly in integers; no region is solved.  With y_i = x_i - z
+    scaled to integers, the depth is the least #{i : w.y_i <= 0} over
+    directions w.  Points equal to z count for every w.  For the rest, the
+    least is reached inside an open cell of the central arrangement
+    {w.y_i = 0}, because the count at a w on a cell's boundary is never
+    below the count inside the cells next to it.  When the y_i span at most a plane, one angular sweep over
+    their 2N normals finds it in O(N log N) (Rousseeuw & Ruts, AS 307,
+    1996).  A span r >= 3 is reduced to the hyperplanes y_i^perp, each a
+    problem of span r - 1 (after Dyckerhoff & Mozharovskyi, 2016), so it
+    costs O(N^(r-1) log N).
     """
     z_vec = as_vector(z)
     if len(z_vec) != cloud.dim:
         raise DimensionMismatch("query point dimension does not match the data")
-    n = cloud.n
-    for k in range(n, 0, -1):
-        level = QuantileLevel(Fraction(2 * k - 1, 2 * n), n)
-        if level.ceil_np != k:
-            raise InternalInvariantError("depth level does not have count threshold k")
-        if tukey_region(cloud, level).region.contains(z_vec):
-            return k
-    return 0
+    rows, den = cloud.int_form
+    z_ints, z_den = common_denominator(z_vec)
+    scale = lcm(den, z_den)
+    x_mul = scale // den
+    z_ints = [c * (scale // z_den) for c in z_ints]
+    at_z = 0
+    counts: dict[tuple[int, ...], int] = {}
+    for row in rows:
+        y = tuple(a * x_mul - b for a, b in zip(row, z_ints))
+        if any(y):
+            y = primitive(y)
+            counts[y] = counts.get(y, 0) + 1
+        else:
+            at_z += 1
+    if not counts:
+        return at_z
+    return at_z + _least_count(counts, int_rank(list(counts)))
+
+
+def _least_count(counts: dict[tuple[int, ...], int], rank: int) -> int:
+    """Least #{y : w.y < 0} over the w orthogonal to no y, counting each
+    distinct primitive vector y with its multiplicity ``counts[y]``; the
+    vectors span a space of dimension ``rank``.
+
+    Every open cell has a facet on some hyperplane u^perp.  Next to it, the
+    cell counts the vectors parallel to u on its side, plus the count at a
+    point of the facet, which sees only the projections of the other
+    vectors onto u^perp.
+    """
+    if rank <= 2:
+        return _planar_least_count(_plane_coords(counts))
+    best = sum(counts.values())
+    done: set[tuple[int, ...]] = set()
+    for u, same in counts.items():
+        opposite = tuple(-c for c in u)
+        if opposite in done:
+            continue
+        done.add(u)
+        uu = sum(map(mul, u, u))
+        rest: dict[tuple[int, ...], int] = {}
+        for y, c in counts.items():
+            if y != u and y != opposite:
+                uy = sum(map(mul, u, y))
+                p = primitive(tuple(uu * b - uy * a for a, b in zip(u, y)))
+                rest[p] = rest.get(p, 0) + c
+        parallel = min(same, counts.get(opposite, 0))
+        best = min(best, parallel + _least_count(rest, rank - 1))
+    return best
+
+
+def _plane_coords(counts: dict[tuple[int, ...], int]) -> dict[tuple[int, int], int]:
+    """Vectors spanning at most a plane, as primitive pairs (b1.y, b2.y) for
+    two of them, b1 and b2, that span it (b2 is zero when they span a line).
+    That map is a linear bijection of the span, so every count is kept."""
+    b1 = next(iter(counts))
+    if len(b1) == 2:
+        return counts
+    opposite = tuple(-c for c in b1)
+    b2 = next((y for y in counts if y != b1 and y != opposite), (0,) * len(b1))
+    plane: dict[tuple[int, int], int] = {}
+    for y, c in counts.items():
+        p = primitive((sum(map(mul, b1, y)), sum(map(mul, b2, y))))
+        plane[p] = plane.get(p, 0) + c
+    return plane
+
+
+def _planar_least_count(counts: dict[tuple[int, int], int]) -> int:
+    """Least #{y : w.y < 0} over planar w orthogonal to no y, by one
+    angular sweep.  Turning w counter-clockwise, y starts to count at
+    rot90(y) and stops at rot270(y)."""
+    events: dict[tuple[int, int], int] = {}
+    for (a, b), c in counts.items():
+        events[(-b, a)] = events.get((-b, a), 0) + c
+        events[(b, -a)] = events.get((b, -a), 0) - c
+    order = sorted(events, key=angle_key)
+    # the count just counter-clockwise of the first event, at g + eps*rot90(g)
+    g0, g1 = order[0]
+    count = sum(
+        c for (a, b), c in counts.items() if (g0 * a + g1 * b, g0 * b - g1 * a) < (0, 0)
+    )
+    best = count
+    for e in order[1:]:
+        count += events[e]
+        if count < best:
+            best = count
+    return best

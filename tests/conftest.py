@@ -2,7 +2,8 @@
 
 All randomness is seeded `random.Random` instances owned by each test; these
 helpers only derive values from the generator they are handed, so every test
-stays reproducible in isolation.
+stays reproducible in isolation.  Property tests run under a derandomized
+hypothesis profile for the same reason.
 """
 
 from __future__ import annotations
@@ -11,20 +12,52 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from conequant import (
     Cone,
     ConequantError,
     DataCloud,
+    DimensionMismatch,
+    InternalInvariantError,
     QuantileLevel,
+    tukey_region,
     validate_cone,
 )
+from conequant.core import as_vector
+
+# property tests replay the same examples on every run and write no
+# example database, so the suite stays deterministic
+settings.register_profile("conequant", derandomize=True, database=None, deadline=None)
+settings.load_profile("conequant")
 
 
 def random_cloud(rng: random.Random, n: int, dim: int, span: int = 50) -> DataCloud:
     return DataCloud.from_rows(
         [[rng.randint(-span, span) for _ in range(dim)] for _ in range(n)]
     )
+
+
+def depth_by_region_sweep(cloud: DataCloud, z) -> int:
+    """Tukey depth by a sweep over regions: the largest k whose depth-k
+    region contains z, 0 outside the hull.  Up to N Benson solves; kept as
+    the reference that the direct count in ``tukey_depth`` is checked
+    against.
+
+    Sweeps levels downward using p = (k - 1/2)/N, which is always a valid
+    level with count threshold exactly k.
+    """
+    z_vec = as_vector(z)
+    if len(z_vec) != cloud.dim:
+        raise DimensionMismatch("query point dimension does not match the data")
+    n = cloud.n
+    for k in range(n, 0, -1):
+        level = QuantileLevel(Fraction(2 * k - 1, 2 * n), n)
+        if level.ceil_np != k:
+            raise InternalInvariantError("depth level does not have count threshold k")
+        if tukey_region(cloud, level).region.contains(z_vec):
+            return k
+    return 0
 
 
 def random_valid_level(rng: random.Random, n: int, max_den: int = 1000) -> QuantileLevel:

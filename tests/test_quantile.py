@@ -21,7 +21,9 @@ from conequant import (
     unlift_normal,
     validate_cone,
 )
-from conftest import random_cloud, random_valid_level
+from conequant._linalg import dot, rank
+from conequant.oracle import oracle_region_2d
+from conftest import depth_by_region_sweep, random_cloud, random_valid_level
 
 F = Fraction
 
@@ -165,6 +167,92 @@ class TestTukeyDepth:
             for x in cloud.points:
                 if reg.region.contains(x):
                     assert tukey_depth(cloud, x) >= level.ceil_np
+
+    def test_matches_region_sweep(self):
+        rng = random.Random(65)
+        for dim, n_max, clouds in ((1, 9, 6), (2, 9, 9), (3, 7, 6), (4, 5, 3)):
+            for i in range(clouds):
+                cloud = _depth_test_cloud(rng, dim, n_max, i)
+                for z in _depth_test_queries(rng, cloud):
+                    depth = tukey_depth(cloud, z)
+                    assert depth == depth_by_region_sweep(cloud, z), (cloud, z)
+                    if dim == 2:
+                        _assert_planar_oracle_sides(cloud, z, depth)
+
+    def test_regions_are_exact_in_3d(self):
+        """Region vertices have depth >= k; at each facet, the centroid of
+        its vertices has depth >= k and that point moved past the facet by
+        w/M has depth < k."""
+        rng = random.Random(63)
+        facets_checked = 0
+        for _ in range(14):
+            n = rng.randint(4, 12)
+            cloud = random_cloud(rng, n, 3, span=10)
+            k = rng.randint(1, max(1, n // 3))
+            reg = tukey_region(cloud, QuantileLevel(F(2 * k - 1, 2 * n), n))
+            verts = reg.region.vertices
+            for v in verts:
+                assert tukey_depth(cloud, v) >= k
+            if not verts or not reg.region.is_bounded:
+                continue
+            seen = set()
+            for w, t in reg.defining_entries:
+                tight = frozenset(v for v in verts if dot(w, v) == t)
+                if tight in seen or rank([_sub(v, min(tight)) for v in tight]) != 2:
+                    continue
+                seen.add(tight)
+                c = tuple(sum(v[j] for v in tight) / len(tight) for j in range(3))
+                assert tukey_depth(cloud, c) >= k
+                for m in (1, 10**9):
+                    assert tukey_depth(cloud, _sub(c, [wj / m for wj in w])) < k
+                facets_checked += 1
+        assert facets_checked >= 100
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _depth_test_cloud(rng, dim, n_max, i):
+    """The first cloud has one point; then plain, duplicated and (from
+    d = 2 on) collinear clouds in turn."""
+    if i == 0:
+        return random_cloud(rng, 1, dim, span=6)
+    n = rng.randint(2, n_max)
+    kind = i % 3
+    if kind == 2 and dim > 1:
+        step = [rng.randint(-3, 3) or 1 for _ in range(dim)]
+        base = [rng.randint(-3, 3) for _ in range(dim)]
+        ts = [rng.randint(-3, 3) for _ in range(n)]
+        return DataCloud.from_rows([[b + t * s for b, s in zip(base, step)] for t in ts])
+    cloud = random_cloud(rng, n, dim, span=6)
+    if kind == 1:
+        extra = tuple(rng.choice(cloud.points) for _ in range(rng.randint(1, n)))
+        return DataCloud(cloud.points + extra)
+    return cloud
+
+
+def _depth_test_queries(rng, cloud):
+    """A data point, the (rational) centroid, a rational point near the
+    cloud and a point outside its bounding box."""
+    dim = cloud.dim
+    return [
+        rng.choice(cloud.points),
+        tuple(sum(p[j] for p in cloud.points) / cloud.n for j in range(dim)),
+        tuple(F(rng.randint(-14, 14), rng.randint(1, 3)) for _ in range(dim)),
+        tuple(max(p[j] for p in cloud.points) + F(1, 3) for j in range(dim)),
+    ]
+
+
+def _assert_planar_oracle_sides(cloud, z, depth):
+    """z is in the oracle's depth-k region at k = depth, not at depth + 1."""
+    n = cloud.n
+    if depth >= 1:
+        level = QuantileLevel(F(2 * depth - 1, 2 * n), n)
+        assert oracle_region_2d(cloud, level, None).region.contains(z)
+    if depth < n:
+        level = QuantileLevel(F(2 * depth + 1, 2 * n), n)
+        assert not oracle_region_2d(cloud, level, None).region.contains(z)
 
 
 class TestRegionLaws:
