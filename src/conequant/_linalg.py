@@ -126,12 +126,19 @@ def common_denominator(values) -> tuple[list[int], int]:
 
 
 def primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving direction."""
-    ints, _ = common_denominator(vec)
-    g = gcd(*ints)
+    """Scale a rational vector to coprime integers, preserving direction.
+
+    An integer vector is divided by its gcd alone; denominators are cleared
+    only when some entry is not an ``int``.
+    """
+    try:
+        g = gcd(*vec)
+    except TypeError:  # a Fraction entry
+        vec, _ = common_denominator(vec)
+        g = gcd(*vec)
     if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+        return tuple(v // g for v in vec)
+    return tuple(vec)
 
 
 def cross(a, b):

@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import ConequantError, DimensionMismatch, IntegralNp, InternalInvariantError
 from .lp import OPTIMAL, build_lp_dual, simplex_solve
-from .oracle import membership_sample, oracle_region_2d
+from .oracle import check_tukey_region, membership_sample, oracle_region_2d
 from .polyhedra import poly_equal
 from .quantile import QuantileRegion, quantile_region, tukey_depth, tukey_region
 from .univariate import ScalarSample, minimize_pinball_loss, quantile_direct
@@ -292,6 +292,16 @@ def cmd_verify(args) -> int:
         witness = _containment_witness(result.region, reference.region)
         print(f"2-D exact oracle: regions differ at {witness}", file=sys.stderr)
         return EXIT_VERIFY
+    if cone is None:
+        check = check_tukey_region(cloud, result)
+        if check.refutation:
+            print(f"exact depth check: {check.refutation}", file=sys.stderr)
+            return EXIT_VERIFY
+        print(
+            f"exact depth check: {check.vertices} vertices and {check.facets} facets "
+            "agree with tukey_depth"
+        )
+        return EXIT_OK
     verts = result.region.vertices
     if not verts:
         print("region is empty; membership sampling has nothing to refute")
@@ -375,8 +385,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a region against the oracles")
     add_common(p_verify)
-    p_verify.add_argument("--trials", type=_positive_int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument(
+        "--trials",
+        type=_positive_int,
+        default=1000,
+        help="sampled directions per vertex (cone regions outside d = 2)",
+    )
+    p_verify.add_argument("--seed", type=int, default=0, help="seed of the sampled directions")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -6,7 +6,9 @@ changing only across directions orthogonal to some difference of data
 points, so finitely many critical directions plus one interior direction per
 arc give the exact region.  It deliberately shares nothing with the dual
 solver except the direct quantile and the final halfspace-intersection
-utility.  Higher dimensions get one-sided sampled membership checks.
+utility.  A Tukey region in any dimension is checked exactly on both sides
+against the direct depth count; cone regions in higher dimensions get
+one-sided sampled membership checks.
 """
 
 from __future__ import annotations
@@ -16,18 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from ._linalg import angle_key, cross, primitive
+from ._linalg import angle_key, cross, dot, primitive, rank
 from .core import (
     Cone,
     DataCloud,
     QuantileLevel,
     Vector,
     as_vector,
+    format_rational,
     make_dual_basis,
 )
 from .errors import DimensionMismatch, DimensionNot2, InternalInvariantError
 from .polyhedra import Halfspace, Polyhedron
-from .quantile import QuantileRegion
+from .quantile import TUKEY_PROVENANCE, QuantileRegion, tukey_depth
 from .univariate import ScalarSample, count_le, project, quantile_direct
 from .vlp import basis_vertices
 
@@ -184,3 +187,64 @@ def membership_sample(
         if count_le(keys, kden, t) < k:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class DepthCheck:
+    """What :func:`check_tukey_region` tested, and the first point that
+    refuted the region (None when none did)."""
+
+    vertices: int
+    facets: int
+    refutation: str | None
+
+
+def check_tukey_region(cloud: DataCloud, result: QuantileRegion) -> DepthCheck:
+    """Exact two-sided check of a Tukey region against :func:`tukey_depth`.
+
+    With k = ceil(N p): every vertex has depth >= k, and at each facet
+    w.z >= t (a defining entry whose tight vertices span a hyperplane) the
+    centroid of its vertices has depth >= k while that point moved past the
+    facet by w/M has depth < k, for M = 1 and 10**9.  Facets are checked only
+    on a nonempty bounded region.
+    """
+    if result.provenance != TUKEY_PROVENANCE:
+        raise ValueError("the depth check needs a Tukey region")
+    k = result.level.ceil_np
+    d = cloud.dim
+    verts = result.region.vertices
+
+    def show(z) -> str:
+        return "(" + ",".join(map(format_rational, z)) + ")"
+
+    for v in verts:
+        depth = tukey_depth(cloud, v)
+        if depth < k:
+            return DepthCheck(len(verts), 0, f"vertex {show(v)} has depth {depth} < {k}")
+    facets = 0
+    if not verts or not result.region.is_bounded:
+        return DepthCheck(len(verts), facets, None)
+    seen: set[frozenset] = set()
+    for w, t in result.defining_entries:
+        tight = frozenset(v for v in verts if dot(w, v) == t)
+        if len(tight) < d or tight in seen:
+            continue
+        base = min(tight)
+        if rank([[a - b for a, b in zip(v, base)] for v in tight]) != d - 1:
+            continue
+        seen.add(tight)
+        c = tuple(sum(v[j] for v in tight) / len(tight) for j in range(d))
+        depth = tukey_depth(cloud, c)
+        if depth < k:
+            return DepthCheck(
+                len(verts), facets, f"facet centroid {show(c)} has depth {depth} < {k}"
+            )
+        for m in (1, 10**9):
+            out = tuple(cj - wj / m for cj, wj in zip(c, w))
+            depth = tukey_depth(cloud, out)
+            if depth >= k:
+                return DepthCheck(
+                    len(verts), facets, f"point {show(out)} past a facet has depth {depth} >= {k}"
+                )
+        facets += 1
+    return DepthCheck(len(verts), facets, None)

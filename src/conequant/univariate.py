@@ -77,12 +77,21 @@ def _loss_num(keys: list[int], t: int, p: Fraction) -> int:
     return p.numerator * above + (p.denominator - p.numerator) * below
 
 
+def key_quantile_and_loss(
+    keys: list[int], asc: list[int], level: QuantileLevel
+) -> tuple[int, int]:
+    """The ceil(N p)-th smallest key and the pinball loss there, in units of
+    1/p.denominator of a key."""
+    t = keys[asc[level.ceil_np - 1]]
+    return t, _loss_num(keys, t, level.p)
+
+
 def quantile_and_loss(
     keys: list[int], den: int, asc: list[int], level: QuantileLevel
 ) -> tuple[Fraction, Fraction]:
     """The ceil(N p)-th smallest value and the pinball loss there."""
-    t = keys[asc[level.ceil_np - 1]]
-    return Fraction(t, den), Fraction(_loss_num(keys, t, level.p), den * level.p.denominator)
+    t, loss = key_quantile_and_loss(keys, asc, level)
+    return Fraction(t, den), Fraction(loss, den * level.p.denominator)
 
 
 def greedy_masses(
@@ -127,16 +136,20 @@ def greedy_masses(
     return u, v
 
 
+def support_sum(rows: list[tuple[int, ...]], u: list[int], v: list[int]) -> tuple[int, ...]:
+    """sum_i rows[i] (u_i - v_i) in integers: the support point times
+    den * pden, for a cloud's ``int_form`` and masses in units of 1/pden."""
+    active = [(row, a - b) for row, a, b in zip(rows, u, v) if a != b]
+    return tuple(sum(row[j] * m for row, m in active) for j in range(len(rows[0])))
+
+
 def support_point(
     rows: list[tuple[int, ...]], den: int, u: list[int], v: list[int], pden: int
 ) -> Vector:
     """sum_i x_i (u_i - v_i) for a cloud's ``int_form`` and masses in units
     of 1/pden."""
-    active = [(row, a - b) for row, a, b in zip(rows, u, v) if a != b]
     scale = den * pden
-    return tuple(
-        Fraction(sum(row[j] * m for row, m in active), scale) for j in range(len(rows[0]))
-    )
+    return tuple(Fraction(y, scale) for y in support_sum(rows, u, v))
 
 
 def _check_count(sample: ScalarSample, level: QuantileLevel) -> None:

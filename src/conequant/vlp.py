@@ -11,18 +11,28 @@ initial box onto it by support cuts, confirming vertices by exact equality
 of the value coordinate.  Termination is finite: every cut is a supporting
 halfspace generated by a greedy transport solution, of which there are
 finitely many, and each round's cuts strictly separate some current vertex.
+
+The loop runs in homogeneous integers on the double description engine's
+primitive rays (a, m, z0), i.e. coords a/z0 and value m/z0.  With the
+solver-frame c written as cn/cd over one denominator, the weight of a vertex
+is W/D with W = (cn[-1] a_j ..., sigma cd z0 - sum_j cn_j a_j) and
+D = |cn[-1]| z0 > 0, so its projected keys are W.x over D den.  A vertex is
+confirmed when m den D pden equals the loss numerator times z0, and the cut
+from the integer support sum Y is the primitive homogeneous row
+(Y_last cn_j - cn[-1] Y_j ..., den pden |cn[-1]|, -sigma cd Y_last).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from ._linalg import primitive
+from ._linalg import common_denominator, primitive
 from .core import DataCloud, DualConeBasis, QuantileLevel, Vector, as_vector
 from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
-from .polyhedra import Equation, Halfspace, Polyhedron, _PointedCone
-from .univariate import ascending, greedy_masses, project, quantile_and_loss, support_point
+from .polyhedra import Equation, Halfspace, IntVec, Polyhedron, _PointedCone
+from .univariate import ascending, greedy_masses, key_quantile_and_loss, project, support_sum
 
 
 @dataclass(frozen=True)
@@ -125,20 +135,6 @@ def initial_outer(basis: DualConeBasis) -> Polyhedron:
     return poly
 
 
-def _homogenized(h: Halfspace) -> tuple[int, ...]:
-    return primitive((*h.normal, -h.offset))
-
-
-def _cut_from_support(y: Vector, basis: DualConeBasis) -> Halfspace:
-    """Supporting halfspace value' >= w(coords').y induced by an image point
-    y of the scalarized program; affine in (coords', value')."""
-    d = basis.dim
-    c = basis.solver_c
-    s = basis.sigma
-    coef = tuple(-s * (y[j] - y[-1] * c[j] / c[-1]) for j in range(d - 1))
-    return Halfspace(coef + (Fraction(1),), y[-1] / c[-1])
-
-
 def benson_dual_solve(
     cloud: DataCloud,
     level: QuantileLevel,
@@ -148,12 +144,15 @@ def benson_dual_solve(
 ) -> DualSolution:
     """Compute the unique irredundant dual solution by outer approximation.
 
-    Each round enumerates the vertices of the current outer approximation in
-    lexicographic coordinate order; a vertex is confirmed when its value
-    coordinate equals the projected sample's pinball minimum exactly,
-    otherwise the greedy scalarization's support point supplies a cut.  Cuts
-    are applied as a batch per round.  At termination the outer set *is* the
-    dual image, and its vertices define the entries.
+    Each round reads the vertices of the current outer approximation off the
+    engine as integer rays (see the module docstring).  Vertices at coords
+    not seen before are scalarized in lexicographic coordinate order.  A
+    vertex is confirmed when its value equals the projected sample's pinball
+    minimum exactly; otherwise the greedy scalarization's support sum
+    supplies a cut.  Cuts are applied as a batch per round.  At termination
+    the outer set *is* the dual image, and its vertices define the entries.
+    Inside the loop a Fraction is built only for the sort key of a new
+    vertex.
     """
     level.require_valid()
     if cloud.dim != basis.dim:
@@ -168,116 +167,147 @@ def benson_dual_solve(
     else:
         solver_cloud = cloud
     rows, den = solver_cloud.int_form
+    cn, cd = common_denominator(basis.solver_c)
+    cn_head, c_last = cn[:-1], cn[-1]
+    scd = basis.sigma * cd
+    cut_scale = den * level.p.denominator * abs(c_last)
 
     outer = list(initial_outer(basis).halfspaces)
     engine = _PointedCone(d + 1)
+    seen_rows = set()
     for h in outer:
-        engine.add_row(_homogenized(h))
+        row = primitive((*h.normal, -h.offset))
+        seen_rows.add(row)
+        engine.add_row(row)
     engine.add_row(tuple([0] * d + [1]))
     if not engine.ready:
         raise InternalInvariantError("initial outer approximation is not pointed")
 
-    # (w, t, g) per vertex coords; the projection itself is not kept, since a
-    # vertex that needs a cut is cut off and never comes back
-    cache: dict[Vector, tuple[Vector, Fraction, Fraction]] = {}
-    cut_keys = {h.key() for h in outer}
-    confirmed: dict[Vector, DualImagePoint] = {}
-    cuts_log: list[Halfspace] = []
+    # (W, D, t key, loss numerator, loss denominator) per coords, keyed by
+    # primitive (a, z0): w = W/D and t = key/(D den).  The projection is not
+    # kept, since a vertex that needs a cut is cut off and never comes back.
+    cache: dict[IntVec, tuple[IntVec, int, int, int, int]] = {}
+    confirmed: dict[IntVec, IntVec] = {}
+    cut_rows: list[IntVec] = []
     rounds = 0
-    cuts_added = 0
     scalarizations = 0
 
     while True:
         rounds += 1
-        verts = sorted(_engine_vertices(engine))
-        new_cuts: list[Halfspace] = []
-        for v in verts:
-            coords, mu = v[:-1], v[-1]
-            hit = cache.get(coords)
-            keys = None
-            if hit is None:
-                w = _solver_weight(coords, basis)
-                keys, kden = project(rows, den, w)
-                asc = ascending(keys)
-                hit = cache[coords] = (w, *quantile_and_loss(keys, kden, asc, level))
-                scalarizations += 1
-            g = hit[2]
-            if mu == g:
-                if coords not in confirmed:
-                    confirmed[coords] = DualImagePoint(coords, mu)
+        vertices: list[tuple[IntVec, IntVec]] = []
+        rays: list[IntVec] = []
+        fresh: list[tuple[IntVec, IntVec]] = []
+        for ray in engine.rays:
+            z0 = ray[-1]
+            if z0 <= 0:
+                if z0 < 0:
+                    raise InternalInvariantError(
+                        "homogenizing coordinate escaped its halfspace"
+                    )
+                rays.append(ray)
                 continue
-            if mu > g:
-                raise InternalInvariantError(
-                    "outer vertex ended up above the dual image"
-                )
-            if keys is None:
+            key = primitive((*ray[:-2], z0))
+            vertices.append((key, ray))
+            hit = cache.get(key)
+            if hit is None:
+                fresh.append((key, ray))
+                continue
+            *_, loss, loss_den = hit
+            value, bound = ray[-2] * loss_den, loss * z0
+            if value > bound:
+                raise InternalInvariantError("outer vertex ended up above the dual image")
+            if value < bound:
                 raise InternalInvariantError("a cut-off vertex came back")
-            masses = greedy_masses(keys, asc, level.p)
-            y = support_point(rows, den, *masses, level.p.denominator)
+            confirmed.setdefault(key, ray)
+        fresh.sort(key=lambda kr: tuple(Fraction(a, kr[0][-1]) for a in kr[0][:-1]))
+        new_rows: list[IntVec] = []
+        for key, ray in fresh:
+            a, z = key[:-1], key[-1]
+            weight = (*(c_last * aj for aj in a), scd * z - sum(map(mul, cn_head, a)))
+            keys, _ = project(rows, den, weight)  # W.x over den: w.x over D den
+            asc = ascending(keys)
+            t, loss = key_quantile_and_loss(keys, asc, level)
+            wden = abs(c_last) * z
+            loss_den = wden * den * level.p.denominator
+            cache[key] = (weight, wden, t, loss, loss_den)
             scalarizations += 1
-            cut = _cut_from_support(y, basis)
-            key = cut.key()
-            if key not in cut_keys:
-                cut_keys.add(key)
-                new_cuts.append(cut)
-        if not new_cuts:
+            value, bound = ray[-2] * loss_den, loss * ray[-1]
+            if value == bound:
+                confirmed.setdefault(key, ray)
+                continue
+            if value > bound:
+                raise InternalInvariantError("outer vertex ended up above the dual image")
+            y = support_sum(rows, *greedy_masses(keys, asc, level.p))
+            scalarizations += 1
+            # the cut value' >= w(coords').y times den pden |cn[-1]|
+            row = primitive(
+                (
+                    *(y[-1] * cj - c_last * yj for cj, yj in zip(cn_head, y)),
+                    cut_scale,
+                    -scd * y[-1],
+                )
+            )
+            if row not in seen_rows:
+                seen_rows.add(row)
+                new_rows.append(row)
+        if not new_rows:
             break
-        for cut in new_cuts:
-            outer.append(cut)
-            engine.add_row(_homogenized(cut))
-        cuts_added += len(new_cuts)
-        cuts_log.extend(new_cuts)
+        for row in new_rows:
+            engine.add_row(row)
+        cut_rows.extend(new_rows)
 
-    verts = sorted(_engine_vertices(engine))
-    rays = sorted(_engine_rays(engine))
-    if rays != [tuple([Fraction(0)] * (d - 1)) + (Fraction(1),)]:
+    if rays != [(0,) * (d - 1) + (1, 0)]:
         raise InternalInvariantError(
             "dual image recession cone is not the upward value ray"
         )
-    image = Polyhedron(d, tuple(outer), (), tuple(verts), tuple(rays), False)
+    final = sorted(((_point(ray), key) for key, ray in vertices), key=lambda pk: pk[0].coords)
+    cuts = [_cut_halfspace(row) for row in cut_rows]
+    image = Polyhedron(
+        d,
+        tuple(outer + cuts),
+        (),
+        tuple(pt.coords + (pt.value,) for pt, _ in final),
+        (tuple(Fraction(v) for v in rays[0][:-1]),),
+        False,
+    )
     entries = []
-    image_vertices = []
-    for v in verts:
-        coords, mu = v[:-1], v[-1]
-        w, t, _ = cache[coords]
-        entries.append((basis.unpermute(w), t))
-        image_vertices.append(DualImagePoint(coords, mu))
-    stats = BensonStats(rounds=rounds, cuts_added=cuts_added, scalarizations=scalarizations)
+    for _, key in final:
+        weight, wden, t, _, _ = cache[key]
+        w = tuple(Fraction(wj, wden) for wj in weight)
+        entries.append((basis.unpermute(w), Fraction(t, wden * den)))
+    stats = BensonStats(
+        rounds=rounds, cuts_added=len(cut_rows), scalarizations=scalarizations
+    )
     audit_rec = None
     if audit:
         audit_rec = BensonAudit(
-            confirmed=tuple(sorted(confirmed.values(), key=lambda pt: pt.coords)),
-            cuts=tuple(cuts_log),
+            confirmed=tuple(sorted(map(_point, confirmed.values()), key=lambda pt: pt.coords)),
+            cuts=tuple(cuts),
         )
     return DualSolution(
         entries=tuple(entries),
         dual_image=image,
         basis=basis,
         stats=stats,
-        image_vertices=tuple(image_vertices),
+        image_vertices=tuple(pt for pt, _ in final),
         audit=audit_rec,
     )
 
 
-def _engine_vertices(engine: _PointedCone) -> list[Vector]:
-    out = []
-    for ray in engine.rays:
-        z0 = ray[-1]
-        if z0 < 0:
-            raise InternalInvariantError(
-                "homogenizing coordinate escaped its halfspace"
-            )
-        if z0 > 0:
-            out.append(tuple(Fraction(v, z0) for v in ray[:-1]))
-    return out
+def _point(ray: IntVec) -> DualImagePoint:
+    """The image point of an engine ray (a, m, z0) with z0 > 0."""
+    z0 = ray[-1]
+    return DualImagePoint(tuple(Fraction(a, z0) for a in ray[:-2]), Fraction(ray[-2], z0))
 
 
-def _engine_rays(engine: _PointedCone) -> list[Vector]:
-    out = []
-    for ray in engine.rays:
-        if ray[-1] == 0:
-            out.append(tuple(Fraction(v) for v in ray[:-1]))
-    return out
+def _cut_halfspace(row: IntVec) -> Halfspace:
+    """The cut value' >= w(coords').y of a homogeneous row, with value
+    coefficient 1."""
+    scale = row[-2]
+    return Halfspace(
+        tuple(Fraction(r, scale) for r in row[:-2]) + (Fraction(1),),
+        Fraction(-row[-1], scale),
+    )
 
 
 def halfspaces_of(sol: DualSolution) -> tuple[Halfspace, ...]:

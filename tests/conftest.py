@@ -130,14 +130,15 @@ def random_vrep_polyhedron(rng: random.Random, dim: int):
 
 @pytest.fixture
 def value_below_vertex(monkeypatch):
-    """Make the Benson oracle report a loss value one below the true one, so
-    the outer vertices it checks lie above the dual image it reports."""
+    """Make the Benson loop's integer oracle report a loss one unit below the
+    true one, so the outer vertices it checks lie above the dual image it
+    reports."""
     import conequant.vlp as vlp
 
-    real = vlp.quantile_and_loss
+    real = vlp.key_quantile_and_loss
 
     def below(*args):
         t, g = real(*args)
         return t, g - 1
 
-    monkeypatch.setattr(vlp, "quantile_and_loss", below)
+    monkeypatch.setattr(vlp, "key_quantile_and_loss", below)

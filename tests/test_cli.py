@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from conequant import Halfspace, Polyhedron, parse_rational, poly_equal
+from conequant import Halfspace, Polyhedron, QuantileRegion, parse_rational, poly_equal
 from conequant.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -24,6 +26,13 @@ def run_cli(args, capsys):
 def square(tmp_path):
     f = tmp_path / "square.csv"
     f.write_text("0,0\n1,0\n0,1\n1,1\n")
+    return str(f)
+
+
+@pytest.fixture
+def cube(tmp_path):
+    f = tmp_path / "cube.csv"
+    f.write_text("".join(",".join(map(str, c)) + "\n" for c in product((0, 1), repeat=3)))
     return str(f)
 
 
@@ -267,17 +276,48 @@ class TestDepthAndVerify:
         assert code == 0
         assert "2-D exact oracle: regions equal" in out
 
-    def test_verify_3d_sampling(self, tmp_path, capsys):
-        data = tmp_path / "cube.csv"
-        data.write_text(
-            "0,0,0\n1,0,0\n0,1,0\n0,0,1\n1,1,0\n1,0,1\n0,1,1\n1,1,1\n"
-        )
+    def test_verify_3d_sampling(self, cube, tmp_path, capsys):
+        # cone regions outside d = 2 are still checked by sampling
+        cone = tmp_path / "orthant3.txt"
+        cone.write_text("1,0,0\n0,1,0\n0,0,1\n")
         code, out, _ = run_cli(
-            ["verify", str(data), "--p", "3/16", "--trials", "200", "--seed", "4"],
+            [
+                "verify", cube, "--p", "3/16", "--cone", str(cone),
+                "--trials", "200", "--seed", "4",
+            ],
             capsys,
         )
         assert code == 0
         assert "membership sampling" in out
+
+    @pytest.mark.parametrize("p, vertices, facets", [("3/16", 6, 8), ("15/16", 0, 0)])
+    def test_verify_tukey_3d_exact(self, cube, p, vertices, facets, capsys):
+        code, out, err = run_cli(["verify", cube, "--p", p], capsys)
+        assert code == 0, err
+        assert out == (
+            f"exact depth check: {vertices} vertices and {facets} facets "
+            "agree with tukey_depth\n"
+        )
+
+    @pytest.mark.parametrize("shift, refuted", [("1/1000000", "point"), ("-1/1000000", "vertex")])
+    def test_verify_tukey_3d_refuted_exits_3(self, cube, shift, refuted, monkeypatch, capsys):
+        """Moving every facet in is caught by a point pushed past a facet;
+        moving it out, by a vertex."""
+        import conequant.cli as cli
+
+        real = cli.tukey_region
+
+        def moved(cloud, level):
+            reg = real(cloud, level)
+            entries = tuple((w, t + Fraction(shift)) for w, t in reg.defining_entries)
+            region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=3)
+            return QuantileRegion(region, entries, reg.level, reg.provenance)
+
+        monkeypatch.setattr(cli, "tukey_region", moved)
+        code, out, err = run_cli(["verify", cube, "--p", "3/16"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"exact depth check: {refuted} (")
 
     @pytest.mark.parametrize("trials", ["0", "-3", "many"])
     @pytest.mark.parametrize("dim", [2, 3])
@@ -312,11 +352,17 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_console_entry_point(self):
-        # one end-to-end subprocess run through the installed entry point
+        # one end-to-end subprocess run through the entry point of the
+        # package under test, also when it is imported from a checkout
+        import conequant
+
+        src = str(Path(conequant.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "conequant.cli", "depth", str(GOLDEN / "square.csv"), "1/2,1/2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2"

@@ -21,8 +21,7 @@ from conequant import (
     unlift_normal,
     validate_cone,
 )
-from conequant._linalg import dot, rank
-from conequant.oracle import oracle_region_2d
+from conequant.oracle import check_tukey_region, oracle_region_2d
 from conftest import depth_by_region_sweep, random_cloud, random_valid_level
 
 F = Fraction
@@ -190,27 +189,11 @@ class TestTukeyDepth:
             cloud = random_cloud(rng, n, 3, span=10)
             k = rng.randint(1, max(1, n // 3))
             reg = tukey_region(cloud, QuantileLevel(F(2 * k - 1, 2 * n), n))
-            verts = reg.region.vertices
-            for v in verts:
-                assert tukey_depth(cloud, v) >= k
-            if not verts or not reg.region.is_bounded:
-                continue
-            seen = set()
-            for w, t in reg.defining_entries:
-                tight = frozenset(v for v in verts if dot(w, v) == t)
-                if tight in seen or rank([_sub(v, min(tight)) for v in tight]) != 2:
-                    continue
-                seen.add(tight)
-                c = tuple(sum(v[j] for v in tight) / len(tight) for j in range(3))
-                assert tukey_depth(cloud, c) >= k
-                for m in (1, 10**9):
-                    assert tukey_depth(cloud, _sub(c, [wj / m for wj in w])) < k
-                facets_checked += 1
+            check = check_tukey_region(cloud, reg)
+            assert check.refutation is None
+            assert check.vertices == len(reg.region.vertices)
+            facets_checked += check.facets
         assert facets_checked >= 100
-
-
-def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def _depth_test_cloud(rng, dim, n_max, i):

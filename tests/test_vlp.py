@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conequant import (
+    BensonStats,
     DataCloud,
     DualSolution,
     EmptyBasis,
@@ -21,18 +23,23 @@ from conequant import (
     ScalarSample,
     basis_vertices,
     benson_dual_solve,
+    format_rational,
     halfspaces_of,
     image_coords,
     initial_outer,
+    lift_dataset,
     make_dual_basis,
     minimize_pinball_loss,
     pinball_right_derivative,
     poly_equal,
     project_data,
     quantile_direct,
+    quantile_region,
+    tukey_region,
     validate_cone,
     weight_of,
 )
+from conequant.cli import document_bytes, region_document
 from conftest import random_cloud, random_cone, random_valid_level
 
 F = Fraction
@@ -261,8 +268,8 @@ from fractions import Fraction
 import conequant as cq
 import conequant.vlp as vlp
 
-real = vlp.quantile_and_loss
-vlp.quantile_and_loss = lambda *a: (real(*a)[0], real(*a)[1] - 1)
+real = vlp.key_quantile_and_loss
+vlp.key_quantile_and_loss = lambda *a: (real(*a)[0], real(*a)[1] - 1)
 cloud = cq.DataCloud.from_rows([[0, 0], [1, 0], [0, 1], [1, 1]])
 basis = cq.make_dual_basis(cq.validate_cone([[1, 0], [0, 1]]), (1, 1))
 try:
@@ -279,3 +286,104 @@ except cq.InternalInvariantError:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "InternalInvariantError"]
+
+
+# name: (seed, d, N, rational data, cone generators (None: Tukey region),
+# interior point, p, sigma, permuted basis, BensonStats, sha256 of the region
+# document, sha256 of the audit cuts).  Every benchmark cone has sigma = +1,
+# an unpermuted basis and integer data; the values were recorded with the
+# Fraction Benson loop that the integer one replaced.
+PINNED = {
+    "d2-sigma-neg-rational": (
+        0, 2, 14, True, [[1, 0], [0, -1]], (1, -1), "2/5", -1, False, (7, 11, 31),
+        "5dd484490321ce2253d8b6582c8b1de49160e10ed44630c9d3c966b81e322fa6",
+        "dd2ce6c727028a5075a74bb5d1a029fcf0692a190ee366c040fe54b2ee519d2d",
+    ),
+    "d2-permuted-rational": (
+        1, 2, 13, True, [[1, 1], [1, -1]], (2, 0), "3/10", 1, True, (5, 6, 17),
+        "1cee522e6a850209aa7f15f0f03f0e543ae3fa12165743752148481d6d4827e3",
+        "9e82973e08355ae3aa37ef1ea28ef9a39c3f6eed8069ccef14b92b3dfde91a5e",
+    ),
+    "d2-tukey-rational": (
+        2, 2, 12, True, None, None, "7/16", 1, False, (7, 39, 110),
+        "4177765fb214221c9157b033308de81ab2ee38f10a8444ff183b313927fe6ed9",
+        "5fda83845ad964f54018235baf03d9d159da3e3161b40e7d7be21a3e916cfbd0",
+    ),
+    "d3-permuted": (
+        3, 3, 9, False, [[1, 0, 1], [1, 0, -1], [0, 1, 0]], (2, 1, 0), "1/4", 1, True,
+        (6, 22, 72),
+        "4aa62d2700c12586b56e77ebcd7411a02f1a6f374234fbfbe4669d8fa036878b",
+        "92fe4e7a441a4a75ef6a76de559d51d7ec9fcbbcfbda52ef53eda74ace64b31e",
+    ),
+    "d3-permuted-sigma-neg-rational": (
+        4, 3, 8, True, [[1, 0, 1], [1, 0, -1], [0, -1, 0]], (2, -1, 0), "5/12", -1, True,
+        (5, 18, 71),
+        "e9e00a7bd911801fb0f68ad23c6973bb6c4ac8bbddd27d905dea85fb845dd3f5",
+        "049a999eb9b54e15569b3756e9eb819ccde2636c0c42f2fabc4951ef9d2db0c1",
+    ),
+    "d3-sigma-neg-rational": (
+        5, 3, 10, True, [[1, 0, 0], [0, 1, 0], [0, 0, -1]], (1, 2, -1), "1/3", -1, False,
+        (5, 11, 44),
+        "b34f9c5d08f06eb020275faefba7c5943432cbe41bad7d86324152907521f5c9",
+        "cc3e1671a69c74538c8effcc9c6a34465db0b25a25eba5d9cfbb2e7f3eb1800d",
+    ),
+    "d4-sigma-neg-rational": (
+        6, 4, 8, True,
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 1, -1]],
+        None, "5/16", -1, False, (7, 123, 525),
+        "701bc2167ee228a9e54be1e277ddff34ae2f6041860cffad0dc08d3ed5e7bc95",
+        "f78cbe2af0c0da8bf9fba0605b64d5f6169ec215a8f5dc50c4200b1f91ad53a5",
+    ),
+    "d4-permuted": (
+        7, 4, 7, False, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]],
+        (1, 1, 2, 0), "2/3", 1, True, (5, 31, 168),
+        "b2f0b860bd3fdc87d0d2928a3f9b023c1c783f70534a5991ecc367d5b8bf279e",
+        "31c5bf38860b92c69c62d17bf250d1dc1a7c4600b87d20ea5f4b847d5cc597ab",
+    ),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedSolves:
+    """Stats, region documents and cuts stay as they were recorded."""
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_stats_document_and_cuts(self, name):
+        seed, dim, n, rational, gens, c, p, sigma, permuted, stats, doc_sha, cuts_sha = (
+            PINNED[name]
+        )
+        rng = random.Random(seed)
+        cloud = DataCloud.from_rows(
+            [
+                [F(rng.randint(-9, 9), rng.randint(1, 4) if rational else 1) for _ in range(dim)]
+                for _ in range(n)
+            ]
+        )
+        level = QuantileLevel(F(p), n)
+        if gens is None:
+            basis = make_dual_basis(orthant(dim + 1), (1,) * (dim + 1))
+            sol = benson_dual_solve(lift_dataset(cloud), level, basis, audit=True)
+            doc = region_document(tukey_region(cloud, level), cloud, "tukey", None)
+        else:
+            cone = validate_cone(gens)
+            basis = make_dual_basis(cone, c)
+            sol = benson_dual_solve(cloud, level, basis, audit=True)
+            echo = {
+                "generators": [[format_rational(x) for x in g] for g in gens],
+                "interior": None if c is None else [format_rational(x) for x in c],
+            }
+            doc = region_document(quantile_region(cloud, level, cone, c), cloud, echo, None)
+        assert (basis.sigma, basis.is_permuted) == (sigma, permuted)
+        assert sol.stats == BensonStats(*stats)
+        assert _sha256(document_bytes(doc)) == doc_sha
+        # every cut is value' >= w(coords').y: value coefficient 1
+        assert all(h.normal[-1] == 1 for h in sol.audit.cuts)
+        assert sol.dual_image.halfspaces[-len(sol.audit.cuts):] == sol.audit.cuts
+        cuts = "\n".join(
+            ",".join(map(format_rational, h.normal)) + ">=" + format_rational(h.offset)
+            for h in sol.audit.cuts
+        )
+        assert _sha256(cuts) == cuts_sha
