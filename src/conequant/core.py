@@ -35,14 +35,16 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render a rational as "a" or "a/b" (lowest terms, positive denominator)."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
 def as_vector(values) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    # a Fraction is immutable and already in lowest terms: keep it
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)

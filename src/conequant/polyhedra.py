@@ -4,10 +4,12 @@ redundancy removal and set equality.
 Conversions run the double description method on the homogenization of the
 polyhedron.  When the constraint rows are rank deficient, lineality is split
 off first by exact nullspace computation; otherwise the cone is pointed and
-is handed over as it is.  A pointed cone engine (integer arithmetic,
-primitive ray vectors, zero sets as bitmasks, adjacency by a popcount
-prefilter and then the exact combinatorial test) enumerates extreme rays,
-and generators with positive homogenizing coordinate become vertices.
+is handed over as it is.  A pointed cone engine enumerates extreme rays,
+and generators with positive homogenizing coordinate become vertices.  It
+works in integers on primitive ray vectors with zero sets as bitmasks, and
+keeps the cone's edge graph: a new row is located by an edge walk, touches
+only the rays it cuts off and their neighbours, and decides the new edges
+on its own facet by the exact combinatorial test.
 A lineality direction appears in the V-representation as a pair of opposite
 rays; the "vertices" of a non-pointed polyhedron are canonical
 representatives of its minimal faces.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from operator import mul
 
 from . import _linalg
@@ -94,17 +97,37 @@ class _PointedCone:
     ``zerosets[i]`` has bit k set exactly when ``processed[k]`` is zero on
     ``rays[i]``.  The first ``dim`` linearly independent rows, taken greedily
     in input order, bootstrap a simplicial cone; every later row is inserted
-    by the double description step.
+    locally on the cone's edge graph (rays joined when they span a 2-face),
+    in the dual form of the beneath-beyond method.
+
+    Rays carry ids; ``_ray``, ``_zs`` and ``_nbrs`` map an id to its vector,
+    zero set and neighbour ids, and ``_height`` to its value on the sum e of
+    the bootstrap rows.  The bootstrap rows are independent and every row is
+    nonnegative on every ray, so e.r > 0 for each ray r: on the slice
+    e.x = 1 the cone is a polytope with the rays as vertices and the edges as
+    its edges, and row.r / e.r is a linear function on it.
     """
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
         self.processed: list[IntVec] = []
-        self.rays: list[IntVec] = []
-        self.zerosets: list[int] = []
+        self._ray: dict[int, IntVec] = {}
+        self._zs: dict[int, int] = {}
+        self._nbrs: dict[int, set[int]] = {}
+        self._height: dict[int, int] = {}
+        self._ids = count()
+        self._e: IntVec = ()
         self._basis: list[IntVec] = []
         self._pending: list[IntVec] = []
         self._initialized = False
+
+    @property
+    def rays(self) -> list[IntVec]:
+        return list(self._ray.values())
+
+    @property
+    def zerosets(self) -> list[int]:
+        return list(self._zs.values())
 
     def add_rows(self, rows) -> None:
         for row in rows:
@@ -126,19 +149,33 @@ class _PointedCone:
 
     def _bootstrap(self) -> None:
         # the independent rows define a simplicial cone whose extreme rays
-        # are the columns of the inverse matrix
+        # are the columns of the inverse matrix; every two of them span a
+        # 2-face
         inv = _linalg.invert([list(map(Fraction, r)) for r in self._basis])
-        cols = [
-            tuple(inv[i][k] for i in range(self.dim)) for k in range(self.dim)
-        ]
         self.processed = self._basis
-        self.rays = [_linalg.primitive(c) for c in cols]
+        self._e = tuple(map(sum, zip(*self._basis)))
         full = (1 << self.dim) - 1
-        self.zerosets = [full & ~(1 << i) for i in range(self.dim)]
+        ids = [
+            self._add_ray(
+                _linalg.primitive(tuple(inv[i][k] for i in range(self.dim))),
+                full & ~(1 << k),
+            )
+            for k in range(self.dim)
+        ]
+        for i in ids:
+            self._nbrs[i] = set(ids) - {i}
         self._initialized = True
         rest, self._basis, self._pending = self._pending, [], []
         for row in rest:
             self._insert(row)
+
+    def _add_ray(self, ray: IntVec, zs: int) -> int:
+        i = next(self._ids)
+        self._ray[i] = ray
+        self._zs[i] = zs
+        self._nbrs[i] = set()
+        self._height[i] = sum(map(mul, self._e, ray))
+        return i
 
     def finish(self) -> None:
         if not self._initialized:
@@ -149,44 +186,103 @@ class _PointedCone:
         return self._initialized
 
     def _insert(self, row: IntVec) -> None:
-        rays, zerosets = self.rays, self.zerosets
-        vals = [sum(map(mul, row, ray)) for ray in rays]
         bit = 1 << len(self.processed)
         self.processed.append(row)
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        if not neg:
-            for i, v in enumerate(vals):
-                if v == 0:
-                    zerosets[i] |= bit
+        ray, zs, nbrs, height = self._ray, self._zs, self._nbrs, self._height
+        if not ray:
+            return  # the cone is {0}
+        # walk the edges while row.r / e.r strictly drops, until a ray is cut
+        # off or no neighbour improves; as in the simplex method, a ray with
+        # no improving neighbour minimizes row.r / e.r
+        cur = next(reversed(ray))
+        v = sum(map(mul, row, ray[cur]))
+        vals = {cur: v}
+        while v >= 0:
+            h = height[cur]
+            for j in nbrs[cur]:
+                vj = vals.get(j)
+                if vj is None:
+                    vj = vals[j] = sum(map(mul, row, ray[j]))
+                if vj * h < v * height[j]:
+                    cur, v = j, vj
+                    break
+            else:
+                break
+        if v > 0:
+            return  # strictly redundant
+        if v == 0:
+            # nothing is cut off, so the cone and its edges stay; the rays
+            # on the row form a face, which is connected
+            zs[cur] |= bit
+            todo = [cur]
+            while todo:
+                for j in nbrs[todo.pop()]:
+                    if zs[j] & bit:
+                        continue
+                    vj = vals.get(j)
+                    if vj is None:
+                        vj = vals[j] = sum(map(mul, row, ray[j]))
+                    if vj == 0:
+                        zs[j] |= bit
+                        todo.append(j)
             return
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        # a face spanned by two rays is 2-dimensional only if at least dim-2
-        # rows are tight on both
+        # the cut-off rays are connected, and every ray on the row has a
+        # neighbour that is cut off, so scoring their neighbours finds all
+        neg = {cur}
+        todo = [cur]
+        while todo:
+            for j in nbrs[todo.pop()]:
+                vj = vals.get(j)
+                if vj is None:
+                    vj = vals[j] = sum(map(mul, row, ray[j]))
+                if vj < 0 and j not in neg:
+                    neg.add(j)
+                    todo.append(j)
+        zero = [i for i, vi in vals.items() if vi == 0]
+        # one new ray on each cut edge; a positive combination of two rays,
+        # each nonnegative on every processed row, is zero exactly where both
+        # are
+        fresh = []
+        for n in neg:
+            rn, vn, zn = ray[n], vals[n], zs[n]
+            for p in nbrs[n]:
+                vp = vals[p]
+                if vp > 0:
+                    combo = tuple(vp * b - vn * a for a, b in zip(ray[p], rn))
+                    k = self._add_ray(_linalg.primitive(combo), zs[p] & zn | bit)
+                    nbrs[k].add(p)
+                    nbrs[p].add(k)
+                    fresh.append(k)
+        for n in neg:
+            for j in nbrs.pop(n):
+                if j not in neg:
+                    nbrs[j].discard(n)
+            del ray[n], zs[n], height[n]
+        for i in zero:
+            zs[i] |= bit
+        # edges among the kept rays stay edges; every edge not yet known lies
+        # on the new facet, so among the rays that carry the new bit, and a
+        # 2-face needs at least dim-2 tight rows
+        among = zero + fresh
         need = self.dim - 2
-        keep_rays = [rays[i] for i in pos + zero]
-        keep_zs = [zerosets[i] for i in pos] + [zerosets[i] | bit for i in zero]
-        for ip in pos:
-            zp = zerosets[ip]
-            for im in neg:
-                mask = zp & zerosets[im]
-                if mask.bit_count() < need or not self._adjacent(ip, im):
+        for x, i in enumerate(among):
+            zi, ni = zs[i], nbrs[i]
+            for j in among[x + 1 :]:
+                if j in ni:
                     continue
-                tp, tm = vals[ip], vals[im]
-                combo = tuple(tp * b - tm * a for a, b in zip(rays[ip], rays[im]))
-                keep_rays.append(_linalg.primitive(combo))
-                # a positive combination of two rays, each nonnegative on
-                # every processed row, is zero exactly where both are
-                keep_zs.append(mask | bit)
-        self.rays = keep_rays
-        self.zerosets = keep_zs
+                mask = zi & zs[j]
+                if mask.bit_count() >= need and self._adjacent(i, j, among):
+                    ni.add(j)
+                    nbrs[j].add(i)
 
-    def _adjacent(self, i: int, j: int) -> bool:
-        """Whether rays i and j span a 2-face: no third ray is zero on every
-        row that both are zero on (Fukuda & Prodon 1996, combinatorial test)."""
-        mask = self.zerosets[i] & self.zerosets[j]
-        for k, zs in enumerate(self.zerosets):
-            if k != i and k != j and zs & mask == mask:
+    def _adjacent(self, i: int, j: int, among: list[int]) -> bool:
+        """Whether rays i and j span a 2-face: no third ray of ``among``,
+        which must hold every ray zero on all rows both are zero on, is zero
+        on those rows too (Fukuda & Prodon 1996, combinatorial test)."""
+        zs = self._zs
+        mask = zs[i] & zs[j]
+        for k in among:
+            if k != i and k != j and zs[k] & mask == mask:
                 return False
         return True
 

@@ -113,6 +113,14 @@ def initial_outer(basis: DualConeBasis) -> Polyhedron:
     loss is nonnegative.  The result contains the dual image and its
     recession cone is exactly the upward value ray.
     """
+    poly = Polyhedron.from_hrep(_box_halfspaces(basis), dim=basis.dim)
+    if not poly.vertices:
+        raise EmptyBasis("dual-cone basis has no extreme points")
+    return poly
+
+
+def _box_halfspaces(basis: DualConeBasis) -> list[Halfspace]:
+    """The halfspaces of :func:`initial_outer`, without its vertex check."""
     d = basis.dim
     c = basis.solver_c
     s = basis.sigma
@@ -129,10 +137,7 @@ def initial_outer(basis: DualConeBasis) -> Polyhedron:
         halfspaces.append(Halfspace(coef + (Fraction(0),), -const))
     floor = Halfspace(tuple(Fraction(0) for _ in range(d - 1)) + (Fraction(1),), Fraction(0))
     halfspaces.append(floor)
-    poly = Polyhedron.from_hrep(halfspaces, dim=d)
-    if not poly.vertices:
-        raise EmptyBasis("dual-cone basis has no extreme points")
-    return poly
+    return halfspaces
 
 
 def benson_dual_solve(
@@ -172,7 +177,7 @@ def benson_dual_solve(
     scd = basis.sigma * cd
     cut_scale = den * level.p.denominator * abs(c_last)
 
-    outer = list(initial_outer(basis).halfspaces)
+    outer = _box_halfspaces(basis)
     engine = _PointedCone(d + 1)
     seen_rows = set()
     for h in outer:
@@ -182,6 +187,8 @@ def benson_dual_solve(
     engine.add_row(tuple([0] * d + [1]))
     if not engine.ready:
         raise InternalInvariantError("initial outer approximation is not pointed")
+    if not any(ray[-1] > 0 for ray in engine.rays):
+        raise EmptyBasis("dual-cone basis has no extreme points")
 
     # (W, D, t key, loss numerator, loss denominator) per coords, keyed by
     # primitive (a, z0): w = W/D and t = key/(D den).  The projection is not

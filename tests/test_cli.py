@@ -366,3 +366,18 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2"
+
+    def test_package_main(self):
+        # python -m conequant runs the same interface as conequant.cli
+        import conequant
+
+        src = str(Path(conequant.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "conequant", "tukey", str(GOLDEN / "square.csv"), "--p", "3/10"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "square_tukey_p3_10.json").read_text()

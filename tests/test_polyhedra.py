@@ -315,6 +315,23 @@ class TestPointedConeEngine:
                 if sum(map(mul, row, ray)) == 0
             )
             assert zs == tight
+        # the edge graph: two rays span a 2-face iff the rows tight on both
+        # have rank dim-2
+        ray, nbrs = engine._ray, engine._nbrs
+        assert nbrs.keys() == ray.keys()
+        assert all(i in nbrs[j] for i in nbrs for j in nbrs[i])
+        edges = {frozenset((ray[i], ray[j])) for i in nbrs for j in nbrs[i]}
+        expected = set()
+        for a, b in combinations(engine.rays, 2):
+            common = [
+                row
+                for row in engine.processed
+                if sum(map(mul, row, a)) == 0 == sum(map(mul, row, b))
+            ]
+            if int_rank(common) == dim - 2:
+                expected.add(frozenset((a, b)))
+        assert edges == expected
+        return engine
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_square_pyramid_apex(self, dim):
@@ -345,3 +362,42 @@ class TestPointedConeEngine:
             rng.shuffle(rows)
             self._check(rows, dim)
             checked += 1
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_cut_down_to_origin(self, dim):
+        # the orthant cut by -sum(x) >= 0 is {0}; later rows leave it so
+        orthant = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+        rows = orthant + [(-1,) * dim, (1,) * dim, (1, -1) + (0,) * (dim - 2)]
+        engine = self._check(rows, dim)
+        assert engine.rays == [] and len(engine.processed) == len(rows)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_cuts_through_a_hub(self, dim):
+        """Benson-style cuts in (coords, value, z0): a box of coords times
+        value >= 0, cut by value >= w.(coords - u) for many w in random
+        order.  From the second cut on, the apex (u, 0) is a ray on every
+        cut, and each cut gives it another neighbour."""
+        if dim == 3:
+            # only +-3 are facets in the end; +-1 and +-2 only touch the apex
+            # once both are in
+            normals, degree = [(1,), (-1,), (2,), (-2,), (3,), (-3,)], 2
+        else:
+            # the 12 integer points of the circle of radius 5: all are facets
+            circle = [(5, 0), (4, 3), (3, 4), (0, 5)]
+            normals = sorted({(sx * a, sy * b) for a, b in circle for sx in (1, -1) for sy in (1, -1)})
+            degree = 12
+        k = dim - 2
+        rng = random.Random(700 + dim)
+        for _ in range(3):
+            rows = [(0,) * k + (1, 0), (0,) * k + (0, 1)]
+            for j in range(k):
+                unit = tuple(int(i == j) for i in range(k))
+                rows += [unit + (0, 0), tuple(-u for u in unit) + (0, 12)]
+            self._check(rows, dim)
+            rng.shuffle(normals)
+            for w in normals:
+                # value - w.coords + 6 sum(w) z0 >= 0, through u = (6, ..., 6)
+                rows.append(tuple(-c for c in w) + (1, 6 * sum(w)))
+                engine = self._check(rows, dim)
+            apex = next(i for i, r in engine._ray.items() if r == (6,) * k + (0, 1))
+            assert len(engine._nbrs[apex]) == degree
