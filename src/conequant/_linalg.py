@@ -1,7 +1,9 @@
-"""Exact dense linear algebra over rationals and integers.
+"""Exact dense linear algebra over integers, and small vector helpers.
 
-Everything here is Gaussian elimination at desk scale; no pivoting heuristics
-beyond "first nonzero" are needed because the arithmetic is exact.
+All elimination is one fraction-free Gauss-Jordan routine, ``echelon``:
+rank, integer kernel bases and inverses (up to a positive scale) are read
+off its integer rows.  No pivoting heuristic beyond "first nonzero" is
+needed because the arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -10,110 +12,67 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 
-Vec = tuple[Fraction, ...]
-
 
 def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
+def echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss,
+    Math. Comp. 1968); returns the nonzero reduced rows and their pivot
+    columns.
+
+    Every pivot entry is the same D > 0 and every other entry of a pivot
+    column is 0, so the rows are exactly D times the reduced row echelon
+    form.  Each step divides by the previous pivot, which is exact because
+    every entry is a minor of the input.
+    """
     mat = [list(r) for r in rows]
     m = len(mat)
-    n = len(mat[0]) if m else 0
     pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    nonzero = [row for row in mat if any(x != 0 for x in row)]
-    return nonzero, pivots
-
-
-def rank(rows) -> int:
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
-
-
-def int_rank(rows: list[tuple[int, ...]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    mat = [list(r) for r in rows if any(r)]
-    m = len(mat)
-    if m == 0:
-        return 0
-    n = len(mat[0])
     prev = 1
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][col]
-        for i in range(r + 1, m):
-            f = mat[i][col]
-            row_i = mat[i]
-            row_r = mat[r]
-            for j in range(col, n):
-                row_i[j] = (row_i[j] * pv - f * row_r[j]) // prev
-        prev = pv
-        r += 1
+    for col in range(len(mat[0]) if m else 0):
+        r = len(pivots)
         if r == m:
             break
-    return r
+        p = next((i for i in range(r, m) if mat[i][col]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        prow = mat[r]
+        pv = prow[col]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[col]
+                mat[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+        pivots.append(col)
+        prev = pv
+    red = mat[: len(pivots)]
+    if prev < 0:
+        red = [[-a for a in row] for row in red]
+    return red, pivots
 
 
-def nullspace(rows, n: int) -> list[Vec]:
-    """Basis of {x in Q^n : rows @ x = 0}; empty list when trivial."""
-    rows = [list(map(Fraction, r)) for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    red, pivots = rref(rows)
-    free_cols = [j for j in range(n) if j not in pivots]
+def int_rank(rows) -> int:
+    """Rank of an integer matrix."""
+    return len(echelon(rows)[1])
+
+
+def kernel(red: list[list[int]], pivots: list[int], n: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x in Q^n : rows.x = 0}, given
+    ``echelon(rows)``: one vector per free column, in ascending order.  With
+    no rows it is the unit basis."""
+    d = red[0][pivots[0]] if red else 1
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [0] * n
+        vec[fc] = d
         for row, pc in zip(red, pivots):
             vec[pc] = -row[fc]
-        basis.append(tuple(vec))
+        basis.append(primitive(vec))
     return basis
-
-
-def solve_square(a_rows, b) -> list[Fraction]:
-    """Solve A x = b for square nonsingular A."""
-    n = len(a_rows)
-    aug = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    red, pivots = rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [red[i][n] for i in range(n)]
-
-
-def invert(a_rows) -> list[list[Fraction]]:
-    """Inverse of a square nonsingular matrix."""
-    n = len(a_rows)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a_rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
 
 
 def common_denominator(values) -> tuple[list[int], int]:

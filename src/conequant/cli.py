@@ -409,7 +409,9 @@ def main(argv=None) -> int:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except IntegralNp as exc:
-        print(f"error: {exc} (pass --nudge to adjust the level)", file=sys.stderr)
+        # only the commands that have --nudge suggest it
+        hint = " (pass --nudge to adjust the level)" if hasattr(args, "nudge") else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ConequantError as exc:
         if isinstance(exc, DimensionMismatch):

@@ -152,9 +152,10 @@ def validate_cone(generators) -> Cone:
     d = len(rows[0])
     if d < 1 or any(len(g) != d for g in rows):
         raise DimensionMismatch("generator rows must share one dimension >= 1")
-    if _linalg.rank(rows) < d:
+    rank = _linalg.int_rank([_linalg.primitive(g) for g in rows])
+    if rank < d:
         raise NotFullDimensional(
-            f"generators span a {_linalg.rank(rows)}-dimensional subspace of "
+            f"generators span a {rank}-dimensional subspace of "
             f"R^{d}; the cone has empty interior"
         )
     from .lp import LinearProgram, OPTIMAL, simplex_solve

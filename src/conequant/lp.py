@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg
 from .core import DataCloud, QuantileLevel, as_vector, project_data
 from .errors import DimensionMismatch, InternalInvariantError, MalformedProgram
 
@@ -83,7 +82,8 @@ class LinearProgram:
 class LpOutcome:
     """Solver result with exact certificates.
 
-    For an optimal outcome, ``y`` are the row multipliers and
+    For an optimal outcome, ``y`` are the row multipliers, read off the
+    final tableau's reduced costs of the artificial columns, and
     ``reduced_costs`` the structural reduced costs c - A^T y; the identity
     value = y.b + sum of reduced costs times finite nonbasic bounds holds
     exactly.  For an infeasible outcome ``y`` is a Farkas certificate:
@@ -128,6 +128,7 @@ class _Simplex:
         self.A = cols  # artificial columns appended during phase-1 setup
         self.basis: list[int] = []
         self.status: list[int] = []
+        self.signs: list[int] = []
         self.T: list[list[Fraction]] = []
         self.xb: list[Fraction] = []
         self.r: list[Fraction] = []
@@ -157,7 +158,7 @@ class _Simplex:
                 if v != 0 and row[j] != 0:
                     acc -= row[j] * v
             resid.append(acc)
-        signs = [1 if rv >= 0 else -1 for rv in resid]
+        self.signs = signs = [1 if rv >= 0 else -1 for rv in resid]
         for i in range(m):
             for k in range(m):
                 self.A[k].append(Fraction(int(k == i) * signs[i]))
@@ -283,11 +284,10 @@ class _Simplex:
             self.basis[leave_row] = j
 
     def duals(self, c_ext: list[Fraction]) -> list[Fraction]:
-        if self.m == 0:
-            return []
-        bt = [[self.A[i][self.basis[k]] for i in range(self.m)] for k in range(self.m)]
-        cb = [c_ext[j] for j in self.basis]
-        return _linalg.solve_square(bt, cb)
+        """y = B^-T c_B, read off the reduced costs c_i - y_i sign_i that the
+        tableau keeps for artificial i, whose column is sign_i e_i."""
+        art = self.n_real
+        return [(c_ext[art + i] - self.r[art + i]) * s for i, s in enumerate(self.signs)]
 
 
 def simplex_solve(lp: LinearProgram) -> LpOutcome:

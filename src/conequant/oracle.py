@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from ._linalg import angle_key, cross, dot, primitive, rank
+from ._linalg import angle_key, cross, dot, int_rank, primitive
 from .core import (
     Cone,
     DataCloud,
@@ -230,7 +230,8 @@ def check_tukey_region(cloud: DataCloud, result: QuantileRegion) -> DepthCheck:
         if len(tight) < d or tight in seen:
             continue
         base = min(tight)
-        if rank([[a - b for a, b in zip(v, base)] for v in tight]) != d - 1:
+        diffs = [primitive([a - b for a, b in zip(v, base)]) for v in tight]
+        if int_rank(diffs) != d - 1:
             continue
         seen.add(tight)
         c = tuple(sum(v[j] for v in tight) / len(tight) for j in range(d))

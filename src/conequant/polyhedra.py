@@ -3,7 +3,7 @@ redundancy removal and set equality.
 
 Conversions run the double description method on the homogenization of the
 polyhedron.  When the constraint rows are rank deficient, lineality is split
-off first by exact nullspace computation; otherwise the cone is pointed and
+off first by an exact integer kernel basis; otherwise the cone is pointed and
 is handed over as it is.  A pointed cone engine enumerates extreme rays,
 and generators with positive homogenizing coordinate become vertices.  It
 works in integers on primitive ray vectors with zero sets as bitmasks, and
@@ -148,19 +148,21 @@ class _PointedCone:
             self._pending.append(row)
 
     def _bootstrap(self) -> None:
-        # the independent rows define a simplicial cone whose extreme rays
-        # are the columns of the inverse matrix; every two of them span a
-        # 2-face
-        inv = _linalg.invert([list(map(Fraction, r)) for r in self._basis])
+        # the independent rows B define a simplicial cone whose extreme rays
+        # are the columns of the inverse matrix, read off the right-hand
+        # block D B^-1 of [B | I] reduced; every two of them span a 2-face
+        n = self.dim
+        red, _ = _linalg.echelon(
+            [(*r, *(int(i == k) for k in range(n))) for i, r in enumerate(self._basis)]
+        )
         self.processed = self._basis
         self._e = tuple(map(sum, zip(*self._basis)))
-        full = (1 << self.dim) - 1
+        full = (1 << n) - 1
         ids = [
             self._add_ray(
-                _linalg.primitive(tuple(inv[i][k] for i in range(self.dim))),
-                full & ~(1 << k),
+                _linalg.primitive([row[n + k] for row in red]), full & ~(1 << k)
             )
-            for k in range(self.dim)
+            for k in range(n)
         ]
         for i in ids:
             self._nbrs[i] = set(ids) - {i}
@@ -297,26 +299,23 @@ def _dd_cone(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
         engine.add_rows(live)
         engine.finish()
         return [], engine.rays
-    lines = [_linalg.primitive(v) for v in _linalg.nullspace(live, dim)]
+    red, pivots = _linalg.echelon(live)
+    lines = _linalg.kernel(red, pivots, dim)
     if not live:
         return lines, []
-    # split off the lineality space: run the engine in the row space
-    red, _ = _linalg.rref([list(map(Fraction, r)) for r in live])
-    basis = [tuple(r) for r in red]
-    s = len(basis)
-    reduced_rows = [
-        _linalg.primitive(tuple(_linalg.dot(r, b) for b in basis)) for r in live
-    ]
-    engine = _PointedCone(s)
-    engine.add_rows(reduced_rows)
+    # split off the lineality space: run the engine in the row space, with
+    # the reduced rows b_k as its basis; a row r maps to (r.b_k) and a ray z
+    # back to sum z_k b_k
+    engine = _PointedCone(len(red))
+    engine.add_rows(
+        _linalg.primitive([sum(map(mul, r, b)) for b in red]) for r in live
+    )
     engine.finish()
-    rays = []
-    for z in engine.rays:
-        vec = tuple(
-            sum((Fraction(zk) * b[j] for zk, b in zip(z, basis)), Fraction(0))
-            for j in range(dim)
-        )
-        rays.append(_linalg.primitive(vec))
+    columns = list(zip(*red))
+    rays = [
+        _linalg.primitive([sum(map(mul, z, col)) for col in columns])
+        for z in engine.rays
+    ]
     return lines, rays
 
 
@@ -497,7 +496,8 @@ class Polyhedron:
             equations.append(Equation(tuple(map(Fraction, n)), Fraction(-off)).canonical())
         # directions of the affine hull, for filtering constraints that are
         # constant on it (they are not facets)
-        hull_dirs = _linalg.nullspace([e.normal for e in equations], d)
+        normals = [_linalg.primitive(e.normal) for e in equations]
+        hull_dirs = _linalg.kernel(*_linalg.echelon(normals), d)
         halfspaces: list[Halfspace] = []
         for g in raw:
             n, off = g[:-1], g[-1]

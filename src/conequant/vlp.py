@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from ._linalg import common_denominator, primitive
@@ -156,8 +157,6 @@ def benson_dual_solve(
     minimum exactly; otherwise the greedy scalarization's support sum
     supplies a cut.  Cuts are applied as a batch per round.  At termination
     the outer set *is* the dual image, and its vertices define the entries.
-    Inside the loop a Fraction is built only for the sort key of a new
-    vertex.
     """
     level.require_valid()
     if cloud.dim != basis.dim:
@@ -226,7 +225,9 @@ def benson_dual_solve(
             if value < bound:
                 raise InternalInvariantError("a cut-off vertex came back")
             confirmed.setdefault(key, ray)
-        fresh.sort(key=lambda kr: tuple(Fraction(a, kr[0][-1]) for a in kr[0][:-1]))
+        # coords a/z0 in lexicographic order, over the common denominator zl
+        zl = lcm(*(key[-1] for key, _ in fresh))
+        fresh.sort(key=lambda kr: tuple(a * (zl // kr[0][-1]) for a in kr[0][:-1]))
         new_rows: list[IntVec] = []
         for key, ray in fresh:
             a, z = key[:-1], key[-1]

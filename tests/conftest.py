@@ -60,6 +60,48 @@ def depth_by_region_sweep(cloud: DataCloud, z) -> int:
     return 0
 
 
+def frac_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fractions: (nonzero rows, pivot
+    columns).  A textbook reference, independent of the package's integer
+    elimination."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    m = len(mat)
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def frac_rank(rows) -> int:
+    return len(frac_rref(rows)[1])
+
+
+def frac_nullspace(rows, n: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : rows.x = 0}, one vector per free column of the RREF
+    with a 1 there."""
+    red, pivots = frac_rref(rows)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        basis.append(tuple(vec))
+    return basis
+
+
 def random_valid_level(rng: random.Random, n: int, max_den: int = 1000) -> QuantileLevel:
     while True:
         den = rng.randint(2, max_den)

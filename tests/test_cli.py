@@ -151,6 +151,23 @@ class TestRegionDocuments:
         code, _, err = run_cli(["tukey", square, "--p", "1/2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, hint",
+        [("uniquantile", False), ("verify", False), ("tukey", True), ("region", True)],
+    )
+    def test_nudge_hint_only_where_nudge_exists(
+        self, command, hint, tmp_path, orthant_file, capsys
+    ):
+        data = tmp_path / "three.csv"
+        data.write_text("0\n1\n2\n" if command == "uniquantile" else "0,0\n1,0\n0,1\n")
+        args = [command, str(data), "--p", "1/3"]
+        if command == "region":
+            args += ["--cone", orthant_file]
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert ("--nudge" in err) == hint
+
     def test_out_file(self, square, tmp_path, capsys):
         out_path = tmp_path / "doc.json"
         code, out, _ = run_cli(

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import conequant
 from conequant import (
     ContainsLine,
     DataCloud,
@@ -100,6 +103,8 @@ class TestValidateCone:
     def test_rank_deficient_rejected(self):
         with pytest.raises(NotFullDimensional):
             validate_cone([[1, 0]])
+        with pytest.raises(NotFullDimensional, match="a 1-dimensional subspace"):
+            validate_cone([["1/2", "1/3"], [3, 2], [0, 0]])
 
     def test_line_detected(self):
         with pytest.raises(ContainsLine):
@@ -175,3 +180,17 @@ class TestProjectData:
             assert project_data(cloud, scaled) == tuple(
                 alpha * z for z in project_data(cloud, w)
             )
+
+
+def test_package_source_has_no_assert():
+    """Invariants raise InternalInvariantError, which survives python -O; an
+    assert statement would vanish there."""
+    offenders = []
+    for path in sorted(Path(conequant.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert offenders == []

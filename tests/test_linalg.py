@@ -1,0 +1,100 @@
+"""The fraction-free elimination in ``conequant._linalg`` against the Fraction
+reference in conftest.py."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conequant._linalg import echelon, int_rank, kernel, primitive
+from conftest import frac_nullspace, frac_rank, frac_rref
+
+
+def _random_matrix(rng: random.Random) -> list[list[int]]:
+    """Small integer matrices with zero rows, duplicates, dependent rows and
+    entries near 10**12."""
+    m, n = rng.randint(0, 6), rng.randint(1, 6)
+    big = rng.random() < 0.3
+
+    def entry() -> int:
+        if big:
+            return rng.choice((1, -1)) * 10**12 + rng.randint(-3, 3)
+        return rng.randint(-4, 4)
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        if rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+    if rows and rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))
+    if rng.random() < 0.3:
+        rows.append([0] * n)
+    rng.shuffle(rows)
+    return rows
+
+
+def _cases():
+    rng = random.Random(800)
+    cases = [([], 3), ([[0, 0, 0]], 3)]
+    for _ in range(400):
+        rows = _random_matrix(rng)
+        cases.append((rows, len(rows[0]) if rows else rng.randint(1, 6)))
+    return cases
+
+
+CASES = _cases()
+
+
+def test_rows_are_a_positive_multiple_of_the_rref():
+    for rows, _ in CASES:
+        red, pivots = echelon(rows)
+        ref, ref_pivots = frac_rref(rows)
+        assert pivots == ref_pivots
+        assert int_rank(rows) == frac_rank(rows) == len(red)
+        if not red:
+            continue
+        d = red[0][pivots[0]]
+        assert d > 0
+        assert all(row[pc] == d for row, pc in zip(red, pivots))
+        assert [[Fraction(x, d) for x in row] for row in red] == ref
+
+
+def test_kernel_matches_the_free_column_basis():
+    for rows, n in CASES:
+        basis = kernel(*echelon(rows), n)
+        assert basis == [primitive(v) for v in frac_nullspace(rows, n)]
+        for v in basis:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
+def test_empty_matrix_has_the_unit_kernel():
+    assert echelon([]) == ([], [])
+    assert int_rank([]) == 0
+    assert kernel([], [], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_identity_block_gives_the_inverse_columns(n):
+    rng = random.Random(900 + n)
+    checked = 0
+    while checked < 40:
+        span = 10**12 if checked % 4 == 0 else 5
+        b = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+        if frac_rank(b) < n:
+            continue
+        aug = [row + [int(i == k) for k in range(n)] for i, row in enumerate(b)]
+        red, pivots = echelon(aug)
+        assert pivots == list(range(n))
+        ref, _ = frac_rref(aug)
+        inverse = [row[n:] for row in ref]
+        for i in range(n):
+            for k in range(n):
+                assert sum(b[i][j] * inverse[j][k] for j in range(n)) == int(i == k)
+        for k in range(n):
+            column = primitive([row[n + k] for row in red])
+            assert column == primitive([row[k] for row in inverse])
+        checked += 1
