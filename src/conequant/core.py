@@ -1,8 +1,21 @@
 """Domain types: data clouds, quantile levels, cones and dual-cone bases.
 
-All scalars are exact rationals (``fractions.Fraction``).  The only text
-forms accepted are "a/b", an integer "a", or a decimal "a.bc"; decimals are
-converted exactly.  Every type here is an immutable value.
+All scalars are exact rationals (``fractions.Fraction``).  Every type here
+is an immutable value.
+
+Text scalars are read by :func:`parse_rational`, which accepts exactly what
+``Fraction`` accepts from a string, with surrounding whitespace ignored:
+
+* a fraction ``[sign] digits "/" digits``, e.g. "-3/4" (no sign after the
+  slash, nonzero denominator);
+* a decimal ``[sign] digits ["." [digits]] [exponent]`` or
+  ``[sign] "." digits [exponent]``, e.g. "12", "1.5", "5.", ".5", "1e3" and
+  "1.5E-2", converted exactly; an exponent is "e" or "E", an optional sign
+  and digits.
+
+Here sign is "+" or "-", and digits are any Unicode decimal digits, not
+only ASCII ones, with single underscores allowed between them ("1_000").
+"inf", "nan", hexadecimal and a zero denominator are rejected.
 """
 
 from __future__ import annotations
@@ -26,7 +39,8 @@ Vector = tuple[Fraction, ...]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b", "a" or "a.bc" into an exact rational."""
+    """Parse a fraction "a/b" or a decimal such as "a", "a.bc" or "1.5e-2"
+    into an exact rational; the module docstring gives the grammar."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

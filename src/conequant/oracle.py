@@ -166,6 +166,7 @@ def membership_sample(
     d = cloud.dim
     k = level.ceil_np
     rows, den = cloud.int_form
+    cols = list(zip(*rows))
     gens: tuple[Vector, ...] = ()
     if cone is not None:
         gens = basis_vertices(make_dual_basis(cone))
@@ -182,7 +183,7 @@ def membership_sample(
                 sum((c * v[j] for c, v in zip(coefs, gens)), Fraction(0))
                 for j in range(d)
             )
-        keys, kden = project(rows, den, w)
+        keys, kden = project(cols, den, w)
         t = sum((wi * zi for wi, zi in zip(w, z_vec)), Fraction(0))
         if count_le(keys, kden, t) < k:
             return False

@@ -33,7 +33,7 @@ from ._linalg import common_denominator, primitive
 from .core import DataCloud, DualConeBasis, QuantileLevel, Vector, as_vector
 from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
 from .polyhedra import Equation, Halfspace, IntVec, Polyhedron, _PointedCone
-from .univariate import ascending, greedy_masses, key_quantile_and_loss, project, support_sum
+from .univariate import ascending, greedy_cut, key_quantile_and_loss, project_keys, support_sum
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,7 @@ def benson_dual_solve(
     else:
         solver_cloud = cloud
     rows, den = solver_cloud.int_form
+    cols = list(zip(*rows))
     cn, cd = common_denominator(basis.solver_c)
     cn_head, c_last = cn[:-1], cn[-1]
     scd = basis.sigma * cd
@@ -225,16 +226,14 @@ def benson_dual_solve(
             if value < bound:
                 raise InternalInvariantError("a cut-off vertex came back")
             confirmed.setdefault(key, ray)
-        # coords a/z0 in lexicographic order, over the common denominator zl
-        zl = lcm(*(key[-1] for key, _ in fresh))
-        fresh.sort(key=lambda kr: tuple(a * (zl // kr[0][-1]) for a in kr[0][:-1]))
         new_rows: list[IntVec] = []
-        for key, ray in fresh:
+        for key, ray in _by_coords(fresh):
             a, z = key[:-1], key[-1]
             weight = (*(c_last * aj for aj in a), scd * z - sum(map(mul, cn_head, a)))
-            keys, _ = project(rows, den, weight)  # W.x over den: w.x over D den
+            keys = project_keys(cols, weight)  # W.x over den: w.x over D den
             asc = ascending(keys)
-            t, loss = key_quantile_and_loss(keys, asc, level)
+            ka = list(map(keys.__getitem__, asc))
+            t, loss = key_quantile_and_loss(ka, level)
             wden = abs(c_last) * z
             loss_den = wden * den * level.p.denominator
             cache[key] = (weight, wden, t, loss, loss_den)
@@ -245,7 +244,7 @@ def benson_dual_solve(
                 continue
             if value > bound:
                 raise InternalInvariantError("outer vertex ended up above the dual image")
-            y = support_sum(rows, *greedy_masses(keys, asc, level.p))
+            y = support_sum(cols, greedy_cut(ka, asc, level.p))
             scalarizations += 1
             # the cut value' >= w(coords').y times den pden |cn[-1]|
             row = primitive(
@@ -268,18 +267,19 @@ def benson_dual_solve(
         raise InternalInvariantError(
             "dual image recession cone is not the upward value ray"
         )
-    final = sorted(((_point(ray), key) for key, ray in vertices), key=lambda pk: pk[0].coords)
+    final = _by_coords(vertices)
+    points = tuple(_point(ray) for _, ray in final)
     cuts = [_cut_halfspace(row) for row in cut_rows]
     image = Polyhedron(
         d,
         tuple(outer + cuts),
         (),
-        tuple(pt.coords + (pt.value,) for pt, _ in final),
+        tuple(pt.coords + (pt.value,) for pt in points),
         (tuple(Fraction(v) for v in rays[0][:-1]),),
         False,
     )
     entries = []
-    for _, key in final:
+    for key, _ in final:
         weight, wden, t, _, _ = cache[key]
         w = tuple(Fraction(wj, wden) for wj in weight)
         entries.append((basis.unpermute(w), Fraction(t, wden * den)))
@@ -289,7 +289,7 @@ def benson_dual_solve(
     audit_rec = None
     if audit:
         audit_rec = BensonAudit(
-            confirmed=tuple(sorted(map(_point, confirmed.values()), key=lambda pt: pt.coords)),
+            confirmed=tuple(_point(ray) for _, ray in _by_coords(confirmed.items())),
             cuts=tuple(cuts),
         )
     return DualSolution(
@@ -297,9 +297,17 @@ def benson_dual_solve(
         dual_image=image,
         basis=basis,
         stats=stats,
-        image_vertices=tuple(pt for pt, _ in final),
+        image_vertices=points,
         audit=audit_rec,
     )
+
+
+def _by_coords(pairs) -> list[tuple[IntVec, IntVec]]:
+    """(key, ray) pairs in lexicographic order of the coords a/z0 of their
+    primitive keys (a, z0), compared as integers over the lcm of the z0."""
+    pairs = list(pairs)
+    zl = lcm(*(key[-1] for key, _ in pairs))
+    return sorted(pairs, key=lambda kr: tuple(a * (zl // kr[0][-1]) for a in kr[0][:-1]))
 
 
 def _point(ray: IntVec) -> DualImagePoint:

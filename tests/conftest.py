@@ -18,13 +18,10 @@ from conequant import (
     Cone,
     ConequantError,
     DataCloud,
-    DimensionMismatch,
-    InternalInvariantError,
     QuantileLevel,
     tukey_region,
     validate_cone,
 )
-from conequant.core import as_vector
 
 # property tests replay the same examples on every run and write no
 # example database, so the suite stays deterministic
@@ -38,26 +35,20 @@ def random_cloud(rng: random.Random, n: int, dim: int, span: int = 50) -> DataCl
     )
 
 
-def depth_by_region_sweep(cloud: DataCloud, z) -> int:
-    """Tukey depth by a sweep over regions: the largest k whose depth-k
-    region contains z, 0 outside the hull.  Up to N Benson solves; kept as
-    the reference that the direct count in ``tukey_depth`` is checked
-    against.
+def depth_level(k: int, n: int) -> QuantileLevel:
+    """p = (k - 1/2)/N: always a valid level whose count threshold is k."""
+    return QuantileLevel(Fraction(2 * k - 1, 2 * n), n)
 
-    Sweeps levels downward using p = (k - 1/2)/N, which is always a valid
-    level with count threshold exactly k.
-    """
-    z_vec = as_vector(z)
-    if len(z_vec) != cloud.dim:
-        raise DimensionMismatch("query point dimension does not match the data")
+
+def assert_depth_brackets(cloud: DataCloud, z, depth: int, region=tukey_region) -> None:
+    """Tukey depth checked against regions: z lies in the depth region at
+    k = depth when depth >= 1 and outside the one at k + 1 when depth < N.
+    ``region(cloud, level)`` returns a result with a ``.region`` polyhedron."""
     n = cloud.n
-    for k in range(n, 0, -1):
-        level = QuantileLevel(Fraction(2 * k - 1, 2 * n), n)
-        if level.ceil_np != k:
-            raise InternalInvariantError("depth level does not have count threshold k")
-        if tukey_region(cloud, level).region.contains(z_vec):
-            return k
-    return 0
+    if depth >= 1:
+        assert region(cloud, depth_level(depth, n)).region.contains(z), (cloud, z, depth)
+    if depth < n:
+        assert not region(cloud, depth_level(depth + 1, n)).region.contains(z), (cloud, z, depth)
 
 
 def frac_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -184,3 +175,68 @@ def value_below_vertex(monkeypatch):
         return t, g - 1
 
     monkeypatch.setattr(vlp, "key_quantile_and_loss", below)
+
+
+# The greedy transport loop that ``univariate.greedy_cut`` replaced, kept
+# verbatim with the loss and support sums it was used with, as the reference
+# the closed form is checked against.
+
+
+def greedy_masses(
+    keys: list[int], asc: list[int], p: Fraction
+) -> tuple[list[int], list[int]]:
+    """The greedy optimum (u, v) of the scalarized transport program, in
+    integer units of 1/p.denominator.
+
+    Feed u-mass (capacity p per point) to the largest keys and v-mass
+    (capacity 1-p per point) to the smallest, growing the common budget while
+    the marginal gain is positive and splitting at the stop.  Among equal keys
+    the lower index is served first on both sides, which makes the solution
+    reproducible.  ``asc`` is ``ascending(keys)``.
+    """
+    n = len(keys)
+    # reverse=True keeps equal keys in index order
+    desc = sorted(range(n), key=keys.__getitem__, reverse=True)
+    cap_u = p.numerator
+    cap_v = p.denominator - p.numerator
+    u = [0] * n
+    v = [0] * n
+    hi = 0  # next u receiver, walking the descending order
+    lo = 0  # next v receiver, walking the ascending order
+    room_u = cap_u
+    room_v = cap_v
+    while hi < n and lo < n:
+        iu = desc[hi]
+        iv = asc[lo]
+        if keys[iu] <= keys[iv]:
+            break
+        step = min(room_u, room_v)
+        u[iu] += step
+        v[iv] += step
+        room_u -= step
+        room_v -= step
+        if room_u == 0:
+            hi += 1
+            room_u = cap_u
+        if room_v == 0:
+            lo += 1
+            room_v = cap_v
+    return u, v
+
+
+def dense_support_sum(rows, u: list[int], v: list[int]) -> tuple[int, ...]:
+    """sum_i rows[i] (u_i - v_i) over dense masses."""
+    active = [(row, a - b) for row, a, b in zip(rows, u, v) if a != b]
+    return tuple(sum(row[j] * m for row, m in active) for j in range(len(rows[0])))
+
+
+def loop_quantile_and_loss(
+    keys: list[int], asc: list[int], level: QuantileLevel
+) -> tuple[int, int]:
+    """The ceil(N p)-th smallest key and the pinball loss there, in units of
+    1/p.denominator of a key, by one pass over the unsorted keys."""
+    p = level.p
+    t = keys[asc[level.ceil_np - 1]]
+    above = sum(x - t for x in keys if x > t)
+    below = sum(t - x for x in keys if x < t)
+    return t, p.numerator * above + (p.denominator - p.numerator) * below

@@ -70,6 +70,18 @@ class TestUniquantile:
         code, _, err = run_cli(["uniquantile", square, "--p", "1/3"], capsys)
         assert code == 1
 
+    def test_exponent_parsed_and_inf_rejected(self, tmp_path, capsys):
+        data = tmp_path / "exp.csv"
+        data.write_text("1e3\n2\n1.5e-2\n")
+        for p, q in [("5/6", "q=1000"), ("1/6", "q=3/200")]:
+            code, out, _ = run_cli(["uniquantile", str(data), "--p", p], capsys)
+            assert code == 0
+            assert out.splitlines()[0] == q
+        data.write_text("1\ninf\n")
+        code, _, err = run_cli(["uniquantile", str(data), "--p", "1/3"], capsys)
+        assert code == 1
+        assert "cannot parse rational from 'inf'" in err
+
 
 class TestRegionDocuments:
     def test_square_tukey_matches_golden_bytes(self, capsys):

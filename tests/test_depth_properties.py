@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conequant import DataCloud, tukey_depth
-from conftest import depth_by_region_sweep
+from conftest import assert_depth_brackets
 
 F = Fraction
 EXAMPLES = settings(max_examples=30)
@@ -103,4 +103,4 @@ def test_outside_bounding_box_has_depth_zero(case, data):
 def test_matches_region_sweep_up_to_the_plane(case):
     points, z = case
     cloud = DataCloud.from_rows(points)
-    assert tukey_depth(cloud, z) == depth_by_region_sweep(cloud, z)
+    assert_depth_brackets(cloud, z, tukey_depth(cloud, z))

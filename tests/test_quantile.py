@@ -22,7 +22,7 @@ from conequant import (
     validate_cone,
 )
 from conequant.oracle import check_tukey_region, oracle_region_2d
-from conftest import depth_by_region_sweep, random_cloud, random_valid_level
+from conftest import assert_depth_brackets, random_cloud, random_valid_level
 
 F = Fraction
 
@@ -174,9 +174,9 @@ class TestTukeyDepth:
                 cloud = _depth_test_cloud(rng, dim, n_max, i)
                 for z in _depth_test_queries(rng, cloud):
                     depth = tukey_depth(cloud, z)
-                    assert depth == depth_by_region_sweep(cloud, z), (cloud, z)
+                    assert_depth_brackets(cloud, z, depth)
                     if dim == 2:
-                        _assert_planar_oracle_sides(cloud, z, depth)
+                        assert_depth_brackets(cloud, z, depth, _oracle_region)
 
     def test_regions_are_exact_in_3d(self):
         """Region vertices have depth >= k; at each facet, the centroid of
@@ -227,15 +227,8 @@ def _depth_test_queries(rng, cloud):
     ]
 
 
-def _assert_planar_oracle_sides(cloud, z, depth):
-    """z is in the oracle's depth-k region at k = depth, not at depth + 1."""
-    n = cloud.n
-    if depth >= 1:
-        level = QuantileLevel(F(2 * depth - 1, 2 * n), n)
-        assert oracle_region_2d(cloud, level, None).region.contains(z)
-    if depth < n:
-        level = QuantileLevel(F(2 * depth + 1, 2 * n), n)
-        assert not oracle_region_2d(cloud, level, None).region.contains(z)
+def _oracle_region(cloud, level):
+    return oracle_region_2d(cloud, level, None)
 
 
 class TestRegionLaws:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conequant import (
     DataCloud,
@@ -24,10 +26,21 @@ from conequant import (
 from conequant.univariate import (
     ascending,
     count_le,
+    dense_masses,
+    greedy_cut,
+    key_quantile_and_loss,
     project,
     quantile_and_loss,
+    support_sum,
 )
-from conftest import random_cloud, random_direction, random_valid_level
+from conftest import (
+    dense_support_sum,
+    greedy_masses,
+    loop_quantile_and_loss,
+    random_cloud,
+    random_direction,
+    random_valid_level,
+)
 
 
 def sample(*values) -> ScalarSample:
@@ -244,7 +257,7 @@ def test_kth_count_pinball_match_fractions(span):
         p = Fraction(rng.randint(1, 7), 8)
         level = QuantileLevel(p, n)
         expect_kth = sorted(vals)[level.ceil_np - 1]
-        t, loss = quantile_and_loss(keys, den, ascending(keys), level)
+        t, loss = quantile_and_loss(sorted(keys), den, level)
         assert t == expect_kth
         assert loss == pinball(vals, p, expect_kth)
         # thresholds on, between and outside the values
@@ -265,7 +278,7 @@ def test_proj_pairs_matches_fraction_dot(span):
         ]
         w = tuple(Fraction(rng.randint(-span, span), rng.randint(1, 7)) for _ in range(d))
         rows, den = DataCloud.from_rows(points).int_form
-        keys, kden = project(rows, den, w)
+        keys, kden = project(list(zip(*rows)), den, w)
         expected = [sum(a * b for a, b in zip(row, w)) for row in points]
         assert [Fraction(x, kden) for x in keys] == expected
 
@@ -287,3 +300,38 @@ def test_greedy_serves_lower_index_first_among_ties(p, u, v, y):
     assert sol.v == tuple(map(Fraction, v))
     assert sol.support_point == tuple(map(Fraction, y))
     assert sol.value == Fraction(3, 4)
+
+
+# every level a/b with b <= 20, integral N p included
+SMALL_LEVELS = sorted({Fraction(a, b) for b in range(2, 21) for a in range(1, b)})
+
+
+@st.composite
+def tied_keys_and_rows(draw):
+    """1 to 12 keys in -2..2, so that ties are frequent, and integer rows in
+    d = 1 to 3 that the masses are summed over."""
+    n = draw(st.integers(1, 12))
+    keys = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    d = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-9, 9)] * d)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return keys, rows
+
+
+@settings(max_examples=200)
+@given(tied_keys_and_rows())
+def test_greedy_cut_matches_the_loop(case):
+    """The closed-form greedy cut gives the loop's dense (u, v), support sum,
+    quantile key and loss numerator at every level with denominator <= 20."""
+    keys, rows = case
+    n = len(keys)
+    asc = ascending(keys)
+    ka = list(map(keys.__getitem__, asc))
+    cols = list(zip(*rows))
+    for p in SMALL_LEVELS:
+        level = QuantileLevel(p, n)
+        u, v = greedy_masses(keys, asc, p)
+        groups = greedy_cut(ka, asc, p)
+        assert dense_masses(groups, n) == (u, v), (keys, p)
+        assert support_sum(cols, groups) == dense_support_sum(rows, u, v)
+        assert key_quantile_and_loss(ka, level) == loop_quantile_and_loss(keys, asc, level)
