@@ -152,13 +152,24 @@ class Cone:
         """Whether w is in the dual cone, i.e. g.w >= 0 for every generator."""
         return all(_linalg.dot(g, w) >= 0 for g in self.generators)
 
+    @cached_property
+    def dual_rays(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Lines and extreme rays of the dual cone {w : g.w >= 0 for every
+        generator g}, as primitive integer vectors from one double
+        description run.  The cone is the set of x with x.r >= 0 for every
+        such ray r and x.l = 0 for every such line l."""
+        from .polyhedra import _dd_cone
+
+        return _dd_cone([_linalg.primitive(g) for g in self.generators], self.dim)
+
 
 def validate_cone(generators) -> Cone:
     """Check that the generator rows span the space and allow no line.
 
     Raises NotFullDimensional when rank < d and ContainsLine when some nonzero
-    generator's negation is itself a nonnegative combination of the rows
-    (which is equivalent to the cone containing a line).
+    generator's negation is also in the cone (which is equivalent to the
+    cone containing a line).  Full rank makes the dual cone pointed, and -g
+    lies in the cone iff g is zero on every extreme ray of the dual cone.
     """
     rows = tuple(as_vector(g) for g in generators)
     if not rows:
@@ -172,26 +183,15 @@ def validate_cone(generators) -> Cone:
             f"generators span a {rank}-dimensional subspace of "
             f"R^{d}; the cone has empty interior"
         )
-    from .lp import LinearProgram, OPTIMAL, simplex_solve
-
+    cone = Cone(rows)
+    _, rays = cone.dual_rays
     for g in rows:
-        if all(x == 0 for x in g):
-            continue
-        # feasibility of { y >= 0 : sum_i y_i * row_i = -g }
-        lp = LinearProgram(
-            sense="min",
-            objective=tuple(Fraction(0) for _ in rows),
-            rows=tuple(tuple(row[j] for row in rows) for j in range(d)),
-            relations=("=",) * d,
-            rhs=tuple(-x for x in g),
-            bounds=tuple((Fraction(0), None) for _ in rows),
-        )
-        if simplex_solve(lp).status == OPTIMAL:
+        if any(g) and all(_linalg.dot(g, r) == 0 for r in rays):
             raise ContainsLine(
                 f"the cone is not free of lines: -({', '.join(map(format_rational, g))}) "
                 "is also in the cone"
             )
-    return Cone(rows)
+    return cone
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,7 @@ def make_dual_basis(cone: Cone, c=None) -> DualConeBasis:
 
     When no interior point is supplied the sum of the generator rows is used;
     it is interior for every full-dimensional cone.  A supplied point is
-    certified interior by minimizing c.w over a compact base of the dual cone
-    and insisting on a strictly positive optimum.
+    certified interior on the extreme rays and lines of the dual cone.
     """
     d = cone.dim
     if c is None:
@@ -267,22 +266,16 @@ def make_dual_basis(cone: Cone, c=None) -> DualConeBasis:
 
 
 def _certify_interior(cone: Cone, c: Vector) -> None:
-    from .lp import LinearProgram, OPTIMAL, simplex_solve
-
-    d = cone.dim
-    # base of the dual cone: Yw >= 0 with sum of Yw equal to 1 (compact since
-    # the cone is full-dimensional, so Yw = 0 forces w = 0)
-    col_sums = tuple(sum((g[j] for g in cone.generators), Fraction(0)) for j in range(d))
-    lp = LinearProgram(
-        sense="min",
-        objective=c,
-        rows=tuple(cone.generators) + (col_sums,),
-        relations=(">=",) * cone.r + ("=",),
-        rhs=tuple(Fraction(0) for _ in range(cone.r)) + (Fraction(1),),
-        bounds=tuple((None, None) for _ in range(d)),
-    )
-    outcome = simplex_solve(lp)
-    if outcome.status != OPTIMAL or outcome.value <= 0:
+    # c is interior iff c.w is positive on the base {w in the dual cone :
+    # sum of Yw = 1}; every base point is a line plus a positive combination
+    # of extreme rays, so that holds iff there is an extreme ray, c is zero
+    # on every line and positive on every extreme ray
+    lines, rays = cone.dual_rays
+    if (
+        not rays
+        or any(_linalg.dot(c, ln) != 0 for ln in lines)
+        or any(_linalg.dot(c, r) <= 0 for r in rays)
+    ):
         raise NotInterior(
             f"({', '.join(map(format_rational, c))}) is not an interior point of the cone"
         )

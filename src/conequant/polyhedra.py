@@ -9,7 +9,12 @@ and generators with positive homogenizing coordinate become vertices.  It
 works in integers on primitive ray vectors with zero sets as bitmasks, and
 keeps the cone's edge graph: a new row is located by an edge walk, touches
 only the rays it cuts off and their neighbours, and decides the new edges
-on its own facet by the exact combinatorial test.
+on its own facet by the exact combinatorial test.  The walk starts at a ray
+the caller names, such as the Benson vertex a cut was made from; a start
+removed since is replaced through the engine's map from each removed ray to
+a ray made by the insertion that removed it.  A conversion hands its rows to
+the engine in one fixed pseudo-random order, which keeps the intermediate
+cones small.
 A lineality direction appears in the V-representation as a pair of opposite
 rays; the "vertices" of a non-pointed polyhedron are canonical
 representatives of its minimal faces.
@@ -17,6 +22,7 @@ representatives of its minimal faces.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -106,6 +112,13 @@ class _PointedCone:
     nonnegative on every ray, so e.r > 0 for each ray r: on the slice
     e.x = 1 the cone is a polytope with the rays as vertices and the edges as
     its edges, and row.r / e.r is a linear function on it.
+
+    A row is located by descending row.r / e.r along edges, which ends at a
+    global minimum from any start.  A caller that knows a ray the row cuts
+    off passes its id as ``start``.  ``_heir`` maps each removed id to a ray
+    made by the insertion that removed it, on one of its cut edges where
+    there is one, so a start removed since it was read still leads near the
+    cut; with no live ray on that chain the walk starts at the newest ray.
     """
 
     def __init__(self, dim: int) -> None:
@@ -115,6 +128,7 @@ class _PointedCone:
         self._zs: dict[int, int] = {}
         self._nbrs: dict[int, set[int]] = {}
         self._height: dict[int, int] = {}
+        self._heir: dict[int, int] = {}
         self._ids = count()
         self._e: IntVec = ()
         self._basis: list[IntVec] = []
@@ -129,17 +143,22 @@ class _PointedCone:
     def zerosets(self) -> list[int]:
         return list(self._zs.values())
 
+    def items(self):
+        """(id, ray) pairs of the live rays."""
+        return self._ray.items()
+
     def add_rows(self, rows) -> None:
         for row in rows:
             self.add_row(tuple(row))
 
-    def add_row(self, row: IntVec) -> None:
+    def add_row(self, row: IntVec, start: int | None = None) -> None:
+        """Insert a row; ``start`` is a ray id to begin the walk at."""
         if len(row) != self.dim:
             raise DimensionMismatch("constraint row has the wrong width")
         if all(v == 0 for v in row):
             return
         if self._initialized:
-            self._insert(row)
+            self._insert(row, start)
         elif _linalg.int_rank(self._basis + [row]) > len(self._basis):
             self._basis.append(row)
             if len(self._basis) == self.dim:
@@ -187,16 +206,20 @@ class _PointedCone:
     def ready(self) -> bool:
         return self._initialized
 
-    def _insert(self, row: IntVec) -> None:
+    def _insert(self, row: IntVec, start: int | None = None) -> None:
         bit = 1 << len(self.processed)
         self.processed.append(row)
         ray, zs, nbrs, height = self._ray, self._zs, self._nbrs, self._height
         if not ray:
             return  # the cone is {0}
+        cur = start
+        while cur is not None and cur not in ray:
+            cur = self._heir.get(cur)
+        if cur is None:
+            cur = next(reversed(ray))
         # walk the edges while row.r / e.r strictly drops, until a ray is cut
         # off or no neighbour improves; as in the simplex method, a ray with
         # no improving neighbour minimizes row.r / e.r
-        cur = next(reversed(ray))
         v = sum(map(mul, row, ray[cur]))
         vals = {cur: v}
         while v >= 0:
@@ -245,6 +268,7 @@ class _PointedCone:
         # each nonnegative on every processed row, is zero exactly where both
         # are
         fresh = []
+        heir = self._heir
         for n in neg:
             rn, vn, zn = ray[n], vals[n], zs[n]
             for p in nbrs[n]:
@@ -255,11 +279,15 @@ class _PointedCone:
                     nbrs[k].add(p)
                     nbrs[p].add(k)
                     fresh.append(k)
+                    heir.setdefault(n, k)
+        spare = fresh[0] if fresh else zero[0] if zero else None
         for n in neg:
             for j in nbrs.pop(n):
                 if j not in neg:
                     nbrs[j].discard(n)
             del ray[n], zs[n], height[n]
+            if spare is not None:
+                heir.setdefault(n, spare)
         for i in zero:
             zs[i] |= bit
         # edges among the kept rays stay edges; every edge not yet known lies
@@ -290,8 +318,17 @@ class _PointedCone:
 
 
 def _dd_cone(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
-    """Lines and extreme rays of the general cone {x : row.x >= 0}."""
+    """Lines and extreme rays of the general cone {x : row.x >= 0}.
+
+    The rows enter the engine in one fixed pseudo-random order.  The extreme
+    rays are the same in any order, but the intermediate cones are not: rows
+    in their given order, often lexicographic, tend to cut neighbouring
+    facets one after another and make many rays that later rows remove
+    again (Avis, Bremner & Seidel 1997; Fukuda & Prodon 1996 counter this
+    with a row ordering).  The rays come back in no particular order.
+    """
     live = [r for r in rows if any(r)]
+    random.Random(0).shuffle(live)
     if _linalg.int_rank(live) == dim:
         # full rank: the cone is pointed, so the engine runs on the rows as
         # they are

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -70,14 +71,36 @@ class DualSolution:
     lower quantile of the projected sample.  Each entry corresponds to
     exactly one vertex of ``dual_image``, which is kept in solver-frame
     (coords, value)-space with both representations attached.
+
+    The solver keeps the image in homogeneous integers: ``vertex_rays`` are
+    the vertices as rays (a, m, z0), in entry order, and ``cut_rows`` the
+    cuts as rows (see the module docstring).  ``image_vertices`` and
+    ``dual_image`` are built from them on first access.
     """
 
     entries: tuple[tuple[Vector, Fraction], ...]
-    dual_image: Polyhedron
     basis: DualConeBasis
     stats: BensonStats
-    image_vertices: tuple[DualImagePoint, ...]
+    vertex_rays: tuple[IntVec, ...]
+    cut_rows: tuple[IntVec, ...]
     audit: BensonAudit | None = None
+
+    @cached_property
+    def image_vertices(self) -> tuple[DualImagePoint, ...]:
+        return tuple(_point(ray) for ray in self.vertex_rays)
+
+    @cached_property
+    def dual_image(self) -> Polyhedron:
+        d = self.basis.dim
+        cuts = [_cut_halfspace(row) for row in self.cut_rows]
+        return Polyhedron(
+            d,
+            tuple(_box_halfspaces(self.basis) + cuts),
+            (),
+            tuple(pt.coords + (pt.value,) for pt in self.image_vertices),
+            ((Fraction(0),) * (d - 1) + (Fraction(1),),),
+            False,
+        )
 
 
 def image_coords(w, basis: DualConeBasis) -> Vector:
@@ -177,10 +200,9 @@ def benson_dual_solve(
     scd = basis.sigma * cd
     cut_scale = den * level.p.denominator * abs(c_last)
 
-    outer = _box_halfspaces(basis)
     engine = _PointedCone(d + 1)
     seen_rows = set()
-    for h in outer:
+    for h in _box_halfspaces(basis):
         row = primitive((*h.normal, -h.offset))
         seen_rows.add(row)
         engine.add_row(row)
@@ -203,8 +225,8 @@ def benson_dual_solve(
         rounds += 1
         vertices: list[tuple[IntVec, IntVec]] = []
         rays: list[IntVec] = []
-        fresh: list[tuple[IntVec, IntVec]] = []
-        for ray in engine.rays:
+        fresh: list[tuple[IntVec, IntVec, int]] = []
+        for rid, ray in engine.items():
             z0 = ray[-1]
             if z0 <= 0:
                 if z0 < 0:
@@ -217,7 +239,7 @@ def benson_dual_solve(
             vertices.append((key, ray))
             hit = cache.get(key)
             if hit is None:
-                fresh.append((key, ray))
+                fresh.append((key, ray, rid))
                 continue
             *_, loss, loss_den = hit
             value, bound = ray[-2] * loss_den, loss * z0
@@ -226,8 +248,10 @@ def benson_dual_solve(
             if value < bound:
                 raise InternalInvariantError("a cut-off vertex came back")
             confirmed.setdefault(key, ray)
-        new_rows: list[IntVec] = []
-        for key, ray in _by_coords(fresh):
+        # each cut strictly cuts off the vertex it came from, so its
+        # insertion starts there
+        new_rows: list[tuple[IntVec, int]] = []
+        for key, ray, rid in _by_coords(fresh):
             a, z = key[:-1], key[-1]
             weight = (*(c_last * aj for aj in a), scd * z - sum(map(mul, cn_head, a)))
             keys = project_keys(cols, weight)  # W.x over den: w.x over D den
@@ -256,28 +280,18 @@ def benson_dual_solve(
             )
             if row not in seen_rows:
                 seen_rows.add(row)
-                new_rows.append(row)
+                new_rows.append((row, rid))
         if not new_rows:
             break
-        for row in new_rows:
-            engine.add_row(row)
-        cut_rows.extend(new_rows)
+        for row, rid in new_rows:
+            engine.add_row(row, rid)
+            cut_rows.append(row)
 
     if rays != [(0,) * (d - 1) + (1, 0)]:
         raise InternalInvariantError(
             "dual image recession cone is not the upward value ray"
         )
     final = _by_coords(vertices)
-    points = tuple(_point(ray) for _, ray in final)
-    cuts = [_cut_halfspace(row) for row in cut_rows]
-    image = Polyhedron(
-        d,
-        tuple(outer + cuts),
-        (),
-        tuple(pt.coords + (pt.value,) for pt in points),
-        (tuple(Fraction(v) for v in rays[0][:-1]),),
-        False,
-    )
     entries = []
     for key, _ in final:
         weight, wden, t, _, _ = cache[key]
@@ -290,24 +304,25 @@ def benson_dual_solve(
     if audit:
         audit_rec = BensonAudit(
             confirmed=tuple(_point(ray) for _, ray in _by_coords(confirmed.items())),
-            cuts=tuple(cuts),
+            cuts=tuple(_cut_halfspace(row) for row in cut_rows),
         )
     return DualSolution(
         entries=tuple(entries),
-        dual_image=image,
         basis=basis,
         stats=stats,
-        image_vertices=points,
+        vertex_rays=tuple(ray for _, ray in final),
+        cut_rows=tuple(cut_rows),
         audit=audit_rec,
     )
 
 
-def _by_coords(pairs) -> list[tuple[IntVec, IntVec]]:
-    """(key, ray) pairs in lexicographic order of the coords a/z0 of their
-    primitive keys (a, z0), compared as integers over the lcm of the z0."""
-    pairs = list(pairs)
-    zl = lcm(*(key[-1] for key, _ in pairs))
-    return sorted(pairs, key=lambda kr: tuple(a * (zl // kr[0][-1]) for a in kr[0][:-1]))
+def _by_coords(items) -> list[tuple]:
+    """Tuples (key, ray, ...) in lexicographic order of the coords a/z0 of
+    their primitive keys (a, z0), compared as integers over the lcm of the
+    z0."""
+    items = list(items)
+    zl = lcm(*(it[0][-1] for it in items))
+    return sorted(items, key=lambda it: tuple(a * (zl // it[0][-1]) for a in it[0][:-1]))
 
 
 def _point(ray: IntVec) -> DualImagePoint:

@@ -240,3 +240,73 @@ def loop_quantile_and_loss(
     above = sum(x - t for x in keys if x > t)
     below = sum(t - x for x in keys if x < t)
     return t, p.numerator * above + (p.denominator - p.numerator) * below
+
+
+# The linear programs that ``validate_cone`` and ``make_dual_basis`` solved
+# before the dual cone's extreme rays replaced them, kept as the reference
+# the ray tests are checked against.
+
+
+def lp_validate_cone(generators) -> Cone:
+    """``validate_cone`` by one feasibility LP per nonzero generator g:
+    the cone contains a line iff some -g is a nonnegative combination of
+    the rows."""
+    from conequant import ContainsLine, DimensionMismatch, NotFullDimensional
+    from conequant._linalg import int_rank, primitive
+    from conequant.core import as_vector, format_rational
+    from conequant.lp import OPTIMAL, LinearProgram, simplex_solve
+
+    rows = tuple(as_vector(g) for g in generators)
+    if not rows:
+        raise DimensionMismatch("a cone needs at least one generator row")
+    d = len(rows[0])
+    if d < 1 or any(len(g) != d for g in rows):
+        raise DimensionMismatch("generator rows must share one dimension >= 1")
+    rank = int_rank([primitive(g) for g in rows])
+    if rank < d:
+        raise NotFullDimensional(
+            f"generators span a {rank}-dimensional subspace of "
+            f"R^{d}; the cone has empty interior"
+        )
+    for g in rows:
+        if all(x == 0 for x in g):
+            continue
+        # feasibility of { y >= 0 : sum_i y_i * row_i = -g }
+        lp = LinearProgram(
+            sense="min",
+            objective=tuple(Fraction(0) for _ in rows),
+            rows=tuple(tuple(row[j] for row in rows) for j in range(d)),
+            relations=("=",) * d,
+            rhs=tuple(-x for x in g),
+            bounds=tuple((Fraction(0), None) for _ in rows),
+        )
+        if simplex_solve(lp).status == OPTIMAL:
+            raise ContainsLine(
+                f"the cone is not free of lines: -({', '.join(map(format_rational, g))}) "
+                "is also in the cone"
+            )
+    return Cone(rows)
+
+
+def lp_certify_interior(cone: Cone, c) -> None:
+    """``core._certify_interior`` by minimizing c.w over the base of the dual
+    cone where Yw >= 0 sums to 1, insisting on a positive optimum."""
+    from conequant import NotInterior
+    from conequant.core import format_rational
+    from conequant.lp import OPTIMAL, LinearProgram, simplex_solve
+
+    d = cone.dim
+    col_sums = tuple(sum((g[j] for g in cone.generators), Fraction(0)) for j in range(d))
+    lp = LinearProgram(
+        sense="min",
+        objective=c,
+        rows=tuple(cone.generators) + (col_sums,),
+        relations=(">=",) * cone.r + ("=",),
+        rhs=tuple(Fraction(0) for _ in range(cone.r)) + (Fraction(1),),
+        bounds=tuple((None, None) for _ in range(d)),
+    )
+    outcome = simplex_solve(lp)
+    if outcome.status != OPTIMAL or outcome.value <= 0:
+        raise NotInterior(
+            f"({', '.join(map(format_rational, c))}) is not an interior point of the cone"
+        )

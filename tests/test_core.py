@@ -9,6 +9,7 @@ import pytest
 
 import conequant
 from conequant import (
+    ConequantError,
     ContainsLine,
     DataCloud,
     DimensionMismatch,
@@ -22,7 +23,10 @@ from conequant import (
     project_data,
     validate_cone,
 )
-from conftest import random_cloud, random_direction
+from conequant.core import Cone, _certify_interior
+from conftest import lp_certify_interior, lp_validate_cone, random_cloud, random_direction
+
+F = Fraction
 
 
 class TestRational:
@@ -138,6 +142,103 @@ class TestMakeDualBasis:
         assert basis.solver_c[-1] != 0
         vec = (Fraction(5), Fraction(7))
         assert basis.unpermute(basis.permute(vec)) == vec
+
+
+def _outcome(fn, *args):
+    """The exception type and message fn raises, or the value it returns."""
+    try:
+        return fn(*args)
+    except ConequantError as exc:
+        return type(exc), str(exc)
+
+
+def _generator_corpus(rng: random.Random, dim: int):
+    """Generator rows of every kind: random, with an explicit line, rank
+    deficient, with zero rows, rational, permuted."""
+    kind = rng.randrange(5)
+    rows = [
+        [rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(dim, dim + 3))
+    ]
+    if kind == 1:
+        g = rng.choice(rows)
+        rows.insert(rng.randrange(len(rows) + 1), [-x for x in g])
+    elif kind == 2:
+        rows = rows[: rng.randint(1, dim)]
+        rows.append([sum(col) for col in zip(*rows)])
+    elif kind == 3:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * dim)
+    elif kind == 4:
+        rows = [[F(x, rng.randint(1, 4)) for x in row] for row in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def _interior_candidates(rng: random.Random, rows):
+    """Points to certify: the row sum and its negation, zero, a generator
+    (on the boundary), a random point, and the row sum with its last
+    coordinate zeroed, which gives a permuted basis when it is interior."""
+    dim = len(rows[0])
+    total = [sum(F(g[j]) for g in rows) for j in range(dim)]
+    return [
+        tuple(total),
+        tuple(-x for x in total),
+        (F(0),) * dim,
+        tuple(map(F, rng.choice(rows))),
+        tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)),
+        tuple(total[:-1]) + (F(0),),
+    ]
+
+
+class TestConeChecksAgainstLP:
+    """validate_cone and the interior certificate read the dual cone's
+    extreme rays; the linear programs they replaced are the reference, down
+    to the exception type and message."""
+
+    def test_validate_cone_matches_lp(self):
+        rng = random.Random(71)
+        seen = {}
+        for _ in range(300):
+            rows = _generator_corpus(rng, rng.randint(1, 4))
+            got = _outcome(validate_cone, rows)
+            want = _outcome(lp_validate_cone, rows)
+            assert got == want, rows
+            kind = got[0] if isinstance(got, tuple) else Cone
+            seen[kind] = seen.get(kind, 0) + 1
+        assert min(seen.get(k, 0) for k in (Cone, ContainsLine, NotFullDimensional)) >= 30
+
+    def test_interior_certificate_matches_lp(self):
+        rng = random.Random(72)
+        seen = {None: 0, NotInterior: 0}
+        validated = 0
+        for _ in range(150):
+            rows = _generator_corpus(rng, rng.randint(1, 4))
+            # unvalidated cones too: with lines and rank deficient
+            cone = Cone(tuple(tuple(map(F, g)) for g in rows))
+            if not isinstance(_outcome(validate_cone, rows), tuple):
+                validated += 1
+            for c in _interior_candidates(rng, rows):
+                got = _outcome(_certify_interior, cone, c)
+                assert got == _outcome(lp_certify_interior, cone, c), (rows, c)
+                seen[got if got is None else got[0]] += 1
+        assert validated >= 30 and min(seen.values()) >= 100
+
+    def test_make_dual_basis_matches_lp(self):
+        rng = random.Random(73)
+        permuted = 0
+        for _ in range(60):
+            rows = _generator_corpus(rng, rng.randint(2, 4))
+            if isinstance(_outcome(validate_cone, rows), tuple):
+                continue
+            cone = validate_cone(rows)
+            for c in _interior_candidates(rng, rows):
+                got = _outcome(make_dual_basis, cone, c)
+                want = _outcome(lp_certify_interior, cone, c)
+                if want is None:
+                    assert got.c == c
+                    permuted += got.is_permuted
+                else:
+                    assert got == want
+        assert permuted >= 1
 
 
 class TestOrthantSelfDuality:

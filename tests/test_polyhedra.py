@@ -6,9 +6,12 @@ from itertools import combinations
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conequant import (
     DimensionMismatch,
+    Equation,
     Halfspace,
     Polyhedron,
     hrep_to_vrep,
@@ -304,6 +307,9 @@ class TestPointedConeEngine:
     def _check(self, rows, dim):
         engine = _PointedCone(dim)
         engine.add_rows(rows)
+        return self._verify(engine, rows, dim)
+
+    def _verify(self, engine, rows, dim):
         engine.finish()
         assert len(set(engine.rays)) == len(engine.rays)
         assert set(engine.rays) == _brute_force_rays(rows, dim)
@@ -363,6 +369,37 @@ class TestPointedConeEngine:
             checked += 1
 
     @pytest.mark.parametrize("dim", [3, 4])
+    def test_walk_start_anywhere(self, dim):
+        """The same rows with the walk started at a live ray, at a ray an
+        earlier row removed (followed to a live ray through the engine's
+        map of removed rays) and at an id no ray ever had give the same cone."""
+        rng = random.Random(800 + dim)
+        through_map = 0
+        for _ in range(12):
+            rows = [(0,) * (dim - 1) + (1,)]
+            while frac_rank(rows) < dim or len(rows) < dim + 8:
+                rows.append(tuple(rng.randint(-3, 3) for _ in range(dim - 1)) + (6,))
+            for how in ("live", "removed", "unknown"):
+                engine = _PointedCone(dim)
+                for row in rows:
+                    start = None
+                    if how == "live" and engine._ray:
+                        start = rng.choice(list(engine._ray))
+                    elif how == "removed":
+                        gone = [i for i in engine._heir if i not in engine._ray]
+                        if gone:
+                            start = rng.choice(gone)
+                            heir = start
+                            while heir is not None and heir not in engine._ray:
+                                heir = engine._heir.get(heir)
+                            through_map += heir is not None
+                    elif how == "unknown":
+                        start = -1
+                    engine.add_row(row, start)
+                self._verify(engine, rows, dim)
+        assert through_map >= 20
+
+    @pytest.mark.parametrize("dim", [3, 4])
     def test_cut_down_to_origin(self, dim):
         # the orthant cut by -sum(x) >= 0 is {0}; later rows leave it so
         orthant = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
@@ -400,3 +437,47 @@ class TestPointedConeEngine:
                 engine = self._check(rows, dim)
             apex = next(i for i, r in engine._ray.items() if r == (6,) * k + (0, 1))
             assert len(engine._nbrs[apex]) == degree
+
+
+KINDS = ("bounded", "unbounded", "equations", "lineality", "empty")
+
+
+@st.composite
+def hrep_and_permutation(draw):
+    """Halfspaces (and equations) of one kind of polyhedron in d <= 4 with
+    small integer data, and a reordering of them."""
+    kind = draw(st.sampled_from(KINDS))
+    dim = draw(st.integers(1 if kind != "equations" else 2, 4))
+    width = dim - 1 if kind == "lineality" and dim > 1 else dim
+    normal = st.tuples(*[st.integers(-3, 3)] * width).filter(any)
+    pad = (0,) * (dim - width)
+    hs = [
+        Halfspace(n + pad, off)
+        for n, off in draw(st.lists(st.tuples(normal, st.integers(-6, 6)), max_size=8))
+    ]
+    eqs = []
+    for k in range(dim):
+        unit = tuple(int(i == k) for i in range(dim))
+        if kind == "bounded":
+            hs += [Halfspace(unit, -5), Halfspace(tuple(-u for u in unit), -5)]
+        elif kind in ("unbounded", "equations"):
+            hs.append(Halfspace(unit, -5))
+    if kind == "equations":
+        for n, off in draw(st.lists(st.tuples(normal, st.integers(-4, 4)), min_size=1, max_size=dim - 1)):
+            eqs.append(Equation(n, off))
+    if kind == "empty":
+        hs += [Halfspace((1,) + (0,) * (dim - 1), 1), Halfspace((-1,) + (0,) * (dim - 1), 0)]
+    return dim, hs, eqs, draw(st.permutations(hs)), draw(st.permutations(eqs))
+
+
+@settings(max_examples=150)
+@given(hrep_and_permutation())
+def test_conversion_ignores_constraint_order(case):
+    """The V-representation is a function of the set: any order of the same
+    halfspaces and equations gives the same vertices and rays."""
+    dim, hs, eqs, hs2, eqs2 = case
+    p = Polyhedron.from_hrep(hs, eqs, dim=dim)
+    q = Polyhedron.from_hrep(hs2, eqs2, dim=dim)
+    assert q.is_empty == p.is_empty
+    assert q.vertices == p.vertices
+    assert q.rays == p.rays

@@ -201,6 +201,24 @@ class TestBensonSolve:
                 tuple([F(0)] * (dim - 1)) + (F(1),),
             )
 
+    def test_region_solves_build_no_dual_image(self, monkeypatch):
+        """Regions read only the entries: the Fraction dual image and its
+        points are built on first access, which a region solve never makes."""
+        import conequant.vlp as vlp
+
+        def forbidden(*args):
+            raise AssertionError("a region solve built the dual image")
+
+        monkeypatch.setattr(vlp, "_cut_halfspace", forbidden)
+        monkeypatch.setattr(vlp, "_point", forbidden)
+        cloud = DataCloud.from_rows([[0, 0], [3, 1], [1, 4], [-2, 2], [2, -3]])
+        assert tukey_region(cloud, QuantileLevel(F(3, 10), 5)).region.vertices
+        assert quantile_region(cloud, QuantileLevel(F(7, 10), 5), orthant(2)).region.vertices
+        sol = benson_dual_solve(cloud, QuantileLevel(F(7, 10), 5), make_dual_basis(orthant(2)))
+        assert sol.stats.cuts_added > 0
+        monkeypatch.undo()
+        assert len(sol.dual_image.vertices) == len(sol.image_vertices) == len(sol.entries)
+
     def test_rerun_and_data_order_invariance(self):
         rng = random.Random(54)
         for _ in range(10):
@@ -242,10 +260,10 @@ class TestHalfspacesOf:
         sol = benson_dual_solve(cloud, QuantileLevel(F(1, 3), 1), basis)
         hollow = DualSolution(
             entries=(),
-            dual_image=sol.dual_image,
             basis=sol.basis,
             stats=sol.stats,
-            image_vertices=(),
+            vertex_rays=(),
+            cut_rows=sol.cut_rows,
         )
         with pytest.raises(EmptyBasis):
             halfspaces_of(hollow)
