@@ -565,17 +565,18 @@ def vrep_to_hrep(p: Polyhedron) -> Polyhedron:
 
 
 def remove_redundant(p: Polyhedron) -> Polyhedron:
-    """Drop every halfspace implied by the others, certified by one LP each.
+    """Drop every halfspace implied by the others.
 
-    A constraint is kept iff minimizing its left-hand side over the others
-    can fall strictly below its offset (or is unbounded below).  A pair of
-    opposite halfspaces encodes an implicit equation; both sides survive the
-    test, so such pairs are preserved.  Output order is lexicographic by
-    canonical normal; exact duplicates are merged first.  The empty
-    polyhedron maps to its canonical two-constraint form.
+    The halfspaces are visited in canonical order, exact duplicates merged
+    first.  A halfspace h is kept iff the polyhedron Q cut out by the ones
+    kept so far, the later ones and the equations is not contained in h.
+    Q contains the nonempty p, so Q = conv(V) + cone(R) from its
+    V-representation, and h fails on Q iff it fails on some vertex in V or
+    some ray in R; a line enters R as two opposite rays, so it must lie in
+    h's boundary.  A pair of opposite halfspaces encodes an implicit
+    equation; both sides survive the test, so such pairs are preserved.
+    The empty polyhedron maps to its canonical two-constraint form.
     """
-    from .lp import INFEASIBLE, LinearProgram, OPTIMAL, simplex_solve
-
     p._ensure_hrep()
     if p.is_empty:
         return Polyhedron.empty(p.dim)
@@ -586,26 +587,12 @@ def remove_redundant(p: Polyhedron) -> Polyhedron:
             continue
         seen.add(h.key())
         ordered.append(h)
-    eq_rows = [e.normal for e in p.equations]
-    eq_rhs = [e.offset for e in p.equations]
     kept: list[Halfspace] = []
     for i, h in enumerate(ordered):
-        others = kept + ordered[i + 1 :]
-        rows = [o.normal for o in others] + eq_rows
-        rhs = [o.offset for o in others] + eq_rhs
-        rels = [">="] * len(others) + ["="] * len(eq_rows)
-        lp = LinearProgram(
-            sense="min",
-            objective=h.normal,
-            rows=tuple(rows),
-            relations=tuple(rels),
-            rhs=tuple(rhs),
-            bounds=tuple((None, None) for _ in range(p.dim)),
-        )
-        outcome = simplex_solve(lp)
-        if outcome.status == INFEASIBLE:
+        q = Polyhedron.from_hrep(kept + ordered[i + 1 :], p.equations, dim=p.dim)
+        if q.is_empty:
             raise InternalInvariantError("nonempty polyhedron lost feasibility")
-        if outcome.status != OPTIMAL or outcome.value < h.offset:
+        if not all(map(h.holds, q.vertices)) or not all(map(h.holds_ray, q.rays)):
             kept.append(h)
     return Polyhedron.from_hrep(kept, p.equations, dim=p.dim)
 

@@ -20,7 +20,7 @@ from .core import (
     validate_cone,
 )
 from .errors import DimensionMismatch
-from .polyhedra import Halfspace, Polyhedron, remove_redundant
+from .polyhedra import Halfspace, Polyhedron
 from .vlp import BensonStats, benson_dual_solve, halfspaces_of
 
 TUKEY_PROVENANCE = "tukey-lifted"
@@ -85,9 +85,7 @@ def unlift_normal(w) -> Vector:
     return tuple(wi - last for wi in w_vec[:-1])
 
 
-def tukey_region(
-    cloud: DataCloud, level: QuantileLevel, *, prune: bool = False
-) -> QuantileRegion:
+def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
     """Tukey depth region via the zero-sum lifting.
 
     The lifted cloud is solved against the nonnegative orthant with the
@@ -95,9 +93,7 @@ def tukey_region(
     ever needed); each entry's normal is unlifted.  A zero unlifted normal
     with t <= 0 is a vacuous constraint and is dropped; with t > 0 it would
     force emptiness (dead in practice: the only zero-unlift weight projects
-    every lifted point to 0, making t = 0).  ``prune=True`` additionally runs
-    redundancy removal on the unlifted halfspaces; the defining entries are
-    preserved either way.
+    every lifted point to 0, making t = 0).
     """
     lifted = lift_dataset(cloud)
     d1 = lifted.dim
@@ -122,8 +118,6 @@ def tukey_region(
         region = Polyhedron.empty(cloud.dim)
     else:
         region = Polyhedron.from_hrep(halfspaces, dim=cloud.dim)
-        if prune:
-            region = remove_redundant(region)
     return QuantileRegion(
         region=region,
         defining_entries=tuple(entries),

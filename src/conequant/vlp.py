@@ -30,10 +30,10 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-from ._linalg import common_denominator, primitive
+from ._linalg import common_denominator, dot, primitive
 from .core import DataCloud, DualConeBasis, QuantileLevel, Vector, as_vector
 from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
-from .polyhedra import Equation, Halfspace, IntVec, Polyhedron, _PointedCone
+from .polyhedra import Halfspace, IntVec, Polyhedron, _PointedCone
 from .univariate import ascending, greedy_cut, key_quantile_and_loss, project_keys, support_sum
 
 
@@ -52,14 +52,6 @@ class BensonStats:
     rounds: int
     cuts_added: int
     scalarizations: int
-
-
-@dataclass(frozen=True)
-class BensonAudit:
-    """Confirmed image vertices and every cut, for soundness checks."""
-
-    confirmed: tuple[DualImagePoint, ...]
-    cuts: tuple[Halfspace, ...]
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,6 @@ class DualSolution:
     stats: BensonStats
     vertex_rays: tuple[IntVec, ...]
     cut_rows: tuple[IntVec, ...]
-    audit: BensonAudit | None = None
 
     @cached_property
     def image_vertices(self) -> tuple[DualImagePoint, ...]:
@@ -168,8 +159,6 @@ def benson_dual_solve(
     cloud: DataCloud,
     level: QuantileLevel,
     basis: DualConeBasis,
-    *,
-    audit: bool = False,
 ) -> DualSolution:
     """Compute the unique irredundant dual solution by outer approximation.
 
@@ -216,7 +205,6 @@ def benson_dual_solve(
     # primitive (a, z0): w = W/D and t = key/(D den).  The projection is not
     # kept, since a vertex that needs a cut is cut off and never comes back.
     cache: dict[IntVec, tuple[IntVec, int, int, int, int]] = {}
-    confirmed: dict[IntVec, IntVec] = {}
     cut_rows: list[IntVec] = []
     rounds = 0
     scalarizations = 0
@@ -247,7 +235,6 @@ def benson_dual_solve(
                 raise InternalInvariantError("outer vertex ended up above the dual image")
             if value < bound:
                 raise InternalInvariantError("a cut-off vertex came back")
-            confirmed.setdefault(key, ray)
         # each cut strictly cuts off the vertex it came from, so its
         # insertion starts there
         new_rows: list[tuple[IntVec, int]] = []
@@ -264,7 +251,6 @@ def benson_dual_solve(
             scalarizations += 1
             value, bound = ray[-2] * loss_den, loss * ray[-1]
             if value == bound:
-                confirmed.setdefault(key, ray)
                 continue
             if value > bound:
                 raise InternalInvariantError("outer vertex ended up above the dual image")
@@ -300,19 +286,12 @@ def benson_dual_solve(
     stats = BensonStats(
         rounds=rounds, cuts_added=len(cut_rows), scalarizations=scalarizations
     )
-    audit_rec = None
-    if audit:
-        audit_rec = BensonAudit(
-            confirmed=tuple(_point(ray) for _, ray in _by_coords(confirmed.items())),
-            cuts=tuple(_cut_halfspace(row) for row in cut_rows),
-        )
     return DualSolution(
         entries=tuple(entries),
         basis=basis,
         stats=stats,
         vertex_rays=tuple(ray for _, ray in final),
         cut_rows=tuple(cut_rows),
-        audit=audit_rec,
     )
 
 
@@ -354,10 +333,11 @@ def halfspaces_of(sol: DualSolution) -> tuple[Halfspace, ...]:
 
 
 def basis_vertices(basis: DualConeBasis) -> tuple[Vector, ...]:
-    """Extreme points of the dual-cone basis, in the caller's frame."""
-    poly = Polyhedron.from_hrep(
-        [Halfspace(g, Fraction(0)) for g in basis.cone.generators if any(g)],
-        [Equation(basis.c, Fraction(1))],
-        dim=basis.dim,
-    )
-    return poly.vertices
+    """Extreme points of the dual-cone basis, in the caller's frame, sorted:
+    each extreme ray r of the dual cone scaled to r / (c.r)."""
+    _, rays = basis.cone.dual_rays
+    vertices = []
+    for r in rays:
+        s = dot(basis.c, r)
+        vertices.append(tuple(Fraction(x) / s for x in r))
+    return tuple(sorted(vertices))

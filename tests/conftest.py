@@ -242,9 +242,9 @@ def loop_quantile_and_loss(
     return t, p.numerator * above + (p.denominator - p.numerator) * below
 
 
-# The linear programs that ``validate_cone`` and ``make_dual_basis`` solved
-# before the dual cone's extreme rays replaced them, kept as the reference
-# the ray tests are checked against.
+# The linear programs that ``validate_cone``, ``make_dual_basis`` and
+# ``remove_redundant`` solved before double description replaced them, kept
+# as the reference the engine is checked against.
 
 
 def lp_validate_cone(generators) -> Cone:
@@ -310,3 +310,46 @@ def lp_certify_interior(cone: Cone, c) -> None:
         raise NotInterior(
             f"({', '.join(map(format_rational, c))}) is not an interior point of the cone"
         )
+
+
+def lp_remove_redundant(p):
+    """``polyhedra.remove_redundant`` by one LP per halfspace: h is kept iff
+    minimizing its left-hand side over the kept, later and equation rows
+    falls strictly below its offset or is unbounded below."""
+    from conequant import Halfspace, InternalInvariantError, Polyhedron
+    from conequant.lp import INFEASIBLE, OPTIMAL, LinearProgram, simplex_solve
+
+    if p.is_empty:
+        return Polyhedron.empty(p.dim)
+    seen = set()
+    ordered = []
+    for h in sorted((h.canonical() for h in p.halfspaces), key=Halfspace.key):
+        if h.key() not in seen:
+            seen.add(h.key())
+            ordered.append(h)
+    eq_rows = [e.normal for e in p.equations]
+    eq_rhs = [e.offset for e in p.equations]
+    kept = []
+    for i, h in enumerate(ordered):
+        others = kept + ordered[i + 1 :]
+        lp = LinearProgram(
+            sense="min",
+            objective=h.normal,
+            rows=tuple([o.normal for o in others] + eq_rows),
+            relations=(">=",) * len(others) + ("=",) * len(eq_rows),
+            rhs=tuple([o.offset for o in others] + eq_rhs),
+            bounds=tuple((None, None) for _ in range(p.dim)),
+        )
+        outcome = simplex_solve(lp)
+        if outcome.status == INFEASIBLE:
+            raise InternalInvariantError("nonempty polyhedron lost feasibility")
+        if outcome.status != OPTIMAL or outcome.value < h.offset:
+            kept.append(h)
+    return Polyhedron.from_hrep(kept, p.equations, dim=p.dim)
+
+
+def solution_cuts(sol):
+    """The Benson cuts of a dual solution as halfspaces, in the order they
+    were made: the last ``len(sol.cut_rows)`` halfspaces of its image."""
+    hs = sol.dual_image.halfspaces
+    return hs[len(hs) - len(sol.cut_rows) :]

@@ -29,6 +29,8 @@ from conequant import (
     build_lp,
     build_lp_dual,
     hrep_to_vrep,
+    image_coords,
+    lift_dataset,
     make_dual_basis,
     membership_sample,
     minimize_pinball_loss,
@@ -53,6 +55,7 @@ from conftest import (
     random_hrep_polyhedron,
     random_valid_level,
     random_vrep_polyhedron,
+    solution_cuts,
 )
 
 F = Fraction
@@ -110,8 +113,8 @@ class PlanarInstance:
     cone: Cone
     tukey: QuantileRegion
     coned: QuantileRegion
-    tukey_audit: object
-    coned_audit: object
+    tukey_sol: object
+    coned_sol: object
     seed: int
 
 
@@ -135,16 +138,13 @@ def planar_corpus() -> list[PlanarInstance]:
         cone = random_cone(rng, 2)
         tukey = tukey_region(cloud, level)
         coned = quantile_region(cloud, level, cone)
-        # audited re-solves for criterion 6
-        from conequant import lift_dataset
-
-        lifted = lift_dataset(cloud)
+        # the dual solutions behind both regions, for criterion 6
         basis3 = make_dual_basis(
             validate_cone([[int(i == j) for j in range(3)] for i in range(3)]),
             (1, 1, 1),
         )
-        tukey_sol = benson_dual_solve(lifted, level, basis3, audit=True)
-        cone_sol = benson_dual_solve(cloud, level, make_dual_basis(cone), audit=True)
+        tukey_sol = benson_dual_solve(lift_dataset(cloud), level, basis3)
+        cone_sol = benson_dual_solve(cloud, level, make_dual_basis(cone))
         corpus.append(
             PlanarInstance(
                 cloud=cloud,
@@ -152,8 +152,8 @@ def planar_corpus() -> list[PlanarInstance]:
                 cone=cone,
                 tukey=tukey,
                 coned=coned,
-                tukey_audit=tukey_sol,
-                coned_audit=cone_sol,
+                tukey_sol=tukey_sol,
+                coned_sol=cone_sol,
                 seed=rng.randint(0, 10**9),
             )
         )
@@ -219,7 +219,7 @@ def test_criterion_4_golden_fixture_documents(capsys):
 
 def _entries_under_permutations(rng, cloud, level, cone, c=None):
     basis = make_dual_basis(cone, c)
-    baseline = benson_dual_solve(cloud, level, basis, audit=True)
+    baseline = benson_dual_solve(cloud, level, basis)
     shuffled_points = list(cloud.points)
     rng.shuffle(shuffled_points)
     data_perm = benson_dual_solve(DataCloud(tuple(shuffled_points)), level, basis)
@@ -233,12 +233,12 @@ def _entries_under_permutations(rng, cloud, level, cone, c=None):
     assert data_perm.entries == baseline.entries
     assert rows_perm.entries == baseline.entries
     assert both.entries == baseline.entries
-    return baseline
+    return baseline, cloud, level
 
 
 def test_criterion_5_unique_irredundant_solution():
     rng = random.Random(105)
-    audited = []
+    solves = []
     # fixtures
     fixtures = [
         (DataCloud.from_rows([[0, 0], [1, 1]]), QuantileLevel(F(3, 4), 2)),
@@ -249,7 +249,7 @@ def test_criterion_5_unique_irredundant_solution():
     ray1 = validate_cone([[1]])
     for cloud, level in fixtures:
         cone = orthant2 if cloud.dim == 2 else ray1
-        audited.append(_entries_under_permutations(rng, cloud, level, cone))
+        solves.append(_entries_under_permutations(rng, cloud, level, cone))
     for square_like in (
         DataCloud.from_rows([[0, 0], [1, 0], [0, 1], [1, 1]]),
         DataCloud.from_rows([[0, 0], [1, 0], [0, 1]]),
@@ -266,39 +266,42 @@ def test_criterion_5_unique_irredundant_solution():
         cloud = random_cloud(rng, rng.randint(2, 10), d, span=15)
         level = random_valid_level(rng, cloud.n, max_den=40)
         cone = random_cone(rng, d)
-        audited.append(_entries_under_permutations(rng, cloud, level, cone))
-    test_criterion_5_unique_irredundant_solution.audited = audited
+        solves.append(_entries_under_permutations(rng, cloud, level, cone))
+    test_criterion_5_unique_irredundant_solution.solves = solves
     report(5, "entries invariant under data and generator permutations, bit-exact")
 
 
 # -- criterion 6 -----------------------------------------------------------
 
 
-def _check_audit(sol) -> None:
-    # every final vertex was confirmed by exact value equality
-    final = {pt.coords: pt.value for pt in sol.image_vertices}
-    confirmed = {pt.coords: pt.value for pt in sol.audit.confirmed}
-    for coords, value in final.items():
-        assert confirmed[coords] == value
-    # no cut is violated by any vertex confirmed in any round
-    for pt in sol.audit.confirmed:
+def _check_soundness(sol, cloud, level) -> None:
+    # every final vertex is confirmed: it sits at its entry's w, and its
+    # value is the pinball-loss minimum of the sample ``cloud`` (the one
+    # solved) projected on w, derived afresh
+    for (w, _), pt in zip(sol.entries, sol.image_vertices, strict=True):
+        assert image_coords(w, sol.basis) == pt.coords
+        _, loss = minimize_pinball_loss(ScalarSample(project_data(cloud, w)), level)
+        assert loss == pt.value
+    # no cut is violated by any image vertex
+    cuts = solution_cuts(sol)
+    for pt in sol.image_vertices:
         z = pt.coords + (pt.value,)
-        for cut in sol.audit.cuts:
+        for cut in cuts:
             assert cut.holds(z)
 
 
 def test_criterion_6_benson_soundness(planar_corpus):
     checked = 0
     for inst in planar_corpus:
-        _check_audit(inst.tukey_audit)
-        _check_audit(inst.coned_audit)
+        _check_soundness(inst.tukey_sol, lift_dataset(inst.cloud), inst.level)
+        _check_soundness(inst.coned_sol, inst.cloud, inst.level)
         checked += 2
-    audited = getattr(test_criterion_5_unique_irredundant_solution, "audited", [])
-    for sol in audited:
-        _check_audit(sol)
+    solves = getattr(test_criterion_5_unique_irredundant_solution, "solves", [])
+    for sol, cloud, level in solves:
+        _check_soundness(sol, cloud, level)
         checked += 1
     assert checked >= 400
-    report(6, f"{checked} audited solves: vertices confirmed, every cut valid")
+    report(6, f"{checked} solves: vertices confirmed, every cut valid")
 
 
 # -- criterion 7 -----------------------------------------------------------

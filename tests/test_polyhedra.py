@@ -23,7 +23,7 @@ from conequant import (
 from conequant._linalg import primitive
 from conequant.lp import INFEASIBLE, LinearProgram, simplex_solve
 from conequant.polyhedra import _PointedCone
-from conftest import frac_nullspace, frac_rank
+from conftest import frac_nullspace, frac_rank, lp_remove_redundant
 
 F = Fraction
 
@@ -154,6 +154,85 @@ class TestRemoveRedundant:
         )
         out = remove_redundant(p)
         assert len(out.halfspaces) == 2
+
+
+def _feature_hrep(rng, dim):
+    """A random H-representation with rational offsets that mixes in what
+    redundancy removal has to handle: scaled and loosened copies, opposite
+    pairs (an implicit equation, a slab or a contradiction), equations, and
+    normals blind to the last axis, which make that axis a line."""
+    blind = dim > 1 and rng.random() < 0.3
+
+    def normal():
+        while True:
+            n = [rng.randint(-3, 3) for _ in range(dim)]
+            if blind:
+                n[-1] = 0
+            if any(n):
+                return tuple(n)
+
+    def offset():
+        # mostly nonpositive, so most sets hold the origin and are nonempty
+        return F(rng.randint(-6, 2), rng.randint(1, 4))
+
+    hs = [Halfspace(normal(), offset()) for _ in range(rng.randint(1, dim + 3))]
+    for h in list(hs):
+        roll = rng.random()
+        if roll < 0.15:
+            hs.append(Halfspace(tuple(2 * c for c in h.normal), 2 * h.offset))
+        elif roll < 0.3:
+            hs.append(Halfspace(h.normal, h.offset - 1))
+        elif roll < 0.5:
+            gap = rng.choice((0, 0, 1, 1, -1))
+            hs.append(Halfspace(tuple(-c for c in h.normal), -h.offset - gap))
+    eqs = [Equation(normal(), offset())] if rng.random() < 0.3 else []
+    rng.shuffle(hs)
+    return Polyhedron.from_hrep(hs, eqs, dim=dim)
+
+
+def _keys(p):
+    return [h.key() for h in p.halfspaces], [e.key() for e in p.equations]
+
+
+class TestRemoveRedundantMatchesLp:
+    """Redundancy removal by containment in the double description of the
+    other constraints keeps exactly what one LP per halfspace keeps."""
+
+    def test_same_output_once_and_twice(self):
+        rng = random.Random(47)
+        seen = dict.fromkeys(("d1", "empty", "equations", "implicit", "line", "unbounded"), 0)
+        for _ in range(150):
+            p = _feature_hrep(rng, rng.choice((1, 1, 2, 2, 3, 3, 4)))
+            once = remove_redundant(p)
+            reference = lp_remove_redundant(p)
+            assert _keys(once) == _keys(reference)
+            assert _keys(remove_redundant(once)) == _keys(lp_remove_redundant(reference))
+            seen["d1"] += p.dim == 1
+            if p.is_empty:
+                seen["empty"] += 1
+                continue
+            assert poly_equal(once, p)
+            keys = {h.key() for h in once.halfspaces}
+            seen["equations"] += bool(p.equations)
+            seen["implicit"] += any(
+                Halfspace(tuple(-c for c in h.normal), -h.offset).key() in keys
+                for h in once.halfspaces
+            )
+            seen["line"] += any(tuple(-c for c in r) in p.rays for r in p.rays)
+            seen["unbounded"] += not p.is_bounded
+        assert min(seen.values()) >= 5, seen
+
+    def test_solves_no_linear_program(self, monkeypatch):
+        import conequant.lp
+
+        def refuse(lp):
+            raise AssertionError("redundancy removal solved a linear program")
+
+        monkeypatch.setattr(conequant.lp, "simplex_solve", refuse)
+        rng = random.Random(48)
+        for _ in range(20):
+            p = _feature_hrep(rng, rng.randint(1, 3))
+            assert poly_equal(remove_redundant(p), p)
 
 
 class TestPolyEqual:

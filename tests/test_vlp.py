@@ -40,7 +40,7 @@ from conequant import (
     weight_of,
 )
 from conequant.cli import document_bytes, region_document
-from conftest import random_cloud, random_cone, random_valid_level
+from conftest import random_cloud, random_cone, random_valid_level, solution_cuts
 
 F = Fraction
 
@@ -162,7 +162,7 @@ class TestBensonSolve:
             cone = random_cone(rng, dim)
             basis = make_dual_basis(cone)
             level = random_valid_level(rng, cloud.n, max_den=40)
-            sol = benson_dual_solve(cloud, level, basis, audit=True)
+            sol = benson_dual_solve(cloud, level, basis)
             assert len(sol.entries) == len(sol.dual_image.vertices)
             for (w, t), pt in zip(sol.entries, sol.image_vertices):
                 # w sits on the basis exactly
@@ -178,10 +178,10 @@ class TestBensonSolve:
                 assert t2 == t and g == pt.value
                 # first-order conditions at the entry's t
                 assert pinball_right_derivative(s, level, t) > 0
-            # cut soundness: confirmed image points satisfy every cut
-            for pt in sol.audit.confirmed:
+            # cut soundness: the confirmed image points satisfy every cut
+            for pt in sol.image_vertices:
                 z = pt.coords + (pt.value,)
-                for cut in sol.audit.cuts:
+                for cut in solution_cuts(sol):
                     assert cut.holds(z)
 
     def test_outer_approximation_shrinks_onto_image(self):
@@ -308,7 +308,7 @@ except cq.InternalInvariantError:
 
 # name: (seed, d, N, rational data, cone generators (None: Tukey region),
 # interior point, p, sigma, permuted basis, BensonStats, sha256 of the region
-# document, sha256 of the audit cuts).  Every benchmark cone has sigma = +1,
+# document, sha256 of the cuts).  Every benchmark cone has sigma = +1,
 # an unpermuted basis and integer data; the values were recorded with the
 # Fraction Benson loop that the integer one replaced.
 PINNED = {
@@ -383,12 +383,12 @@ class TestPinnedSolves:
         level = QuantileLevel(F(p), n)
         if gens is None:
             basis = make_dual_basis(orthant(dim + 1), (1,) * (dim + 1))
-            sol = benson_dual_solve(lift_dataset(cloud), level, basis, audit=True)
+            sol = benson_dual_solve(lift_dataset(cloud), level, basis)
             doc = region_document(tukey_region(cloud, level), cloud, "tukey", None)
         else:
             cone = validate_cone(gens)
             basis = make_dual_basis(cone, c)
-            sol = benson_dual_solve(cloud, level, basis, audit=True)
+            sol = benson_dual_solve(cloud, level, basis)
             echo = {
                 "generators": [[format_rational(x) for x in g] for g in gens],
                 "interior": None if c is None else [format_rational(x) for x in c],
@@ -398,10 +398,10 @@ class TestPinnedSolves:
         assert sol.stats == BensonStats(*stats)
         assert _sha256(document_bytes(doc)) == doc_sha
         # every cut is value' >= w(coords').y: value coefficient 1
-        assert all(h.normal[-1] == 1 for h in sol.audit.cuts)
-        assert sol.dual_image.halfspaces[-len(sol.audit.cuts):] == sol.audit.cuts
+        cut_halfspaces = solution_cuts(sol)
+        assert all(h.normal[-1] == 1 for h in cut_halfspaces)
         cuts = "\n".join(
             ",".join(map(format_rational, h.normal)) + ">=" + format_rational(h.offset)
-            for h in sol.audit.cuts
+            for h in cut_halfspaces
         )
         assert _sha256(cuts) == cuts_sha
