@@ -1,7 +1,9 @@
 """Command-line surface: data ingestion, region and depth computation,
 verification, and exact JSON region documents.
 
-Commands: uniquantile, region, tukey, depth, verify.  Exit codes: 0 ok,
+Commands: uniquantile, region, tukey, depth, verify.  ``verify`` checks a
+region exactly on both sides: against the planar oracle when d = 2, and
+against the direct depth count in every other dimension.  Exit codes: 0 ok,
 1 input or output error, 2 hypothesis violation (integral N*p or an
 invalid cone), 3 verification failure, 4 internal invariant failure (a bug
 in conequant).  Documents serialize every scalar
@@ -28,7 +30,7 @@ from .core import (
 )
 from .errors import ConequantError, DimensionMismatch, IntegralNp, InternalInvariantError
 from .lp import OPTIMAL, build_lp_dual, simplex_solve
-from .oracle import check_tukey_region, membership_sample, oracle_region_2d
+from .oracle import check_region, oracle_region_2d
 from .polyhedra import poly_equal
 from .quantile import QuantileRegion, quantile_region, tukey_depth, tukey_region
 from .univariate import ScalarSample, minimize_pinball_loss, quantile_direct
@@ -292,30 +294,14 @@ def cmd_verify(args) -> int:
         witness = _containment_witness(result.region, reference.region)
         print(f"2-D exact oracle: regions differ at {witness}", file=sys.stderr)
         return EXIT_VERIFY
-    if cone is None:
-        check = check_tukey_region(cloud, result)
-        if check.refutation:
-            print(f"exact depth check: {check.refutation}", file=sys.stderr)
-            return EXIT_VERIFY
-        print(
-            f"exact depth check: {check.vertices} vertices and {check.facets} facets "
-            "agree with tukey_depth"
-        )
-        return EXIT_OK
-    verts = result.region.vertices
-    if not verts:
-        print("region is empty; membership sampling has nothing to refute")
-        return EXIT_OK
-    for v in verts:
-        ok = membership_sample(
-            cloud, level, cone, v, trials=args.trials, seed=args.seed
-        )
-        if not ok:
-            coords = ",".join(format_rational(c) for c in v)
-            print(f"membership sampling refuted vertex ({coords})", file=sys.stderr)
-            return EXIT_VERIFY
+    check = check_region(cloud, cone, result)
+    if check.refutation:
+        print(f"exact depth check: {check.refutation}", file=sys.stderr)
+        return EXIT_VERIFY
+    depth = "tukey_depth" if cone is None else "the cone depth"
     print(
-        f"membership sampling: {len(verts)} vertices x {args.trials} directions: not refuted"
+        f"exact depth check: {check.vertices} vertices and {check.facets} facets "
+        f"agree with {depth}"
     )
     return EXIT_OK
 
@@ -328,16 +314,6 @@ def _containment_witness(p, q) -> str:
         if not p.contains(v):
             return "vertex (" + ",".join(format_rational(c) for c in v) + ")"
     return "recession directions"
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -385,13 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a region against the oracles")
     add_common(p_verify)
-    p_verify.add_argument(
-        "--trials",
-        type=_positive_int,
-        default=1000,
-        help="sampled directions per vertex (cone regions outside d = 2)",
-    )
-    p_verify.add_argument("--seed", type=int, default=0, help="seed of the sampled directions")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -6,9 +6,9 @@ changing only across directions orthogonal to some difference of data
 points, so finitely many critical directions plus one interior direction per
 arc give the exact region.  It deliberately shares nothing with the dual
 solver except the direct quantile and the final halfspace-intersection
-utility.  A Tukey region in any dimension is checked exactly on both sides
-against the direct depth count; cone regions in higher dimensions get
-one-sided sampled membership checks.
+utility.  A Tukey or cone region in any dimension is checked exactly on both
+sides against the direct depth count, which solves no region.  Sampled
+one-sided membership is kept as a further check that shares neither.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import DimensionMismatch, DimensionNot2, InternalInvariantError
 from .polyhedra import Halfspace, Polyhedron
-from .quantile import TUKEY_PROVENANCE, QuantileRegion, tukey_depth
+from .quantile import CONE_PROVENANCE, TUKEY_PROVENANCE, QuantileRegion, _depth
 from .univariate import ScalarSample, count_le, project, quantile_direct
 from .vlp import basis_vertices
 
@@ -192,7 +192,7 @@ def membership_sample(
 
 @dataclass(frozen=True)
 class DepthCheck:
-    """What :func:`check_tukey_region` tested, and the first point that
+    """What :func:`check_region` tested, and the first point or ray that
     refuted the region (None when none did)."""
 
     vertices: int
@@ -200,53 +200,61 @@ class DepthCheck:
     refutation: str | None
 
 
-def check_tukey_region(cloud: DataCloud, result: QuantileRegion) -> DepthCheck:
-    """Exact two-sided check of a Tukey region against :func:`tukey_depth`.
+def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) -> DepthCheck:
+    """Exact two-sided check of a cone region, or of a Tukey region when
+    ``cone`` is None, against the direct depth count.
 
-    With k = ceil(N p): every vertex has depth >= k, and at each facet
-    w.z >= t (a defining entry whose tight vertices span a hyperplane) the
-    centroid of its vertices has depth >= k while that point moved past the
-    facet by w/M has depth < k, for M = 1 and 10**9.  Facets are checked only
-    on a nonempty bounded region.
+    With k = ceil(N p): every vertex has depth >= k, and every ray lies in
+    the true region's recession cone, which is the cone itself (w.r >= 0 for
+    every extreme ray w of the dual cone) or, for a Tukey region, {0}.  At
+    each facet w.z >= t (a defining entry whose tight vertices and rays
+    span a face of dimension d - 1) a relative-interior point, the centroid
+    of its tight vertices plus the sum of its tight rays, moved past the
+    facet by w/10**9 has depth < k.
     """
-    if result.provenance != TUKEY_PROVENANCE:
-        raise ValueError("the depth check needs a Tukey region")
+    provenance = TUKEY_PROVENANCE if cone is None else CONE_PROVENANCE
+    if result.provenance != provenance:
+        raise ValueError(f"the depth check needs a {provenance} region")
+    generators = () if cone is None else cone.generators
     k = result.level.ceil_np
     d = cloud.dim
     verts = result.region.vertices
+    rays = result.region.rays
 
     def show(z) -> str:
         return "(" + ",".join(map(format_rational, z)) + ")"
 
     for v in verts:
-        depth = tukey_depth(cloud, v)
+        depth = _depth(cloud, v, generators)
         if depth < k:
             return DepthCheck(len(verts), 0, f"vertex {show(v)} has depth {depth} < {k}")
+    for r in rays:
+        if cone is None or any(dot(w, r) < 0 for w in cone.dual_rays[1]):
+            return DepthCheck(
+                len(verts), 0, f"ray {show(r)} leaves the recession cone of the region"
+            )
     facets = 0
-    if not verts or not result.region.is_bounded:
-        return DepthCheck(len(verts), facets, None)
-    seen: set[frozenset] = set()
+    seen: set[tuple[frozenset, frozenset]] = set()
     for w, t in result.defining_entries:
         tight = frozenset(v for v in verts if dot(w, v) == t)
-        if len(tight) < d or tight in seen:
+        tight_rays = frozenset(r for r in rays if dot(w, r) == 0)
+        if not tight or (tight, tight_rays) in seen:
             continue
         base = min(tight)
-        diffs = [primitive([a - b for a, b in zip(v, base)]) for v in tight]
-        if int_rank(diffs) != d - 1:
+        span = [primitive([a - b for a, b in zip(v, base)]) for v in tight]
+        span += [primitive(r) for r in tight_rays]
+        if int_rank(span) != d - 1:
             continue
-        seen.add(tight)
-        c = tuple(sum(v[j] for v in tight) / len(tight) for j in range(d))
-        depth = tukey_depth(cloud, c)
-        if depth < k:
+        seen.add((tight, tight_rays))
+        c = tuple(
+            sum(v[j] for v in tight) / len(tight) + sum(r[j] for r in tight_rays)
+            for j in range(d)
+        )
+        out = tuple(cj - wj / 10**9 for cj, wj in zip(c, w))
+        depth = _depth(cloud, out, generators)
+        if depth >= k:
             return DepthCheck(
-                len(verts), facets, f"facet centroid {show(c)} has depth {depth} < {k}"
+                len(verts), facets, f"point {show(out)} past a facet has depth {depth} >= {k}"
             )
-        for m in (1, 10**9):
-            out = tuple(cj - wj / m for cj, wj in zip(c, w))
-            depth = tukey_depth(cloud, out)
-            if depth >= k:
-                return DepthCheck(
-                    len(verts), facets, f"point {show(out)} past a facet has depth {depth} >= {k}"
-                )
         facets += 1
     return DepthCheck(len(verts), facets, None)

@@ -447,9 +447,6 @@ class Polyhedron:
         """Vacuously true for the empty set."""
         return self.is_empty or not self.rays
 
-    def has_hrep(self) -> bool:
-        return self._halfspaces is not None
-
     def has_vrep(self) -> bool:
         return self._vertices is not None
 

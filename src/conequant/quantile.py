@@ -1,5 +1,7 @@
-"""Quantile regions assembled from dual solutions: cone quantiles, the
-lifted construction for Tukey depth regions, membership tests and depth.
+"""Quantile regions assembled from dual solutions: cone quantiles and the
+lifted construction for Tukey depth regions.  Depth and membership come
+from one direct count, without a region: the Tukey depth, and the cone
+depth whose level sets are the cone quantile regions.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .core import (
     make_dual_basis,
     validate_cone,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInvariantError
 from .polyhedra import Halfspace, Polyhedron
 from .vlp import BensonStats, benson_dual_solve, halfspaces_of
 
@@ -91,9 +93,9 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
     The lifted cloud is solved against the nonnegative orthant with the
     all-ones interior point (its last component is 1, so no permutation is
     ever needed); each entry's normal is unlifted.  A zero unlifted normal
-    with t <= 0 is a vacuous constraint and is dropped; with t > 0 it would
-    force emptiness (dead in practice: the only zero-unlift weight projects
-    every lifted point to 0, making t = 0).
+    with t <= 0 is a vacuous constraint and is dropped.  One with t > 0
+    cannot occur: the only weight that unlifts to zero projects every lifted
+    point to 0, so its t is 0.  It raises InternalInvariantError.
     """
     lifted = lift_dataset(cloud)
     d1 = lifted.dim
@@ -105,19 +107,17 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
     sol = benson_dual_solve(lifted, level, basis)
     entries: list[tuple[Vector, Fraction]] = []
     halfspaces: list[Halfspace] = []
-    forced_empty = False
     for w, t in sol.entries:
         lam = unlift_normal(w)
-        if all(c == 0 for c in lam):
+        if not any(lam):
             if t > 0:
-                forced_empty = True
+                raise InternalInvariantError(
+                    "an entry with a zero unlifted normal has a positive offset"
+                )
             continue
         entries.append((lam, t))
         halfspaces.append(Halfspace(lam, t))
-    if forced_empty:
-        region = Polyhedron.empty(cloud.dim)
-    else:
-        region = Polyhedron.from_hrep(halfspaces, dim=cloud.dim)
+    region = Polyhedron.from_hrep(halfspaces, dim=cloud.dim)
     return QuantileRegion(
         region=region,
         defining_entries=tuple(entries),
@@ -128,42 +128,50 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
 
 
 def region_membership(
-    cloud: DataCloud,
-    level: QuantileLevel,
-    cone: Cone | None,
-    z,
-    *,
-    region: QuantileRegion | None = None,
+    cloud: DataCloud, level: QuantileLevel, cone: Cone | None, z
 ) -> bool:
-    """Exact membership of z in the (cone or Tukey) quantile region.
-
-    Computes the region unless a previously computed one is supplied.
+    """Exact membership of z in the cone quantile region, or in the Tukey
+    region when ``cone`` is None: z is a member iff its depth is at least
+    ceil(N p).  The depth is counted directly; no region is solved.
     """
-    z_vec = as_vector(z)
-    if len(z_vec) != cloud.dim:
-        raise DimensionMismatch("query point dimension does not match the data")
-    if region is None:
-        if cone is None:
-            region = tukey_region(cloud, level)
-        else:
-            region = quantile_region(cloud, level, cone)
-    return region.region.contains(z_vec)
+    level.require_valid()
+    if level.n != cloud.n:
+        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
+    if cone is not None and cone.dim != cloud.dim:
+        raise DimensionMismatch(
+            f"data dimension {cloud.dim} does not match cone dimension {cone.dim}"
+        )
+    generators = () if cone is None else cone.generators
+    return _depth(cloud, z, generators) >= level.ceil_np
 
 
 def tukey_depth(cloud: DataCloud, z) -> int:
     """Tukey (halfspace) depth of z: the least number of data points in a
     closed halfspace whose boundary passes through z.  It is the largest k
-    with z in the depth-k region, and 0 outside the convex hull.
+    with z in the depth-k region, and 0 outside the convex hull.  Counted
+    directly in integers; no region is solved.
+    """
+    return _depth(cloud, z, ())
 
-    Counted directly in integers; no region is solved.  With y_i = x_i - z
-    scaled to integers, the depth is the least #{i : w.y_i <= 0} over
-    directions w.  Points equal to z count for every w.  For the rest, the
-    least is reached inside an open cell of the central arrangement
-    {w.y_i = 0}, because the count at a w on a cell's boundary is never
-    below the count inside the cells next to it.  When the y_i span at most a plane, one angular sweep over
-    their 2N normals finds it in O(N log N) (Rousseeuw & Ruts, AS 307,
-    1996).  A span r >= 3 is reduced to the hyperplanes y_i^perp, each a
-    problem of span r - 1 (after Dyckerhoff & Mozharovskyi, 2016), so it
+
+def _depth(cloud: DataCloud, z, generators) -> int:
+    """Depth of z under the cone C generated by ``generators``: the least
+    #{i : w.(x_i - z) <= 0} over the nonzero w in the dual cone C+ (Hamel &
+    Kostner, 2018).  It is the largest k with z in the lower cone quantile
+    region at k; with no generators, C+ is every direction and this is the
+    Tukey depth.
+
+    With y_i = x_i - z scaled to integers, points equal to z count for
+    every w.  For the rest, the least is reached inside an open cell of the
+    central arrangement {w.y_i = 0}, because the count at a w on a cell's
+    boundary is never below the count inside the cells next to it.  Each
+    nonzero generator g enters the arrangement too, with multiplicity N + 1,
+    so every cell outside C+ counts more than N.  C+ is full-dimensional, so
+    every w in it borders a cell inside it, and the least over all cells is
+    the least over C+.  When the vectors span at most a plane, one angular
+    sweep over their normals finds it in O(N log N) (Rousseeuw & Ruts, AS
+    307, 1996).  A span r >= 3 is reduced to the hyperplanes y_i^perp, each
+    a problem of span r - 1 (after Dyckerhoff & Mozharovskyi, 2016), so it
     costs O(N^(r-1) log N).
     """
     z_vec = as_vector(z)
@@ -183,6 +191,10 @@ def tukey_depth(cloud: DataCloud, z) -> int:
             counts[y] = counts.get(y, 0) + 1
         else:
             at_z += 1
+    for g in generators:
+        if any(g):
+            g = primitive(g)
+            counts[g] = counts.get(g, 0) + cloud.n + 1
     if not counts:
         return at_z
     return at_z + _least_count(counts, int_rank(list(counts)))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from conequant import Halfspace, Polyhedron, QuantileRegion, parse_rational, poly_equal
-from conequant.cli import main
+from conequant.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(args, capsys):
@@ -305,20 +308,6 @@ class TestDepthAndVerify:
         assert code == 0
         assert "2-D exact oracle: regions equal" in out
 
-    def test_verify_3d_sampling(self, cube, tmp_path, capsys):
-        # cone regions outside d = 2 are still checked by sampling
-        cone = tmp_path / "orthant3.txt"
-        cone.write_text("1,0,0\n0,1,0\n0,0,1\n")
-        code, out, _ = run_cli(
-            [
-                "verify", cube, "--p", "3/16", "--cone", str(cone),
-                "--trials", "200", "--seed", "4",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert "membership sampling" in out
-
     @pytest.mark.parametrize("p, vertices, facets", [("3/16", 6, 8), ("15/16", 0, 0)])
     def test_verify_tukey_3d_exact(self, cube, p, vertices, facets, capsys):
         code, out, err = run_cli(["verify", cube, "--p", p], capsys)
@@ -348,9 +337,71 @@ class TestDepthAndVerify:
         assert out == ""
         assert err.startswith(f"exact depth check: {refuted} (")
 
+    def test_verify_tukey_3d_unbounded_region_exits_3(self, cube, monkeypatch, capsys):
+        """A ray is refuted even when every vertex is right: a Tukey region
+        is bounded."""
+        import conequant.cli as cli
+
+        real = cli.tukey_region
+
+        def with_ray(cloud, level):
+            reg = real(cloud, level)
+            region = Polyhedron.from_vrep(reg.region.vertices, [(1, 0, 0)], dim=3)
+            return QuantileRegion(region, reg.defining_entries, reg.level, reg.provenance)
+
+        monkeypatch.setattr(cli, "tukey_region", with_ray)
+        code, out, err = run_cli(["verify", cube, "--p", "3/16"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "exact depth check: ray (1,0,0) leaves the recession cone of the region\n"
+
+    @pytest.mark.parametrize("p, vertices, facets", [("3/16", 3, 4), ("15/16", 1, 3)])
+    def test_verify_cone_3d_exact(self, cube, p, vertices, facets, tmp_path, monkeypatch, capsys):
+        """A cone region outside d = 2 is checked by the exact depth count,
+        with no sampled direction."""
+        import conequant.oracle as oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify sampled directions")
+
+        monkeypatch.setattr(oracle, "membership_sample", refuse)
+        cone = tmp_path / "orthant3.txt"
+        cone.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        code, out, err = run_cli(["verify", cube, "--p", p, "--cone", str(cone)], capsys)
+        assert code == 0, err
+        assert out == (
+            f"exact depth check: {vertices} vertices and {facets} facets "
+            "agree with the cone depth\n"
+        )
+
+    @pytest.mark.parametrize("shift, refuted", [("1/1000000", "point"), ("-1/1000000", "vertex")])
+    def test_verify_cone_3d_refuted_exits_3(
+        self, cube, shift, refuted, tmp_path, monkeypatch, capsys
+    ):
+        """Moving every facet in is caught by a point pushed past a facet;
+        moving it out, by a vertex."""
+        import conequant.cli as cli
+
+        real = cli.quantile_region
+
+        def moved(cloud, level, cone, c=None):
+            reg = real(cloud, level, cone, c)
+            entries = tuple((w, t + Fraction(shift)) for w, t in reg.defining_entries)
+            region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=3)
+            return QuantileRegion(region, entries, reg.level, reg.provenance)
+
+        monkeypatch.setattr(cli, "quantile_region", moved)
+        cone = tmp_path / "orthant3.txt"
+        cone.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        code, out, err = run_cli(["verify", cube, "--p", "3/16", "--cone", str(cone)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"exact depth check: {refuted} (")
+
     @pytest.mark.parametrize("trials", ["0", "-3", "many"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_verify_rejects_trials_below_one(self, trials, dim, tmp_path, capsys):
+        # verify samples no directions, so any --trials is an unknown option
         data = tmp_path / "cube.csv"
         corners = product((0, 1), repeat=dim)
         data.write_text("".join(",".join(map(str, c)) + "\n" for c in corners))
@@ -410,3 +461,22 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "square_tukey_p3_10.json").read_text()
+
+
+def test_readme_synopsis_lists_every_option():
+    """The README's command-line synopsis names exactly the options that the
+    parser defines, subcommand by subcommand."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["conequant"]:
+            documented[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    parser = _build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert documented == defined

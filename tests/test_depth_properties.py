@@ -1,17 +1,18 @@
-"""Property tests of the direct Tukey depth over small integer clouds,
-including the degenerate ones: duplicate points, collinear and coplanar
-clouds, N = 1 and d = 1.  The examples are fixed by the derandomized
-hypothesis profile in conftest.py."""
+"""Property tests of the direct Tukey and cone depths over small integer
+clouds, including the degenerate ones: duplicate points, collinear and
+coplanar clouds, N = 1 and d = 1.  The examples are fixed by the
+derandomized hypothesis profile in conftest.py."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conequant import DataCloud, tukey_depth
-from conftest import assert_depth_brackets
+from conequant import DataCloud, tukey_depth, validate_cone
+from conequant.quantile import _depth
+from conftest import assert_depth_brackets, frac_rank
 
 F = Fraction
 EXAMPLES = settings(max_examples=30)
@@ -33,8 +34,28 @@ def cloud_and_query(draw, max_dim=3):
     return points, tuple(map(F, query))
 
 
+@st.composite
+def nested_cones(draw, dim):
+    """Cones C inside C': C' is simplicial, and each generator of C is a
+    nonnegative integer combination of the generators of C'."""
+    row = st.tuples(*[st.integers(-3, 3)] * dim)
+    outer = draw(st.lists(row, min_size=dim, max_size=dim))
+    assume(frac_rank(outer) == dim)
+    weights = st.tuples(*[st.integers(0, 3)] * dim)
+    inner = [
+        tuple(sum(a * g[j] for a, g in zip(ws, outer)) for j in range(dim))
+        for ws in draw(st.lists(weights, min_size=dim, max_size=dim + 2))
+    ]
+    assume(frac_rank(inner) == dim)
+    return validate_cone(inner), validate_cone(outer)
+
+
 def depth(points, z) -> int:
     return tukey_depth(DataCloud.from_rows(points), z)
+
+
+def cone_depth(points, cone, z) -> int:
+    return _depth(DataCloud.from_rows(points), z, cone.generators)
 
 
 @EXAMPLES
@@ -104,3 +125,40 @@ def test_matches_region_sweep_up_to_the_plane(case):
     points, z = case
     cloud = DataCloud.from_rows(points)
     assert_depth_brackets(cloud, z, tukey_depth(cloud, z))
+
+
+@EXAMPLES
+@given(cloud_and_query(), st.data())
+def test_cone_depth_monotone_in_the_cone(case, data):
+    points, z = case
+    inner, outer = data.draw(nested_cones(len(z)))
+    assert cone_depth(points, inner, z) <= cone_depth(points, outer, z)
+
+
+@EXAMPLES
+@given(cloud_and_query(), st.data())
+def test_tukey_depth_at_most_cone_depth(case, data):
+    points, z = case
+    cone, _ = data.draw(nested_cones(len(z)))
+    assert depth(points, z) <= cone_depth(points, cone, z)
+
+
+@EXAMPLES
+@given(cloud_and_query(), st.data())
+def test_cone_depth_translation_invariant(case, data):
+    points, z = case
+    cone, _ = data.draw(nested_cones(len(z)))
+    shift = data.draw(st.tuples(*[st.integers(-9, 9)] * len(z)))
+    moved = [tuple(a + s for a, s in zip(p, shift)) for p in points]
+    moved_z = tuple(a + s for a, s in zip(z, shift))
+    assert cone_depth(moved, cone, moved_z) == cone_depth(points, cone, z)
+
+
+@EXAMPLES
+@given(cloud_and_query(), st.fractions(F(1, 5), 7, max_denominator=5), st.data())
+def test_cone_depth_positive_scaling_invariant(case, alpha, data):
+    points, z = case
+    cone, _ = data.draw(nested_cones(len(z)))
+    scaled = [tuple(alpha * a for a in p) for p in points]
+    scaled_z = tuple(alpha * a for a in z)
+    assert cone_depth(scaled, cone, scaled_z) == cone_depth(points, cone, z)

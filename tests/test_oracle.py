@@ -21,6 +21,7 @@ from conequant import (
     tukey_region,
     validate_cone,
 )
+from conequant.oracle import check_region
 from conftest import random_cloud, random_cone, random_valid_level
 
 F = Fraction
@@ -149,3 +150,31 @@ class TestMembershipSample:
         a = membership_sample(SQUARE, level, None, (F(1, 4), F(1, 4)), 200, 5)
         b = membership_sample(SQUARE, level, None, (F(1, 4), F(1, 4)), 200, 5)
         assert a == b
+
+
+class TestCheckRegion:
+    def test_cone_regions_are_exact_in_3d(self):
+        """Solved cone regions pass the exact check, facets included, though
+        every one of them is unbounded."""
+        rng = random.Random(76)
+        facets = 0
+        for _ in range(10):
+            n = rng.randint(3, 10)
+            cloud = random_cloud(rng, n, 3, span=10)
+            cone = random_cone(rng, 3)
+            reg = quantile_region(cloud, random_valid_level(rng, n, max_den=20), cone)
+            check = check_region(cloud, cone, reg)
+            assert check.refutation is None
+            assert check.vertices == len(reg.region.vertices)
+            assert reg.region.rays
+            facets += check.facets
+        assert facets >= 30
+
+    def test_provenance_must_match(self):
+        level = QuantileLevel(F(3, 10), 4)
+        with pytest.raises(ValueError):
+            check_region(SQUARE, None, oracle_region_2d(SQUARE, level, None))
+        with pytest.raises(ValueError):
+            check_region(SQUARE, orthant2(), tukey_region(SQUARE, level))
+        with pytest.raises(ValueError):
+            check_region(SQUARE, None, quantile_region(SQUARE, level, orthant2()))

@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conequant import (
     DataCloud,
+    DimensionMismatch,
     Halfspace,
     IntegralNp,
+    InternalInvariantError,
     Polyhedron,
     QuantileLevel,
     lift_dataset,
+    make_dual_basis,
     poly_contains,
     poly_equal,
     quantile_region,
@@ -22,8 +26,8 @@ from conequant import (
     unlift_normal,
     validate_cone,
 )
-from conequant.oracle import check_tukey_region, oracle_region_2d
-from conftest import assert_depth_brackets, random_cloud, random_valid_level
+from conequant.oracle import check_region, oracle_region_2d
+from conftest import assert_depth_brackets, random_cloud, random_cone, random_valid_level
 
 F = Fraction
 
@@ -56,8 +60,6 @@ class TestQuantileRegionFixtures:
 
     def test_intersection_matches_defining_entries(self):
         rng = random.Random(61)
-        from conftest import random_cone
-
         for _ in range(10):
             dim = rng.randint(1, 3)
             cloud = random_cloud(rng, rng.randint(1, 8), dim, span=10)
@@ -133,6 +135,24 @@ class TestTukeyRegion:
         with pytest.raises(IntegralNp):
             tukey_region(SQUARE, QuantileLevel(F(1, 2), 4))
 
+    def test_zero_unlifted_normal_with_positive_offset_is_an_invariant_failure(
+        self, monkeypatch
+    ):
+        """The weight that unlifts to zero projects every lifted point to 0,
+        so its offset is 0; a solver that reports a positive one is wrong."""
+        import conequant.quantile as quantile
+
+        real = quantile.benson_dual_solve
+
+        def with_bad_entry(cloud, level, basis):
+            sol = real(cloud, level, basis)
+            apex = tuple(F(1, cloud.dim) for _ in range(cloud.dim))
+            return SimpleNamespace(entries=sol.entries + ((apex, F(1)),), stats=sol.stats)
+
+        monkeypatch.setattr(quantile, "benson_dual_solve", with_bad_entry)
+        with pytest.raises(InternalInvariantError):
+            tukey_region(SQUARE, QuantileLevel(F(3, 10), 4))
+
 
 class TestMembership:
     def test_square_fixture_points(self):
@@ -145,10 +165,97 @@ class TestMembership:
         level = QuantileLevel(F(3, 4), 2)
         assert region_membership(cloud, level, orthant(2), (1, 1))
 
-    def test_cached_region_reused(self):
+    def test_typed_errors(self):
+        with pytest.raises(IntegralNp):
+            region_membership(SQUARE, QuantileLevel(F(1, 2), 4), None, (0, 0))
+        with pytest.raises(DimensionMismatch):
+            region_membership(SQUARE, QuantileLevel(F(3, 10), 4), orthant(2), (0, 0, 0))
+        with pytest.raises(DimensionMismatch):
+            region_membership(SQUARE, QuantileLevel(F(3, 10), 5), None, (0, 0))
+        with pytest.raises(DimensionMismatch):
+            region_membership(SQUARE, QuantileLevel(F(3, 10), 4), orthant(3), (0, 0))
+
+    def test_solves_no_region(self, monkeypatch):
+        import conequant.quantile as quantile
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("membership solved a region")
+
+        monkeypatch.setattr(quantile, "benson_dual_solve", refuse)
         level = QuantileLevel(F(3, 10), 4)
-        reg = tukey_region(SQUARE, level)
-        assert region_membership(SQUARE, level, None, (F(1, 2), F(1, 2)), region=reg)
+        assert region_membership(SQUARE, level, None, (F(1, 2), F(1, 2)))
+        assert not region_membership(SQUARE, level, orthant(2), (0, 0))
+
+
+def _corpus_cone(rng, dim, kind):
+    """A random validated cone and an interior point (None for the
+    default): kind 1 gives a basis with sigma = -1, kind 2 an interior point
+    with a zero last component (a permuted basis) and kind 3 a zero
+    generator row."""
+    cone = random_cone(rng, dim)
+    gens = [list(g) for g in cone.generators]
+    if kind == 1 and make_dual_basis(cone).sigma == 1:
+        gens = [g[:-1] + [-g[-1]] for g in gens]
+    elif kind == 2 and dim > 1:
+        s = [sum(g[j] for g in gens) for j in range(dim)]
+        j = next(j for j in range(dim) if s[j] != 0)
+        if j < dim - 1:
+            # a shear that zeroes the last coordinate of the interior point s
+            f = s[-1] / s[j]
+            gens = [g[:-1] + [g[-1] - f * g[j]] for g in gens]
+            return validate_cone(gens), tuple(s[:-1]) + (F(0),)
+    elif kind == 3:
+        gens.append([0] * dim)
+    return validate_cone(gens), None
+
+
+def _corpus_queries(rng, region):
+    """Every vertex, each vertex plus each ray, each vertex moved by 1/7
+    along every axis both ways, and 8 random rational points."""
+    verts, rays, dim = region.vertices, region.rays, region.dim
+    out = list(verts)
+    for v in verts:
+        out += [tuple(a + b for a, b in zip(v, r)) for r in rays]
+        for j in range(dim):
+            for step in (F(1, 7), F(-1, 7)):
+                out.append(tuple(a + step * (i == j) for i, a in enumerate(v)))
+    for _ in range(8):
+        out.append(tuple(F(rng.randint(-24, 24), rng.randint(1, 4)) for _ in range(dim)))
+    return out
+
+
+class TestConeDepth:
+    def test_matches_region_membership(self):
+        """Depth >= ceil(N p) decides membership in the solved cone region,
+        for integer and rational clouds, sigma = -1, permuted bases and zero
+        generator rows."""
+        rng = random.Random(71)
+        points = 0
+        kinds = {"sigma": 0, "permuted": 0, "zero row": 0}
+        for dim, cases, n_max in ((1, 16, 8), (2, 32, 8), (3, 32, 7), (4, 12, 6)):
+            for i in range(cases):
+                n = rng.randint(1, n_max)
+                if i % 2:
+                    rows = [
+                        [F(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(dim)]
+                        for _ in range(n)
+                    ]
+                else:
+                    rows = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(n)]
+                cloud = DataCloud.from_rows(rows)
+                cone, c = _corpus_cone(rng, dim, i % 4)
+                basis = make_dual_basis(cone, c)
+                kinds["sigma"] += basis.sigma == -1
+                kinds["permuted"] += basis.is_permuted
+                kinds["zero row"] += any(not any(g) for g in cone.generators)
+                level = random_valid_level(rng, n, max_den=20)
+                reg = quantile_region(cloud, level, cone, c)
+                for z in _corpus_queries(rng, reg.region):
+                    member = reg.region.contains(z)
+                    assert region_membership(cloud, level, cone, z) == member, (rows, cone, z)
+                    points += 1
+        assert points >= 2000
+        assert min(kinds.values()) >= 10, kinds
 
 
 class TestTukeyDepth:
@@ -179,9 +286,8 @@ class TestTukeyDepth:
                         assert_depth_brackets(cloud, z, depth, _oracle_region)
 
     def test_regions_are_exact_in_3d(self):
-        """Region vertices have depth >= k; at each facet, the centroid of
-        its vertices has depth >= k and that point moved past the facet by
-        w/M has depth < k."""
+        """Region vertices have depth >= k, and at each facet the centroid
+        of its vertices moved past the facet by w/10**9 has depth < k."""
         rng = random.Random(63)
         facets_checked = 0
         for _ in range(14):
@@ -189,7 +295,7 @@ class TestTukeyDepth:
             cloud = random_cloud(rng, n, 3, span=10)
             k = rng.randint(1, max(1, n // 3))
             reg = tukey_region(cloud, QuantileLevel(F(2 * k - 1, 2 * n), n))
-            check = check_tukey_region(cloud, reg)
+            check = check_region(cloud, None, reg)
             assert check.refutation is None
             assert check.vertices == len(reg.region.vertices)
             facets_checked += check.facets
