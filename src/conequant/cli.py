@@ -2,12 +2,12 @@
 verification, and exact JSON region documents.
 
 Commands: uniquantile, region, tukey, depth, verify.  ``verify`` checks a
-region exactly on both sides: against the planar oracle when d = 2, and
-against the direct depth count in every other dimension.  Exit codes: 0 ok,
-1 input or output error, 2 hypothesis violation (integral N*p or an
-invalid cone), 3 verification failure, 4 internal invariant failure (a bug
-in conequant).  Documents serialize every scalar
-as an exact rational string; identical inputs produce byte-identical
+region exactly on both sides by its definition, in every dimension: each of
+its halfspaces lies at its quantile and each of its vertices has depth
+>= ceil(N p).  Exit codes: 0 ok, 1 input or output error, 2 hypothesis
+violation (integral N*p or an invalid cone), 3 verification failure, 4
+internal invariant failure (a bug in conequant).  Documents serialize every
+scalar as an exact rational string; identical inputs produce byte-identical
 documents.
 """
 
@@ -21,7 +21,6 @@ from pathlib import Path
 
 from ._linalg import angle_key
 from .core import (
-    Cone,
     DataCloud,
     QuantileLevel,
     format_rational,
@@ -30,8 +29,7 @@ from .core import (
 )
 from .errors import ConequantError, DimensionMismatch, IntegralNp, InternalInvariantError
 from .lp import OPTIMAL, build_lp_dual, simplex_solve
-from .oracle import check_region, oracle_region_2d
-from .polyhedra import poly_equal
+from .oracle import check_region
 from .quantile import QuantileRegion, quantile_region, tukey_depth, tukey_region
 from .univariate import ScalarSample, minimize_pinball_loss, quantile_direct
 
@@ -227,14 +225,19 @@ def cmd_uniquantile(args) -> int:
     return EXIT_OK
 
 
-def cmd_region(args) -> int:
-    cloud = load_points(args.file)
-    gens, interior = load_cone(args.cone)
+def _cloud_cone(cloud: DataCloud, path: str):
+    """The cone file's generators, interior point and validated cone."""
+    gens, interior = load_cone(path)
     if len(gens[0]) != cloud.dim:
         raise CliInputError(
             f"cone dimension {len(gens[0])} does not match data dimension {cloud.dim}"
         )
-    cone = validate_cone(gens)
+    return gens, interior, validate_cone(gens)
+
+
+def cmd_region(args) -> int:
+    cloud = load_points(args.file)
+    gens, interior, cone = _cloud_cone(cloud, args.cone)
     level, requested = _parse_level(args.p, cloud.n, args.nudge)
     result = quantile_region(cloud, level, cone, interior)
     echo = {
@@ -273,47 +276,24 @@ def cmd_depth(args) -> int:
 
 def cmd_verify(args) -> int:
     cloud = load_points(args.file)
-    cone = None
+    cone = interior = None
     if args.cone:
-        gens, interior = load_cone(args.cone)
-        if len(gens[0]) != cloud.dim:
-            raise CliInputError(
-                f"cone dimension {len(gens[0])} does not match data dimension {cloud.dim}"
-            )
-        cone = validate_cone(gens)
+        _, interior, cone = _cloud_cone(cloud, args.cone)
     level, _ = _parse_level(args.p, cloud.n, nudge=False)
     if cone is None:
         result = tukey_region(cloud, level)
     else:
-        result = quantile_region(cloud, level, cone)
-    if cloud.dim == 2:
-        reference = oracle_region_2d(cloud, level, cone)
-        if poly_equal(result.region, reference.region):
-            print("2-D exact oracle: regions equal")
-            return EXIT_OK
-        witness = _containment_witness(result.region, reference.region)
-        print(f"2-D exact oracle: regions differ at {witness}", file=sys.stderr)
-        return EXIT_VERIFY
+        result = quantile_region(cloud, level, cone, interior)
     check = check_region(cloud, cone, result)
     if check.refutation:
         print(f"exact depth check: {check.refutation}", file=sys.stderr)
         return EXIT_VERIFY
-    depth = "tukey_depth" if cone is None else "the cone depth"
+    depth = "tukey_depth" if cone is None else "cone depth"
     print(
-        f"exact depth check: {check.vertices} vertices and {check.facets} facets "
-        f"agree with {depth}"
+        f"exact depth check: {check.vertices} vertices at {depth} >= {level.ceil_np}, "
+        f"{check.halfspaces} halfspaces at their quantiles"
     )
     return EXIT_OK
-
-
-def _containment_witness(p, q) -> str:
-    for v in p.vertices:
-        if not q.contains(v):
-            return "vertex (" + ",".join(format_rational(c) for c in v) + ")"
-    for v in q.vertices:
-        if not p.contains(v):
-            return "vertex (" + ",".join(format_rational(c) for c in v) + ")"
-    return "recession directions"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,8 +7,10 @@ points, so finitely many critical directions plus one interior direction per
 arc give the exact region.  It deliberately shares nothing with the dual
 solver except the direct quantile and the final halfspace-intersection
 utility.  A Tukey or cone region in any dimension is checked exactly on both
-sides against the direct depth count, which solves no region.  Sampled
-one-sided membership is kept as a further check that shares neither.
+sides by its definition: each of its halfspaces is a quantile halfspace,
+and each of its vertices has depth >= k by the direct count, which solves
+no region.  Sampled one-sided membership is kept as a further check that
+shares neither.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from ._linalg import angle_key, cross, dot, int_rank, primitive
+from ._linalg import angle_key, cross, dot, primitive
 from .core import (
     Cone,
     DataCloud,
@@ -27,6 +29,7 @@ from .core import (
     as_vector,
     format_rational,
     make_dual_basis,
+    project_data,
 )
 from .errors import DimensionMismatch, DimensionNot2, InternalInvariantError
 from .polyhedra import Halfspace, Polyhedron
@@ -39,21 +42,15 @@ ORACLE_PROVENANCE = "oracle-2d"
 IntDir = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CriticalDirectionSet:
-    """Directions where a planar projection ordering can change."""
-
-    directions: tuple[IntDir, ...]
-
-
 def _dot2(w: IntDir, x: Vector) -> Fraction:
     return w[0] * x[0] + w[1] * x[1]
 
 
-def critical_directions(cloud: DataCloud, cone: Cone | None) -> CriticalDirectionSet:
-    """Both normals of every difference of distinct data points, plus the
-    extreme rays of the dual cone (cone case) or the axis directions (Tukey
-    case), angularly sorted."""
+def critical_directions(cloud: DataCloud, cone: Cone | None) -> tuple[IntDir, ...]:
+    """Directions where a planar projection ordering can change, angularly
+    sorted: both normals of every difference of distinct data points, plus
+    the extreme rays of the dual cone (cone case) or the axis directions
+    (Tukey case)."""
     dirs: set[IntDir] = set()
     pts = cloud.points
     for i in range(len(pts)):
@@ -67,8 +64,7 @@ def critical_directions(cloud: DataCloud, cone: Cone | None) -> CriticalDirectio
             dirs.add((-n[0], -n[1]))
     if cone is None:
         dirs.update([(1, 0), (-1, 0), (0, 1), (0, -1)])
-        ordered = sorted(dirs, key=angle_key)
-        return CriticalDirectionSet(tuple(ordered))
+        return tuple(sorted(dirs, key=angle_key))
     in_dual = [w for w in dirs if cone.dual_contains(tuple(map(Fraction, w)))]
     boundary: set[IntDir] = set()
     for g in cone.generators:
@@ -81,8 +77,7 @@ def critical_directions(cloud: DataCloud, cone: Cone | None) -> CriticalDirectio
     sector = set(in_dual) | boundary
     # the sector spans less than a half turn, so the cross product is a
     # total order on it once anchored anywhere inside
-    ordered = sorted(sector, key=cmp_to_key(lambda a, b: -cross(a, b)))
-    return CriticalDirectionSet(tuple(ordered))
+    return tuple(sorted(sector, key=cmp_to_key(lambda a, b: -cross(a, b))))
 
 
 def oracle_region_2d(
@@ -98,7 +93,7 @@ def oracle_region_2d(
     if cloud.dim != 2:
         raise DimensionNot2(f"the planar oracle needs 2-dimensional data, got {cloud.dim}")
     level.require_valid()
-    crit = critical_directions(cloud, cone).directions
+    crit = critical_directions(cloud, cone)
     k = level.ceil_np
     halfspaces: list[Halfspace] = []
     entries: list[tuple[Vector, Fraction]] = []
@@ -192,34 +187,40 @@ def membership_sample(
 
 @dataclass(frozen=True)
 class DepthCheck:
-    """What :func:`check_region` tested, and the first point or ray that
-    refuted the region (None when none did)."""
+    """What :func:`check_region` tested, and the first vertex, ray or
+    halfspace that refuted the region (None when none did)."""
 
     vertices: int
-    facets: int
+    halfspaces: int
     refutation: str | None
 
 
 def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) -> DepthCheck:
-    """Exact two-sided check of a cone region, or of a Tukey region when
-    ``cone`` is None, against the direct depth count.
+    """Exact two-sided check of a cone region R, or of a Tukey region when
+    ``cone`` is None, against the definition of the true region T: the
+    intersection of the halfspaces w.z >= q(w) over the nonzero w in the
+    dual cone C+ (every nonzero w for a Tukey region), which is also the
+    set of points of depth >= k = ceil(N p) (Hamel & Kostner, 2018).
 
-    With k = ceil(N p): every vertex has depth >= k, and every ray lies in
-    the true region's recession cone, which is the cone itself (w.r >= 0 for
-    every extreme ray w of the dual cone) or, for a Tukey region, {0}.  At
-    each facet w.z >= t (a defining entry whose tight vertices and rays
-    span a face of dimension d - 1) a relative-interior point, the centroid
-    of its tight vertices plus the sum of its tight rays, moved past the
-    facet by w/10**9 has depth < k.
+    R is in T: every vertex has depth >= k, and every ray lies in the
+    recession cone C (w.r >= 0 for every extreme ray w of C+) or, for a
+    Tukey region, in {0}.  T is in R: every halfspace w.z >= t of R's own
+    H-representation, with an equation counted as two opposite halfspaces,
+    has w in C+ and t = q(w).  So R = T with no tolerance, and an empty R
+    passes only when all its halfspaces are quantile halfspaces.  A solved
+    region's halfspaces are its defining entries, all quantile halfspaces;
+    an H-representation derived from vertices may bound a lower-dimensional
+    R = T by other normals, and is then refuted.
     """
     provenance = TUKEY_PROVENANCE if cone is None else CONE_PROVENANCE
     if result.provenance != provenance:
         raise ValueError(f"the depth check needs a {provenance} region")
     generators = () if cone is None else cone.generators
-    k = result.level.ceil_np
-    d = cloud.dim
-    verts = result.region.vertices
-    rays = result.region.rays
+    level = result.level
+    k = level.ceil_np
+    region = result.region
+    verts = region.vertices
+    rays = region.rays
 
     def show(z) -> str:
         return "(" + ",".join(map(format_rational, z)) + ")"
@@ -233,28 +234,17 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
             return DepthCheck(
                 len(verts), 0, f"ray {show(r)} leaves the recession cone of the region"
             )
-    facets = 0
-    seen: set[tuple[frozenset, frozenset]] = set()
-    for w, t in result.defining_entries:
-        tight = frozenset(v for v in verts if dot(w, v) == t)
-        tight_rays = frozenset(r for r in rays if dot(w, r) == 0)
-        if not tight or (tight, tight_rays) in seen:
-            continue
-        base = min(tight)
-        span = [primitive([a - b for a, b in zip(v, base)]) for v in tight]
-        span += [primitive(r) for r in tight_rays]
-        if int_rank(span) != d - 1:
-            continue
-        seen.add((tight, tight_rays))
-        c = tuple(
-            sum(v[j] for v in tight) / len(tight) + sum(r[j] for r in tight_rays)
-            for j in range(d)
-        )
-        out = tuple(cj - wj / 10**9 for cj, wj in zip(c, w))
-        depth = _depth(cloud, out, generators)
-        if depth >= k:
-            return DepthCheck(
-                len(verts), facets, f"point {show(out)} past a facet has depth {depth} >= {k}"
-            )
-        facets += 1
-    return DepthCheck(len(verts), facets, None)
+    sides = [(h.normal, h.offset) for h in region.halfspaces]
+    for e in region.equations:
+        sides += [(e.normal, e.offset), (tuple(-c for c in e.normal), -e.offset)]
+    for checked, (w, t) in enumerate(sides):
+        if cone is not None and not cone.dual_contains(w):
+            wrong = "has a normal outside the dual cone"
+        else:
+            q = quantile_direct(ScalarSample(project_data(cloud, w)), level)
+            if t == q:
+                continue
+            wrong = f"is not at its quantile {format_rational(q)}"
+        halfspace = f"halfspace {show(w)}.z >= {format_rational(t)}"
+        return DepthCheck(len(verts), checked, f"{halfspace} {wrong}")
+    return DepthCheck(len(verts), len(sides), None)

@@ -32,7 +32,6 @@ from conequant import (
     image_coords,
     lift_dataset,
     make_dual_basis,
-    membership_sample,
     minimize_pinball_loss,
     oracle_region_2d,
     poly_contains,
@@ -48,6 +47,7 @@ from conequant import (
     vrep_to_hrep,
 )
 from conequant.cli import main as cli_main
+from conequant.oracle import check_region
 from conftest import (
     random_cloud,
     random_cone,
@@ -408,6 +408,8 @@ def test_criterion_7_region_laws(planar_corpus):
 
 
 def test_criterion_8_three_dimensional_partial_verification():
+    """Each region is checked exactly (``check_region``), then against the
+    region laws and a sampled count characterization of its vertices."""
     rng = random.Random(108)
     nonempty = 0
     for _ in range(50):
@@ -417,8 +419,9 @@ def test_criterion_8_three_dimensional_partial_verification():
         level = QuantileLevel(F(2 * rng.randint(1, max(1, n // 3)) - 1, 2 * n), n)
         assert level.is_valid
         reg = tukey_region(cloud, level)
-        for v in reg.region.vertices:
-            assert membership_sample(cloud, level, None, v, trials=1000, seed=rng.randint(0, 10**9))
+        assert check_region(cloud, None, reg).refutation is None
+        for _ in reg.region.vertices:
+            rng.randint(0, 10**9)  # one unused draw per vertex keeps the later draws fixed
         if reg.region.vertices:
             nonempty += 1
         # region laws
@@ -448,7 +451,7 @@ def test_criterion_8_three_dimensional_partial_verification():
                     wz = sum(a * b for a, b in zip(w, z))
                     assert sum(1 for v in proj if v <= wz) >= k
     assert nonempty >= 25
-    report(8, f"50 spatial clouds, {nonempty} nonempty regions, sampling never refuted")
+    report(8, f"50 spatial clouds, {nonempty} nonempty regions, the exact check never refuted")
 
 
 # -- criterion 9 -----------------------------------------------------------

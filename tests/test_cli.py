@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -25,6 +26,23 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def corners(tmp_path, dim) -> str:
+    """The 2**dim corners of the unit cube, one per row."""
+    f = tmp_path / f"corners{dim}.csv"
+    f.write_text("".join(",".join(map(str, c)) + "\n" for c in product((0, 1), repeat=dim)))
+    return str(f)
+
+
+def orthant(tmp_path, dim, interior=None) -> str:
+    """A cone file for the nonnegative orthant, with an optional interior: line."""
+    f = tmp_path / f"orthant{dim}.txt"
+    rows = [",".join(str(int(i == j)) for j in range(dim)) for i in range(dim)]
+    if interior:
+        rows.append(f"interior: {interior}")
+    f.write_text("".join(row + "\n" for row in rows))
+    return str(f)
+
+
 @pytest.fixture
 def square(tmp_path):
     f = tmp_path / "square.csv"
@@ -34,9 +52,7 @@ def square(tmp_path):
 
 @pytest.fixture
 def cube(tmp_path):
-    f = tmp_path / "cube.csv"
-    f.write_text("".join(",".join(map(str, c)) + "\n" for c in product((0, 1), repeat=3)))
-    return str(f)
+    return corners(tmp_path, 3)
 
 
 @pytest.fixture
@@ -48,9 +64,7 @@ def uni(tmp_path):
 
 @pytest.fixture
 def orthant_file(tmp_path):
-    f = tmp_path / "orthant.txt"
-    f.write_text("1,0\n0,1\n")
-    return str(f)
+    return orthant(tmp_path, 2)
 
 
 class TestUniquantile:
@@ -306,21 +320,28 @@ class TestDepthAndVerify:
     def test_verify_2d(self, square, capsys):
         code, out, _ = run_cli(["verify", square, "--p", "3/10"], capsys)
         assert code == 0
-        assert "2-D exact oracle: regions equal" in out
-
-    @pytest.mark.parametrize("p, vertices, facets", [("3/16", 6, 8), ("15/16", 0, 0)])
-    def test_verify_tukey_3d_exact(self, cube, p, vertices, facets, capsys):
-        code, out, err = run_cli(["verify", cube, "--p", p], capsys)
-        assert code == 0, err
         assert out == (
-            f"exact depth check: {vertices} vertices and {facets} facets "
-            "agree with tukey_depth\n"
+            "exact depth check: 1 vertices at tukey_depth >= 2, "
+            "8 halfspaces at their quantiles\n"
         )
 
-    @pytest.mark.parametrize("shift, refuted", [("1/1000000", "point"), ("-1/1000000", "vertex")])
-    def test_verify_tukey_3d_refuted_exits_3(self, cube, shift, refuted, monkeypatch, capsys):
-        """Moving every facet in is caught by a point pushed past a facet;
-        moving it out, by a vertex."""
+    @pytest.mark.parametrize("p, vertices, halfspaces", [("3/16", 6, 17), ("15/16", 0, 10)])
+    def test_verify_tukey_3d_exact(self, cube, p, vertices, halfspaces, capsys):
+        code, out, err = run_cli(["verify", cube, "--p", p], capsys)
+        assert code == 0, err
+        k = math.ceil(8 * Fraction(p))
+        assert out == (
+            f"exact depth check: {vertices} vertices at tukey_depth >= {k}, "
+            f"{halfspaces} halfspaces at their quantiles\n"
+        )
+
+    @pytest.mark.parametrize("shift, refuted", [("1/1000000", "halfspace"), ("-1/1000000", "vertex")])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_verify_tukey_refuted_exits_3(
+        self, dim, shift, refuted, tmp_path, monkeypatch, capsys
+    ):
+        """Moving every halfspace in is caught by an offset that is not a
+        quantile; moving it out, by a vertex."""
         import conequant.cli as cli
 
         real = cli.tukey_region
@@ -328,11 +349,11 @@ class TestDepthAndVerify:
         def moved(cloud, level):
             reg = real(cloud, level)
             entries = tuple((w, t + Fraction(shift)) for w, t in reg.defining_entries)
-            region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=3)
+            region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=dim)
             return QuantileRegion(region, entries, reg.level, reg.provenance)
 
         monkeypatch.setattr(cli, "tukey_region", moved)
-        code, out, err = run_cli(["verify", cube, "--p", "3/16"], capsys)
+        code, out, err = run_cli(["verify", corners(tmp_path, dim), "--p", "3/16"], capsys)
         assert code == 3
         assert out == ""
         assert err.startswith(f"exact depth check: {refuted} (")
@@ -355,31 +376,52 @@ class TestDepthAndVerify:
         assert out == ""
         assert err == "exact depth check: ray (1,0,0) leaves the recession cone of the region\n"
 
-    @pytest.mark.parametrize("p, vertices, facets", [("3/16", 3, 4), ("15/16", 1, 3)])
-    def test_verify_cone_3d_exact(self, cube, p, vertices, facets, tmp_path, monkeypatch, capsys):
-        """A cone region outside d = 2 is checked by the exact depth count,
-        with no sampled direction."""
+    def test_verify_tukey_3d_empty_region_exits_3(self, cube, monkeypatch, capsys):
+        """An empty region has no vertex to refute, but its halfspaces must
+        be quantile halfspaces: x >= 1 is not, since q((1,0,0)) = 0."""
+        import conequant.cli as cli
+
+        real = cli.tukey_region
+
+        def emptied(cloud, level):
+            reg = real(cloud, level)
+            return QuantileRegion(
+                Polyhedron.empty(3), reg.defining_entries, reg.level, reg.provenance
+            )
+
+        monkeypatch.setattr(cli, "tukey_region", emptied)
+        code, out, err = run_cli(["verify", cube, "--p", "3/16"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "exact depth check: halfspace (1,0,0).z >= 1 is not at its quantile 0\n"
+
+    @pytest.mark.parametrize("p, vertices, halfspaces", [("3/16", 3, 4), ("15/16", 1, 3)])
+    def test_verify_cone_3d_exact(
+        self, cube, p, vertices, halfspaces, tmp_path, monkeypatch, capsys
+    ):
+        """A cone region is checked by the exact depth count and its
+        quantiles, with no sampled direction."""
         import conequant.oracle as oracle
 
         def refuse(*args, **kwargs):
             raise AssertionError("verify sampled directions")
 
         monkeypatch.setattr(oracle, "membership_sample", refuse)
-        cone = tmp_path / "orthant3.txt"
-        cone.write_text("1,0,0\n0,1,0\n0,0,1\n")
-        code, out, err = run_cli(["verify", cube, "--p", p, "--cone", str(cone)], capsys)
+        code, out, err = run_cli(["verify", cube, "--p", p, "--cone", orthant(tmp_path, 3)], capsys)
         assert code == 0, err
+        k = math.ceil(8 * Fraction(p))
         assert out == (
-            f"exact depth check: {vertices} vertices and {facets} facets "
-            "agree with the cone depth\n"
+            f"exact depth check: {vertices} vertices at cone depth >= {k}, "
+            f"{halfspaces} halfspaces at their quantiles\n"
         )
 
-    @pytest.mark.parametrize("shift, refuted", [("1/1000000", "point"), ("-1/1000000", "vertex")])
-    def test_verify_cone_3d_refuted_exits_3(
-        self, cube, shift, refuted, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize("shift, refuted", [("1/1000000", "halfspace"), ("-1/1000000", "vertex")])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_verify_cone_refuted_exits_3(
+        self, dim, shift, refuted, tmp_path, monkeypatch, capsys
     ):
-        """Moving every facet in is caught by a point pushed past a facet;
-        moving it out, by a vertex."""
+        """Moving every halfspace in is caught by an offset that is not a
+        quantile; moving it out, by a vertex."""
         import conequant.cli as cli
 
         real = cli.quantile_region
@@ -387,16 +429,28 @@ class TestDepthAndVerify:
         def moved(cloud, level, cone, c=None):
             reg = real(cloud, level, cone, c)
             entries = tuple((w, t + Fraction(shift)) for w, t in reg.defining_entries)
-            region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=3)
+            region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=dim)
             return QuantileRegion(region, entries, reg.level, reg.provenance)
 
         monkeypatch.setattr(cli, "quantile_region", moved)
-        cone = tmp_path / "orthant3.txt"
-        cone.write_text("1,0,0\n0,1,0\n0,0,1\n")
-        code, out, err = run_cli(["verify", cube, "--p", "3/16", "--cone", str(cone)], capsys)
+        args = [corners(tmp_path, dim), "--p", "3/16", "--cone", orthant(tmp_path, dim)]
+        code, out, err = run_cli(["verify", *args], capsys)
         assert code == 3
         assert out == ""
         assert err.startswith(f"exact depth check: {refuted} (")
+
+    @pytest.mark.parametrize("interior", ["-1,-1", "1,0,1"])
+    def test_verify_cone_honours_the_interior_point(self, interior, tmp_path, capsys):
+        """An interior: line that is not interior fails verify as it fails
+        region: exit 2, with the same message."""
+        dim = len(interior.split(","))
+        args = [corners(tmp_path, dim), "--p", "3/16", "--cone", orthant(tmp_path, dim, interior)]
+        region = run_cli(["region", *args], capsys)
+        verify = run_cli(["verify", *args], capsys)
+        assert region[0] == verify[0] == 2
+        assert verify[1] == ""
+        assert verify[2] == region[2]
+        assert "is not an interior point of the cone" in verify[2]
 
     @pytest.mark.parametrize("trials", ["0", "-3", "many"])
     @pytest.mark.parametrize("dim", [2, 3])

@@ -11,6 +11,7 @@ from conequant import (
     Halfspace,
     Polyhedron,
     QuantileLevel,
+    QuantileRegion,
     critical_directions,
     membership_sample,
     oracle_region_2d,
@@ -18,6 +19,7 @@ from conequant import (
     quantile_direct,
     quantile_region,
     ScalarSample,
+    project_data,
     tukey_region,
     validate_cone,
 )
@@ -68,13 +70,13 @@ class TestOracleFixtures:
 
 class TestCriticalDirections:
     def test_pair_normals_present(self):
-        dirs = critical_directions(DataCloud.from_rows([[0, 0], [1, 0]]), None).directions
+        dirs = critical_directions(DataCloud.from_rows([[0, 0], [1, 0]]), None)
         assert (0, 1) in dirs and (0, -1) in dirs  # normals of the difference
         assert (1, 0) in dirs and (-1, 0) in dirs  # axes always included
 
     def test_cone_case_stays_in_dual(self):
         cone = orthant2()
-        dirs = critical_directions(SQUARE, cone).directions
+        dirs = critical_directions(SQUARE, cone)
         for w in dirs:
             assert w[0] >= 0 and w[1] >= 0
         assert (1, 0) in dirs and (0, 1) in dirs  # extreme rays of the dual
@@ -152,12 +154,23 @@ class TestMembershipSample:
         assert a == b
 
 
+def scaled(cloud, alpha):
+    return DataCloud(tuple(tuple(alpha * c for c in p) for p in cloud.points))
+
+
+def with_offsets(reg, move):
+    """A copy of a solved region whose every offset t becomes move(w, t)."""
+    entries = tuple((w, move(w, t)) for w, t in reg.defining_entries)
+    region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=reg.region.dim)
+    return QuantileRegion(region, entries, reg.level, reg.provenance)
+
+
 class TestCheckRegion:
     def test_cone_regions_are_exact_in_3d(self):
-        """Solved cone regions pass the exact check, facets included, though
-        every one of them is unbounded."""
+        """Solved cone regions pass the exact check, every halfspace at its
+        quantile, though every one of them is unbounded."""
         rng = random.Random(76)
-        facets = 0
+        halfspaces = 0
         for _ in range(10):
             n = rng.randint(3, 10)
             cloud = random_cloud(rng, n, 3, span=10)
@@ -166,9 +179,92 @@ class TestCheckRegion:
             check = check_region(cloud, cone, reg)
             assert check.refutation is None
             assert check.vertices == len(reg.region.vertices)
+            assert check.halfspaces == len(reg.region.halfspaces)
             assert reg.region.rays
-            facets += check.facets
-        assert facets >= 30
+            halfspaces += check.halfspaces
+        assert halfspaces >= 30
+
+    def test_shrunk_regions_are_refuted_at_any_scale(self):
+        """Every offset moved 1/1000 of the way toward the vertex centroid
+        gives a smaller set whose vertices all lie in the true region; on
+        clouds scaled by 10**-12 no fixed push past a facet reaches out of
+        it, but the offsets are no longer quantiles."""
+        rng = random.Random(77)
+        refuted = {"tukey": 0, "cone": 0}
+        for i in range(8):
+            n = rng.randint(6, 10)
+            cloud = scaled(random_cloud(rng, n, 3, span=10), F(1, 10**12))
+            k = rng.randint(1, max(1, n // 3))
+            level = QuantileLevel(F(2 * k - 1, 2 * n), n)
+            cone = random_cone(rng, 3) if i % 2 else None
+            reg = tukey_region(cloud, level) if cone is None else quantile_region(cloud, level, cone)
+            verts = reg.region.vertices
+            if not verts:
+                continue
+            c = tuple(sum(v[j] for v in verts) / len(verts) for j in range(3))
+            shrunk = with_offsets(
+                reg, lambda w, t: t + (sum(a * b for a, b in zip(w, c)) - t) / 1000
+            )
+            assert not poly_equal(shrunk.region, reg.region)
+            assert check_region(cloud, cone, reg).refutation is None
+            refutation = check_region(cloud, cone, shrunk).refutation
+            assert refutation.startswith("halfspace (")
+            assert " is not at its quantile " in refutation
+            refuted["tukey" if cone is None else "cone"] += 1
+        assert min(refuted.values()) >= 3
+
+    def test_normal_outside_the_dual_cone_is_refuted(self):
+        """The cube's orthant region at p = 15/16 is (1,1,1) plus the
+        orthant.  Its facet x >= 1 replaced by the quantile halfspace of
+        (1,-1,0), which is not in the dual cone, leaves a region inside the
+        true one, with rays in the cone: only the normal is wrong."""
+        cube = DataCloud.from_rows([[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+        cone = validate_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        level = QuantileLevel(F(15, 16), 8)
+        reg = quantile_region(cube, level, cone)
+        w = (F(1), F(-1), F(0))
+        q = quantile_direct(ScalarSample(project_data(cube, w)), level)
+        assert q == 1
+        entries = tuple(
+            (w, q) if e[0] == (1, 0, 0) else e for e in reg.defining_entries
+        )
+        assert entries != reg.defining_entries
+        region = Polyhedron.from_hrep([Halfspace(*e) for e in entries], dim=3)
+        check = check_region(cube, cone, QuantileRegion(region, entries, level, reg.provenance))
+        assert check.vertices == 1
+        assert check.refutation == (
+            "halfspace (1,-1,0).z >= 1 has a normal outside the dual cone"
+        )
+
+    def test_planar_corpus_matches_the_oracle(self):
+        """On integer and 10**-12-scaled planar clouds every solved region
+        passes and equals the planar oracle's region, and every copy with
+        its offsets moved in or out by 10**-15 that differs from the oracle
+        region is refuted."""
+        rng = random.Random(78)
+        solved = differing = 0
+        for i in range(24):
+            n = rng.randint(1, 15)
+            cloud = random_cloud(rng, n, 2, span=12)
+            if i % 2:
+                cloud = scaled(cloud, F(1, 10**12))
+            level = random_valid_level(rng, n, max_den=40)
+            for cone in (None, random_cone(rng, 2)):
+                if cone is None:
+                    reg = tukey_region(cloud, level)
+                else:
+                    reg = quantile_region(cloud, level, cone)
+                reference = oracle_region_2d(cloud, level, cone).region
+                assert check_region(cloud, cone, reg).refutation is None
+                assert poly_equal(reg.region, reference)
+                solved += 1
+                for step in (F(1, 10**15), F(-1, 10**15)):
+                    moved = with_offsets(reg, lambda w, t: t + step)
+                    if not poly_equal(moved.region, reference):
+                        assert check_region(cloud, cone, moved).refutation is not None
+                        differing += 1
+        assert solved == 48
+        assert differing >= 60
 
     def test_provenance_must_match(self):
         level = QuantileLevel(F(3, 10), 4)

@@ -286,10 +286,10 @@ class TestTukeyDepth:
                         assert_depth_brackets(cloud, z, depth, _oracle_region)
 
     def test_regions_are_exact_in_3d(self):
-        """Region vertices have depth >= k, and at each facet the centroid
-        of its vertices moved past the facet by w/10**9 has depth < k."""
+        """Region vertices have depth >= k, and every halfspace of the region
+        lies at its quantile."""
         rng = random.Random(63)
-        facets_checked = 0
+        halfspaces_checked = 0
         for _ in range(14):
             n = rng.randint(4, 12)
             cloud = random_cloud(rng, n, 3, span=10)
@@ -298,8 +298,8 @@ class TestTukeyDepth:
             check = check_region(cloud, None, reg)
             assert check.refutation is None
             assert check.vertices == len(reg.region.vertices)
-            facets_checked += check.facets
-        assert facets_checked >= 100
+            halfspaces_checked += check.halfspaces
+        assert halfspaces_checked >= 100
 
 
 def _depth_test_cloud(rng, dim, n_max, i):
