@@ -9,6 +9,10 @@ violation (integral N*p or an invalid cone), 3 verification failure, 4
 internal invariant failure (a bug in conequant).  Documents serialize every
 scalar as an exact rational string; identical inputs produce byte-identical
 documents.
+
+``main()`` may be called repeatedly in one process, as the benchmark and the
+tests do: it builds its argument parser once, on the first call, and every
+call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from ._linalg import angle_key
@@ -296,6 +301,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="conequant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

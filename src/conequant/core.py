@@ -41,6 +41,13 @@ Vector = tuple[Fraction, ...]
 def parse_rational(text: str) -> Fraction:
     """Parse a fraction "a/b" or a decimal such as "a", "a.bc" or "1.5e-2"
     into an exact rational; the module docstring gives the grammar."""
+    if isinstance(text, str):
+        # an integer token skips Fraction's regex: int() accepts exactly the
+        # integer strings that Fraction does, and the rest fall through
+        try:
+            return Fraction(int(text))
+        except ValueError:
+            pass
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -110,7 +117,7 @@ class QuantileLevel:
         if self.n < 1:
             raise ValueError("sample count must be at least 1")
 
-    @property
+    @cached_property
     def ceil_np(self) -> int:
         # standard ceiling: min{z in Z : z >= N p}
         return math.ceil(self.n * self.p)

@@ -144,7 +144,8 @@ class _PointedCone:
         return list(self._zs.values())
 
     def items(self):
-        """(id, ray) pairs of the live rays."""
+        """(id, ray) pairs of the live rays, in increasing id order; a new
+        ray gets a larger id than every ray before it."""
         return self._ray.items()
 
     def add_rows(self, rows) -> None:

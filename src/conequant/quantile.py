@@ -197,13 +197,16 @@ def _depth(cloud: DataCloud, z, generators) -> int:
             counts[g] = counts.get(g, 0) + cloud.n + 1
     if not counts:
         return at_z
-    return at_z + _least_count(counts, int_rank(list(counts)))
+    # in the plane the rank is at most 2, and every rank <= 2 takes the sweep
+    rank = cloud.dim if cloud.dim <= 2 else int_rank(list(counts))
+    return at_z + _least_count(counts, rank)
 
 
 def _least_count(counts: dict[tuple[int, ...], int], rank: int) -> int:
     """Least #{y : w.y < 0} over the w orthogonal to no y, counting each
     distinct primitive vector y with its multiplicity ``counts[y]``; the
-    vectors span a space of dimension ``rank``.
+    vectors span a space of dimension ``rank``.  A ``rank`` of 2 or less
+    may overstate it: all of those take the sweep.
 
     Every open cell has a facet on some hyperplane u^perp.  Next to it, the
     cell counts the vectors parallel to u on its side, plus the count at a

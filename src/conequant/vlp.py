@@ -209,32 +209,19 @@ def benson_dual_solve(
     rounds = 0
     scalarizations = 0
 
+    # ray ids only grow, the engine lists its rays in id order and a ray
+    # never changes, so each round reads only the rays made since the last
+    seen = -1
     while True:
         rounds += 1
-        vertices: list[tuple[IntVec, IntVec]] = []
-        rays: list[IntVec] = []
         fresh: list[tuple[IntVec, IntVec, int]] = []
-        for rid, ray in engine.items():
-            z0 = ray[-1]
-            if z0 <= 0:
-                if z0 < 0:
-                    raise InternalInvariantError(
-                        "homogenizing coordinate escaped its halfspace"
-                    )
-                rays.append(ray)
-                continue
-            key = primitive((*ray[:-2], z0))
-            vertices.append((key, ray))
-            hit = cache.get(key)
-            if hit is None:
+        for rid, ray in reversed(engine.items()):
+            if rid <= seen:
+                break
+            key = _vertex_key(ray, cache)
+            if key is not None and key not in cache:
                 fresh.append((key, ray, rid))
-                continue
-            *_, loss, loss_den = hit
-            value, bound = ray[-2] * loss_den, loss * z0
-            if value > bound:
-                raise InternalInvariantError("outer vertex ended up above the dual image")
-            if value < bound:
-                raise InternalInvariantError("a cut-off vertex came back")
+        seen = next(reversed(engine.items()))[0]
         # each cut strictly cuts off the vertex it came from, so its
         # insertion starts there
         new_rows: list[tuple[IntVec, int]] = []
@@ -273,6 +260,13 @@ def benson_dual_solve(
             engine.add_row(row, rid)
             cut_rows.append(row)
 
+    vertices, rays = [], []
+    for ray in engine.rays:
+        key = _vertex_key(ray, cache)
+        if key is None:
+            rays.append(ray)
+        else:
+            vertices.append((key, ray))
     if rays != [(0,) * (d - 1) + (1, 0)]:
         raise InternalInvariantError(
             "dual image recession cone is not the upward value ray"
@@ -293,6 +287,27 @@ def benson_dual_solve(
         vertex_rays=tuple(ray for _, ray in final),
         cut_rows=tuple(cut_rows),
     )
+
+
+def _vertex_key(ray: IntVec, cache: dict) -> IntVec | None:
+    """The primitive key (a, z0) of an engine ray (a, m, z0), or None for a
+    ray with z0 = 0.  A vertex whose coords are in ``cache`` must lie exactly
+    on the dual image: below it, it would have been cut off."""
+    z0 = ray[-1]
+    if z0 <= 0:
+        if z0 < 0:
+            raise InternalInvariantError("homogenizing coordinate escaped its halfspace")
+        return None
+    key = primitive((*ray[:-2], z0))
+    hit = cache.get(key)
+    if hit is not None:
+        *_, loss, loss_den = hit
+        value, bound = ray[-2] * loss_den, loss * z0
+        if value > bound:
+            raise InternalInvariantError("outer vertex ended up above the dual image")
+        if value < bound:
+            raise InternalInvariantError("a cut-off vertex came back")
+    return key
 
 
 def _by_coords(items) -> list[tuple]:

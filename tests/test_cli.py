@@ -26,6 +26,21 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_fresh(module, args):
+    """``python -m module args`` in a new interpreter that imports the
+    package under test, also when it is imported from a checkout."""
+    import conequant
+
+    src = str(Path(conequant.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def corners(tmp_path, dim) -> str:
     """The 2**dim corners of the unit cube, one per row."""
     f = tmp_path / f"corners{dim}.csv"
@@ -486,35 +501,44 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_console_entry_point(self):
-        # one end-to-end subprocess run through the entry point of the
-        # package under test, also when it is imported from a checkout
-        import conequant
-
-        src = str(Path(conequant.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "conequant.cli", "depth", str(GOLDEN / "square.csv"), "1/2,1/2"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        # one end-to-end subprocess run through the entry point
+        proc = run_fresh("conequant.cli", ["depth", str(GOLDEN / "square.csv"), "1/2,1/2"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2"
 
     def test_package_main(self):
         # python -m conequant runs the same interface as conequant.cli
-        import conequant
-
-        src = str(Path(conequant.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "conequant", "tukey", str(GOLDEN / "square.csv"), "--p", "3/10"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_fresh("conequant", ["tukey", str(GOLDEN / "square.csv"), "--p", "3/10"])
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "square_tukey_p3_10.json").read_text()
+
+
+class TestRepeatedCalls:
+    """main() builds one parser per process and carries no state from one
+    call to the next."""
+
+    def test_parser_built_once(self, square, capsys):
+        _build_parser.cache_clear()
+        for point in ("1/2,1/2", "5,5"):
+            assert run_cli(["depth", square, point], capsys)[0] == 0
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_nudge_does_not_stick(self, square, capsys):
+        assert run_cli(["tukey", square, "--p", "1/2", "--nudge"], capsys)[0] == 0
+        code, out, err = run_cli(["tukey", square, "--p", "1/2"], capsys)
+        assert (code, out) == (2, "")
+        assert "(pass --nudge to adjust the level)" in err
+
+    def test_failed_call_leaves_no_trace(self, capsys):
+        square = str(GOLDEN / "square.csv")
+        assert run_cli(["tukey"], capsys)[0] == 1
+        assert run_cli(["tukey", square, "--p", "2"], capsys)[0] == 1
+        args = ["tukey", square, "--p", "3/10"]
+        code, out, err = run_cli(args, capsys)
+        fresh = run_fresh("conequant", args)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0
 
 
 def test_readme_synopsis_lists_every_option():

@@ -51,6 +51,26 @@ class TestRational:
         with pytest.raises(ValueError):
             parse_rational("abc")
 
+    def test_grammar_is_fractions(self):
+        """parse_rational reads exactly what Fraction reads from the stripped
+        text, integer tokens included, and refuses the rest with ValueError."""
+        corpus = [
+            "12", " 12 ", "+12", "-0", "007", "1_000", "1__0", "_1", "1_", "١٢",
+            "\t3", "1e3", "1.", ".5", "-3/4", "1/0", "0x10", "inf", "nan", "", "-",
+            "1" * 5000,
+        ]
+        rng = random.Random(12)
+        corpus += ["".join(rng.choices("0189_+-./eE ١\t", k=rng.randint(1, 6))) for _ in range(3000)]
+        for text in corpus:
+            try:
+                want = Fraction(text.strip())
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(ValueError):
+                    parse_rational(text)
+            else:
+                got = parse_rational(text)
+                assert (type(got), got) == (Fraction, want), text
+
 
 class TestDataCloud:
     def test_counts_and_dimension(self):

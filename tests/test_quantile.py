@@ -285,6 +285,36 @@ class TestTukeyDepth:
                     if dim == 2:
                         assert_depth_brackets(cloud, z, depth, _oracle_region)
 
+    def test_planar_depth_does_no_rank_elimination(self, monkeypatch):
+        """In d <= 2 the count goes straight to the planar sweep: with
+        int_rank refusing, Tukey depths still bracket the regions of the
+        depth sweep's corpus and cone depths still decide membership in the
+        solved regions.  A d = 3 query still eliminates."""
+        import conequant.quantile as quantile
+
+        def refuse(rows):
+            raise AssertionError("depth eliminated for a rank")
+
+        monkeypatch.setattr(quantile, "int_rank", refuse)
+        rng = random.Random(65)
+        for dim, n_max, clouds in ((1, 9, 6), (2, 9, 9)):
+            region = tukey_region if dim == 1 else _oracle_region
+            for i in range(clouds):
+                cloud = _depth_test_cloud(rng, dim, n_max, i)
+                for z in _depth_test_queries(rng, cloud):
+                    assert_depth_brackets(cloud, z, tukey_depth(cloud, z), region)
+        for dim in (1, 2):
+            for kind in range(4):
+                cloud = random_cloud(rng, rng.randint(1, 8), dim, span=6)
+                cone, c = _corpus_cone(rng, dim, kind)
+                level = random_valid_level(rng, cloud.n, max_den=20)
+                reg = quantile_region(cloud, level, cone, c).region
+                for z in _corpus_queries(rng, reg):
+                    assert region_membership(cloud, level, cone, z) == reg.contains(z)
+        cube = DataCloud.from_rows([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)])
+        with pytest.raises(AssertionError, match="eliminated"):
+            tukey_depth(cube, (F(1, 2), F(1, 2), F(1, 2)))
+
     def test_regions_are_exact_in_3d(self):
         """Region vertices have depth >= k, and every halfspace of the region
         lies at its quantile."""
