@@ -38,7 +38,6 @@ from .lp import (
     UNBOUNDED,
     LinearProgram,
     LpOutcome,
-    build_lp,
     build_lp_dual,
     simplex_solve,
 )
@@ -51,11 +50,9 @@ from .polyhedra import (
     Equation,
     Halfspace,
     Polyhedron,
-    hrep_to_vrep,
     poly_contains,
     poly_equal,
     remove_redundant,
-    vrep_to_hrep,
 )
 from .quantile import (
     QuantileRegion,
@@ -68,23 +65,16 @@ from .quantile import (
 )
 from .univariate import (
     ScalarSample,
-    ScalarizedSolution,
     minimize_pinball_loss,
     pinball_loss,
-    pinball_right_derivative,
     quantile_direct,
-    solve_scalarized_lp,
 )
 from .vlp import (
     BensonStats,
-    DualImagePoint,
     DualSolution,
     basis_vertices,
     benson_dual_solve,
     halfspaces_of,
-    image_coords,
-    initial_outer,
-    weight_of,
 )
 
 __version__ = "0.1.0"
@@ -99,7 +89,6 @@ __all__ = [
     "DimensionMismatch",
     "DimensionNot2",
     "DualConeBasis",
-    "DualImagePoint",
     "DualSolution",
     "EmptyBasis",
     "Equation",
@@ -118,18 +107,13 @@ __all__ = [
     "QuantileRegion",
     "Rational",
     "ScalarSample",
-    "ScalarizedSolution",
     "UNBOUNDED",
     "basis_vertices",
     "benson_dual_solve",
-    "build_lp",
     "build_lp_dual",
     "critical_directions",
     "format_rational",
     "halfspaces_of",
-    "hrep_to_vrep",
-    "image_coords",
-    "initial_outer",
     "lift_dataset",
     "make_dual_basis",
     "membership_sample",
@@ -137,7 +121,6 @@ __all__ = [
     "oracle_region_2d",
     "parse_rational",
     "pinball_loss",
-    "pinball_right_derivative",
     "poly_contains",
     "poly_equal",
     "project_data",
@@ -146,11 +129,8 @@ __all__ = [
     "region_membership",
     "remove_redundant",
     "simplex_solve",
-    "solve_scalarized_lp",
     "tukey_depth",
     "tukey_region",
     "unlift_normal",
     "validate_cone",
-    "vrep_to_hrep",
-    "weight_of",
 ]

@@ -54,13 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _read_text(path: str) -> str:
+    """The file's text; an unreadable or undecodable file is an input error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliInputError(f"cannot read {path}: {exc}") from exc
+
+
 def load_points(path: str) -> DataCloud:
     """CSV cloud: one point per row, rational or decimal entries, lines
     starting with '#' are comments."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     rows = []
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -80,10 +85,7 @@ def load_points(path: str) -> DataCloud:
 
 def load_cone(path: str) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...] | None]:
     """Cone file: one generator row per line, optional 'interior:' line."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     gens = []
     interior = None
     for ln, line in enumerate(text.splitlines(), 1):

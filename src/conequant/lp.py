@@ -1,7 +1,8 @@
 """Exact rational simplex with native variable bounds and Bland's rule.
 
-This is the reference oracle of the package: a dense two-phase tableau
-solver over Fractions.  Bland's smallest-index rule (applied to entering and
+A dense two-phase tableau solver over Fractions, and the pinball-loss
+program that ``uniquantile --check`` solves with it as an independent check
+of the direct quantile.  Bland's smallest-index rule (applied to entering and
 leaving choices, with an entering variable's own opposite bound competing by
 its index) guarantees termination; determinism is total, identical inputs
 produce identical pivot sequences.
@@ -335,29 +336,10 @@ def simplex_solve(lp: LinearProgram) -> LpOutcome:
     )
 
 
-def build_lp(cloud: DataCloud, level: QuantileLevel, w) -> LinearProgram:
-    """The scalarized transport program over (u, v) for direction w.
-
-    One balance row e.u = e.v; box bounds 0 <= u <= p and 0 <= v <= 1-p.
-    """
-    z = project_data(cloud, w)
-    n = cloud.n
-    if level.n != n:
-        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {n}")
-    one = Fraction(1)
-    return LinearProgram(
-        sense="max",
-        objective=z + tuple(-zi for zi in z),
-        rows=((one,) * n + (-one,) * n,),
-        relations=("=",),
-        rhs=(Fraction(0),),
-        bounds=tuple((Fraction(0), level.p) for _ in range(n))
-        + tuple((Fraction(0), 1 - level.p) for _ in range(n)),
-    )
-
-
 def build_lp_dual(cloud: DataCloud, level: QuantileLevel, w) -> LinearProgram:
-    """The dual of :func:`build_lp` as a 2N+1 variable equality-form program.
+    """The dual of the scalarized transport program (maximize
+    sum_i (w.x_i)(u_i - v_i) subject to sum u = sum v, 0 <= u <= p and
+    0 <= v <= 1-p) as a 2N+1 variable equality-form program.
 
     Variables (t, a_1..a_N, b_1..b_N): minimize sum p*a_i + (1-p)*b_i subject
     to t + a_i - b_i = w.x_i with a, b >= 0 and t free.  At the optimum a and

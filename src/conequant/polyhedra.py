@@ -100,8 +100,8 @@ class _PointedCone:
     """Double description for a pointed cone {x : row.x >= 0} under
     incremental row insertion.  Rows and rays are primitive integer vectors.
 
-    ``zerosets[i]`` has bit k set exactly when ``processed[k]`` is zero on
-    ``rays[i]``.  The first ``dim`` linearly independent rows, taken greedily
+    A ray's zero set has bit k set exactly when ``processed[k]`` is zero on
+    it.  The first ``dim`` linearly independent rows, taken greedily
     in input order, bootstrap a simplicial cone; every later row is inserted
     locally on the cone's edge graph (rays joined when they span a 2-face),
     in the dual form of the beneath-beyond method.
@@ -138,10 +138,6 @@ class _PointedCone:
     @property
     def rays(self) -> list[IntVec]:
         return list(self._ray.values())
-
-    @property
-    def zerosets(self) -> list[int]:
-        return list(self._zs.values())
 
     def items(self):
         """(id, ray) pairs of the live rays, in increasing id order; a new
@@ -548,18 +544,6 @@ class Polyhedron:
             )
         self._halfspaces = tuple(sorted(halfspaces, key=Halfspace.key))
         self._equations = tuple(sorted(equations, key=Equation.key))
-
-
-def hrep_to_vrep(p: Polyhedron) -> Polyhedron:
-    """Attach the V-representation (exact double description)."""
-    p._ensure_vrep()
-    return p
-
-
-def vrep_to_hrep(p: Polyhedron) -> Polyhedron:
-    """Attach the H-representation (double description on the polar side)."""
-    p._ensure_hrep()
-    return p
 
 
 def remove_redundant(p: Polyhedron) -> Polyhedron:

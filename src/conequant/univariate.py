@@ -37,7 +37,7 @@ from itertools import repeat
 from operator import add, itemgetter, mul
 
 from ._linalg import common_denominator
-from .core import DataCloud, QuantileLevel, Vector, as_vector
+from .core import QuantileLevel, Vector
 from .errors import DimensionMismatch
 
 
@@ -190,19 +190,6 @@ def support_sum(
     return tuple(y)
 
 
-def dense_masses(
-    groups: list[tuple[list[int], int]], n: int
-) -> tuple[list[int], list[int]]:
-    """The groups of :func:`greedy_cut` as dense masses (u, v)."""
-    u = [0] * n
-    v = [0] * n
-    for idx, mass in groups:
-        side = u if mass > 0 else v
-        for i in idx:
-            side[i] = abs(mass)
-    return u, v
-
-
 def _check_count(sample: ScalarSample, level: QuantileLevel) -> None:
     if level.n != sample.n:
         raise DimensionMismatch(
@@ -232,17 +219,6 @@ def pinball_loss(sample: ScalarSample, level: QuantileLevel, t) -> Fraction:
     return Fraction(num, den * t.denominator * level.p.denominator)
 
 
-def pinball_right_derivative(sample: ScalarSample, level: QuantileLevel, t) -> Fraction:
-    """One-sided derivative of the pinball loss at t in direction +1.
-
-    Equals #{x <= t} - N*p; strictly negative left of the minimizer and
-    nonnegative from the minimizer on.
-    """
-    _check_count(sample, level)
-    keys, den = sample.keys
-    return count_le(keys, den, Fraction(t)) - level.n * level.p
-
-
 def minimize_pinball_loss(
     sample: ScalarSample, level: QuantileLevel
 ) -> tuple[Fraction, Fraction]:
@@ -255,45 +231,3 @@ def minimize_pinball_loss(
     level.require_valid()
     keys, den = sample.keys
     return quantile_and_loss(sorted(keys), den, level)
-
-
-@dataclass(frozen=True)
-class ScalarizedSolution:
-    """An optimal (u, v) of the scalarized transport program.
-
-    Feasibility: 0 <= u <= p, 0 <= v <= 1-p componentwise and the total
-    masses agree.  ``support_point`` is sum_i x_i (u_i - v_i), the image
-    point that furnishes valid cuts for the dual Benson iteration.
-    """
-
-    u: tuple[Fraction, ...]
-    v: tuple[Fraction, ...]
-    value: Fraction
-    support_point: Vector
-
-
-def solve_scalarized_lp(
-    cloud: DataCloud, level: QuantileLevel, w
-) -> ScalarizedSolution:
-    """Maximize sum_i (w.x_i)(u_i - v_i) by the greedy pairing rule of
-    :func:`greedy_cut` on the projections."""
-    w_vec = as_vector(w)
-    if len(w_vec) != cloud.dim:
-        raise DimensionMismatch(
-            f"direction has dimension {len(w_vec)}, data has {cloud.dim}"
-        )
-    if level.n != cloud.n:
-        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
-    rows, den = cloud.int_form
-    cols = list(zip(*rows))
-    keys, kden = project(cols, den, w_vec)
-    asc = ascending(keys)
-    groups = greedy_cut(list(map(keys.__getitem__, asc)), asc, level.p)
-    u, v = dense_masses(groups, cloud.n)
-    pd = level.p.denominator
-    return ScalarizedSolution(
-        u=tuple(Fraction(a, pd) for a in u),
-        v=tuple(Fraction(b, pd) for b in v),
-        value=Fraction(support_sum([keys], groups)[0], kden * pd),
-        support_point=tuple(Fraction(y, den * pd) for y in support_sum(cols, groups)),
-    )

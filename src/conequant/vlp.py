@@ -13,12 +13,13 @@ halfspace generated by a greedy transport solution, of which there are
 finitely many, and each round's cuts strictly separate some current vertex.
 
 The loop runs in homogeneous integers on the double description engine's
-primitive rays (a, m, z0), i.e. coords a/z0 and value m/z0.  With the
-solver-frame c written as cn/cd over one denominator, the weight of a vertex
-is W/D with W = (cn[-1] a_j ..., sigma cd z0 - sum_j cn_j a_j) and
-D = |cn[-1]| z0 > 0, so its projected keys are W.x over D den.  A vertex is
-confirmed when m den D pden equals the loss numerator times z0, and the cut
-from the integer support sum Y is the primitive homogeneous row
+primitive rays (a, m, z0), i.e. coords a/z0 and value m/z0, and the solution
+keeps the image in that form alone.  With the solver-frame c written as
+cn/cd over one denominator, the weight of a vertex is W/D with
+W = (cn[-1] a_j ..., sigma cd z0 - sum_j cn_j a_j) and D = |cn[-1]| z0 > 0,
+so its projected keys are W.x over D den.  A vertex is confirmed when
+m den D pden equals the loss numerator times z0, and the cut from the
+integer support sum Y is the primitive homogeneous row
 (Y_last cn_j - cn[-1] Y_j ..., den pden |cn[-1]|, -sigma cd Y_last).
 """
 
@@ -26,23 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 
 from ._linalg import common_denominator, dot, primitive
-from .core import DataCloud, DualConeBasis, QuantileLevel, Vector, as_vector
+from .core import DataCloud, DualConeBasis, QuantileLevel, Vector
 from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
-from .polyhedra import Halfspace, IntVec, Polyhedron, _PointedCone
+from .polyhedra import Halfspace, IntVec, _PointedCone
 from .univariate import ascending, greedy_cut, key_quantile_and_loss, project_keys, support_sum
-
-
-@dataclass(frozen=True)
-class DualImagePoint:
-    """A point of the dual image: weight coordinates and the loss value."""
-
-    coords: Vector
-    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -60,14 +52,12 @@ class DualSolution:
 
     ``entries`` are (w, t) pairs in the caller's coordinate frame: w lies on
     the dual-cone basis exactly (Y w >= 0 and c.w = 1) and t is the direct
-    lower quantile of the projected sample.  Each entry corresponds to
-    exactly one vertex of ``dual_image``, which is kept in solver-frame
-    (coords, value)-space with both representations attached.
-
-    The solver keeps the image in homogeneous integers: ``vertex_rays`` are
-    the vertices as rays (a, m, z0), in entry order, and ``cut_rows`` the
-    cuts as rows (see the module docstring).  ``image_vertices`` and
-    ``dual_image`` are built from them on first access.
+    lower quantile of the projected sample.  The dual image is kept in the
+    solver's homogeneous integers only (see the module docstring):
+    ``vertex_rays`` are its vertices as rays (a, m, z0), one per entry and in
+    entry order, so the entry's solver-frame weight has coords a/z0 and its
+    loss minimum is m/z0; ``cut_rows`` are the cuts as rows r, in the order
+    they were made, each with r.v >= 0 at every vertex ray v.
     """
 
     entries: tuple[tuple[Vector, Fraction], ...]
@@ -76,70 +66,21 @@ class DualSolution:
     vertex_rays: tuple[IntVec, ...]
     cut_rows: tuple[IntVec, ...]
 
-    @cached_property
-    def image_vertices(self) -> tuple[DualImagePoint, ...]:
-        return tuple(_point(ray) for ray in self.vertex_rays)
 
-    @cached_property
-    def dual_image(self) -> Polyhedron:
-        d = self.basis.dim
-        cuts = [_cut_halfspace(row) for row in self.cut_rows]
-        return Polyhedron(
-            d,
-            tuple(_box_halfspaces(self.basis) + cuts),
-            (),
-            tuple(pt.coords + (pt.value,) for pt in self.image_vertices),
-            ((Fraction(0),) * (d - 1) + (Fraction(1),),),
-            False,
-        )
-
-
-def image_coords(w, basis: DualConeBasis) -> Vector:
-    """Map a basis weight to its dual-image coordinates (drop the last
-    solver-frame component, signed by the last c-component)."""
-    wp = basis.permute(as_vector(w))
-    if len(wp) != basis.dim:
-        raise DimensionMismatch("weight dimension does not match the basis")
-    s = basis.sigma
-    return tuple(s * wi for wi in wp[:-1])
-
-
-def weight_of(coords, basis: DualConeBasis) -> Vector:
-    """Inverse of :func:`image_coords`; returns w in the caller's frame."""
-    return basis.unpermute(_solver_weight(as_vector(coords), basis))
-
-
-def _solver_weight(coords: Vector, basis: DualConeBasis) -> Vector:
-    if len(coords) != basis.dim - 1:
-        raise DimensionMismatch("expected d-1 image coordinates")
-    s = basis.sigma
-    c = basis.solver_c
-    head = [s * e for e in coords]
-    rest = sum((cj * wj for cj, wj in zip(c, head)), Fraction(0))
-    return tuple(head) + ((1 - rest) / c[-1],)
-
-
-def initial_outer(basis: DualConeBasis) -> Polyhedron:
-    """The starting outer approximation: the full coordinate image of the
-    basis times the nonnegative value axis.
+def _box_rows(basis: DualConeBasis) -> list[IntVec]:
+    """The starting outer approximation as primitive rows over
+    (coords, value, 1): the full coordinate image of the basis times the
+    nonnegative value axis.
 
     Substituting the affine weight reconstruction into Y w >= 0 yields the
-    coordinate image's halfspaces; the value floor uses that the pinball
-    loss is nonnegative.  The result contains the dual image and its
-    recession cone is exactly the upward value ray.
+    coordinate image's rows; the value floor, last, uses that the pinball
+    loss is nonnegative.  The set contains the dual image and its recession
+    cone is exactly the upward value ray.
     """
-    poly = Polyhedron.from_hrep(_box_halfspaces(basis), dim=basis.dim)
-    if not poly.vertices:
-        raise EmptyBasis("dual-cone basis has no extreme points")
-    return poly
-
-
-def _box_halfspaces(basis: DualConeBasis) -> list[Halfspace]:
-    """The halfspaces of :func:`initial_outer`, without its vertex check."""
     d = basis.dim
     c = basis.solver_c
     s = basis.sigma
-    halfspaces: list[Halfspace] = []
+    rows: list[IntVec] = []
     for g in basis.solver_generators:
         coef = tuple(s * (g[j] - g[-1] * c[j] / c[-1]) for j in range(d - 1))
         const = g[-1] / c[-1]
@@ -149,10 +90,9 @@ def _box_halfspaces(basis: DualConeBasis) -> list[Halfspace]:
                     "validated cone yielded an infeasible constant row"
                 )
             continue
-        halfspaces.append(Halfspace(coef + (Fraction(0),), -const))
-    floor = Halfspace(tuple(Fraction(0) for _ in range(d - 1)) + (Fraction(1),), Fraction(0))
-    halfspaces.append(floor)
-    return halfspaces
+        rows.append(primitive((*coef, 0, const)))
+    rows.append((0,) * (d - 1) + (1, 0))
+    return rows
 
 
 def benson_dual_solve(
@@ -191,8 +131,7 @@ def benson_dual_solve(
 
     engine = _PointedCone(d + 1)
     seen_rows = set()
-    for h in _box_halfspaces(basis):
-        row = primitive((*h.normal, -h.offset))
+    for row in _box_rows(basis):
         seen_rows.add(row)
         engine.add_row(row)
     engine.add_row(tuple([0] * d + [1]))
@@ -317,22 +256,6 @@ def _by_coords(items) -> list[tuple]:
     items = list(items)
     zl = lcm(*(it[0][-1] for it in items))
     return sorted(items, key=lambda it: tuple(a * (zl // it[0][-1]) for a in it[0][:-1]))
-
-
-def _point(ray: IntVec) -> DualImagePoint:
-    """The image point of an engine ray (a, m, z0) with z0 > 0."""
-    z0 = ray[-1]
-    return DualImagePoint(tuple(Fraction(a, z0) for a in ray[:-2]), Fraction(ray[-2], z0))
-
-
-def _cut_halfspace(row: IntVec) -> Halfspace:
-    """The cut value' >= w(coords').y of a homogeneous row, with value
-    coefficient 1."""
-    scale = row[-2]
-    return Halfspace(
-        tuple(Fraction(r, scale) for r in row[:-2]) + (Fraction(1),),
-        Fraction(-row[-1], scale),
-    )
 
 
 def halfspaces_of(sol: DualSolution) -> tuple[Halfspace, ...]:

@@ -18,10 +18,13 @@ from conequant import (
     Cone,
     ConequantError,
     DataCloud,
+    DimensionMismatch,
     QuantileLevel,
+    project_data,
     tukey_region,
     validate_cone,
 )
+from conequant.univariate import ascending, greedy_cut, project
 
 # property tests replay the same examples on every run and write no
 # example database, so the suite stays deterministic
@@ -177,6 +180,18 @@ def value_below_vertex(monkeypatch):
     monkeypatch.setattr(vlp, "key_quantile_and_loss", below)
 
 
+def greedy_uv(cloud: DataCloud, level: QuantileLevel, w) -> tuple[list, list]:
+    """``greedy_cut`` for direction w as dense masses (u, v) over Fractions."""
+    rows, den = cloud.int_form
+    keys, _ = project(list(zip(*rows)), den, w)
+    asc = ascending(keys)
+    u, v = [Fraction(0)] * cloud.n, [Fraction(0)] * cloud.n
+    for idx, mass in greedy_cut(list(map(keys.__getitem__, asc)), asc, level.p):
+        for i in idx:
+            (u if mass > 0 else v)[i] = Fraction(abs(mass), level.p.denominator)
+    return u, v
+
+
 # The greedy transport loop that ``univariate.greedy_cut`` replaced, kept
 # verbatim with the loss and support sums it was used with, as the reference
 # the closed form is checked against.
@@ -244,7 +259,31 @@ def loop_quantile_and_loss(
 
 # The linear programs that ``validate_cone``, ``make_dual_basis`` and
 # ``remove_redundant`` solved before double description replaced them, kept
-# as the reference the engine is checked against.
+# as the reference the engine is checked against, and the primal transport
+# program whose simplex optimum the greedy cut's value is checked against.
+
+
+def build_lp(cloud: DataCloud, level: QuantileLevel, w):
+    """The scalarized transport program over (u, v) for direction w.
+
+    One balance row e.u = e.v; box bounds 0 <= u <= p and 0 <= v <= 1-p.
+    """
+    from conequant.lp import LinearProgram
+
+    z = project_data(cloud, w)
+    n = cloud.n
+    if level.n != n:
+        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {n}")
+    one = Fraction(1)
+    return LinearProgram(
+        sense="max",
+        objective=z + tuple(-zi for zi in z),
+        rows=((one,) * n + (-one,) * n,),
+        relations=("=",),
+        rhs=(Fraction(0),),
+        bounds=tuple((Fraction(0), level.p) for _ in range(n))
+        + tuple((Fraction(0), 1 - level.p) for _ in range(n)),
+    )
 
 
 def lp_validate_cone(generators) -> Cone:
@@ -349,7 +388,13 @@ def lp_remove_redundant(p):
 
 
 def solution_cuts(sol):
-    """The Benson cuts of a dual solution as halfspaces, in the order they
-    were made: the last ``len(sol.cut_rows)`` halfspaces of its image."""
-    hs = sol.dual_image.halfspaces
-    return hs[len(hs) - len(sol.cut_rows) :]
+    """The Benson cuts of a dual solution as halfspaces
+    value' >= w(coords').y with value coefficient 1, in the order they were
+    made: each cut row (r..., scale, r0) over (coords, value, 1) divided by
+    its value coefficient."""
+    from conequant import Halfspace
+
+    return [
+        Halfspace(tuple(Fraction(x, r[-2]) for x in r[:-2]) + (1,), Fraction(-r[-1], r[-2]))
+        for r in sol.cut_rows
+    ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,7 @@ from conequant import (
     ScalarSample,
     basis_vertices,
     benson_dual_solve,
-    build_lp,
     build_lp_dual,
-    hrep_to_vrep,
-    image_coords,
     lift_dataset,
     make_dual_basis,
     minimize_pinball_loss,
@@ -41,21 +39,20 @@ from conequant import (
     quantile_region,
     remove_redundant,
     simplex_solve,
-    solve_scalarized_lp,
     tukey_region,
     validate_cone,
-    vrep_to_hrep,
 )
 from conequant.cli import main as cli_main
 from conequant.oracle import check_region
 from conftest import (
+    build_lp,
+    greedy_uv,
     random_cloud,
     random_cone,
     random_direction,
     random_hrep_polyhedron,
     random_valid_level,
     random_vrep_polyhedron,
-    solution_cuts,
 )
 
 F = Fraction
@@ -94,10 +91,11 @@ def test_criterion_2_scalarization_strong_duality():
         cloud = random_cloud(rng, n, d)
         level = random_valid_level(rng, n)
         w = random_direction(rng, d)
-        greedy = solve_scalarized_lp(cloud, level, w).value
+        u, v = greedy_uv(cloud, level, w)
+        sample = ScalarSample(project_data(cloud, w))
+        greedy = sum(z * (a - b) for z, a, b in zip(sample.values, u, v))
         primal = simplex_solve(build_lp(cloud, level, w))
         assert primal.status == OPTIMAL
-        sample = ScalarSample(project_data(cloud, w))
         minimum = minimize_pinball_loss(sample, level)[1]
         assert greedy == primal.value == minimum
     report(2, "1000 greedy = simplex = loss-minimum identities, exact")
@@ -275,19 +273,22 @@ def test_criterion_5_unique_irredundant_solution():
 
 
 def _check_soundness(sol, cloud, level) -> None:
-    # every final vertex is confirmed: it sits at its entry's w, and its
-    # value is the pinball-loss minimum of the sample ``cloud`` (the one
-    # solved) projected on w, derived afresh
-    for (w, _), pt in zip(sol.entries, sol.image_vertices, strict=True):
-        assert image_coords(w, sol.basis) == pt.coords
+    # every final vertex (a, m, z0) is confirmed: its coords a/z0 are its
+    # entry's w in the solver frame, and its value m/z0 is the pinball-loss
+    # minimum of the sample ``cloud`` (the one solved) projected on w,
+    # derived afresh
+    basis = sol.basis
+    for (w, _), ray in zip(sol.entries, sol.vertex_rays, strict=True):
+        a, m, z0 = ray[:-2], ray[-2], ray[-1]
+        assert tuple(basis.sigma * x for x in basis.permute(w)[:-1]) == tuple(
+            F(x, z0) for x in a
+        )
         _, loss = minimize_pinball_loss(ScalarSample(project_data(cloud, w)), level)
-        assert loss == pt.value
+        assert loss == F(m, z0)
     # no cut is violated by any image vertex
-    cuts = solution_cuts(sol)
-    for pt in sol.image_vertices:
-        z = pt.coords + (pt.value,)
-        for cut in cuts:
-            assert cut.holds(z)
+    for ray in sol.vertex_rays:
+        for row in sol.cut_rows:
+            assert sum(map(mul, row, ray)) >= 0
 
 
 def test_criterion_6_benson_soundness(planar_corpus):
@@ -462,19 +463,17 @@ def test_criterion_9_polyhedral_kernel_round_trips():
     for i in range(500):
         dim = rng.randint(1, 5)
         if i % 2 == 0:
-            p = hrep_to_vrep(random_hrep_polyhedron(rng, dim))
+            # reading a representation converts to it, and poly_equal reads
+            # both of each side
+            p = random_hrep_polyhedron(rng, dim)
             if p.is_empty:
                 assert poly_equal(p, Polyhedron.empty(dim))
             else:
-                back = vrep_to_hrep(
-                    Polyhedron.from_vrep(p.vertices, p.rays, dim=dim)
-                )
+                back = Polyhedron.from_vrep(p.vertices, p.rays, dim=dim)
                 assert poly_equal(p, back)
         else:
-            p = vrep_to_hrep(random_vrep_polyhedron(rng, dim))
-            back = hrep_to_vrep(
-                Polyhedron.from_hrep(p.halfspaces, p.equations, dim=dim)
-            )
+            p = random_vrep_polyhedron(rng, dim)
+            back = Polyhedron.from_hrep(p.halfspaces, p.equations, dim=dim)
             assert poly_equal(p, back)
         once = remove_redundant(p)
         twice = remove_redundant(once)

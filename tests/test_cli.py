@@ -489,6 +489,20 @@ class TestDepthAndVerify:
         code, _, _ = run_cli(["tukey"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["depth", "region"])
+    def test_undecodable_file_exits_1(self, command, square, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\n")
+        if command == "depth":
+            args = ["depth", str(bad), "0,0"]
+        else:
+            args = ["region", square, "--p", "1/3", "--cone", str(bad)]
+        proc = run_fresh("conequant", args)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: cannot read {bad}: ")
+
 
 class TestDeterminism:
     def test_documents_byte_identical_across_runs(self, capsys):

@@ -315,3 +315,30 @@ def test_package_source_has_no_assert():
             if isinstance(node, ast.Assert)
         ]
     assert offenders == []
+
+
+# the package's public names: what the paper's regions and depth, the CLI,
+# the oracles and the benchmark use
+PUBLIC = [
+    "BensonStats", "Cone", "ConequantError", "ContainsLine", "DataCloud",
+    "DegenerateBasis", "DimensionMismatch", "DimensionNot2", "DualConeBasis",
+    "DualSolution", "EmptyBasis", "Equation", "Halfspace", "INFEASIBLE",
+    "IntegralNp", "InternalInvariantError", "LinearProgram", "LpOutcome",
+    "MalformedProgram", "NotFullDimensional", "NotInterior", "OPTIMAL",
+    "Polyhedron", "QuantileLevel", "QuantileRegion", "Rational", "ScalarSample",
+    "UNBOUNDED", "basis_vertices", "benson_dual_solve", "build_lp_dual",
+    "critical_directions", "format_rational", "halfspaces_of", "lift_dataset",
+    "make_dual_basis", "membership_sample", "minimize_pinball_loss",
+    "oracle_region_2d", "parse_rational", "pinball_loss", "poly_contains",
+    "poly_equal", "project_data", "quantile_direct", "quantile_region",
+    "region_membership", "remove_redundant", "simplex_solve", "tukey_depth",
+    "tukey_region", "unlift_normal", "validate_cone",
+]
+
+
+def test_public_surface_is_pinned():
+    names = conequant.__all__
+    assert len(set(names)) == len(names)
+    assert sorted(names) == PUBLIC
+    for name in names:
+        assert getattr(conequant, name) is not None

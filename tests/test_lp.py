@@ -13,13 +13,12 @@ from conequant import (
     OPTIMAL,
     QuantileLevel,
     UNBOUNDED,
-    build_lp,
     build_lp_dual,
     quantile_direct,
     ScalarSample,
     simplex_solve,
 )
-from conftest import random_cloud, random_valid_level
+from conftest import build_lp, random_cloud, random_valid_level
 
 F = Fraction
 

@@ -14,11 +14,9 @@ from conequant import (
     Equation,
     Halfspace,
     Polyhedron,
-    hrep_to_vrep,
     poly_contains,
     poly_equal,
     remove_redundant,
-    vrep_to_hrep,
 )
 from conequant._linalg import primitive
 from conequant.lp import INFEASIBLE, LinearProgram, simplex_solve
@@ -58,52 +56,48 @@ class TestHalfspace:
 
 class TestHrepToVrep:
     def test_square(self):
-        p = hrep_to_vrep(unit_square())
+        p = unit_square()
         assert p.vertices == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1)))
         assert p.rays == ()
         assert p.is_bounded
 
     def test_orthant(self):
-        p = hrep_to_vrep(
-            Polyhedron.from_hrep([Halfspace((1, 0), 0), Halfspace((0, 1), 0)], dim=2)
-        )
+        p = Polyhedron.from_hrep([Halfspace((1, 0), 0), Halfspace((0, 1), 0)], dim=2)
         assert p.vertices == ((F(0), F(0)),)
         assert p.rays == ((F(0), F(1)), (F(1), F(0)))
 
     def test_empty(self):
-        p = hrep_to_vrep(
-            Polyhedron.from_hrep([Halfspace((1,), 1), Halfspace((-1,), 0)], dim=1)
-        )
+        p = Polyhedron.from_hrep([Halfspace((1,), 1), Halfspace((-1,), 0)], dim=1)
         assert p.is_empty
         assert p.vertices == () and p.rays == ()
 
     def test_whole_space(self):
-        p = hrep_to_vrep(Polyhedron.from_hrep([], dim=2))
+        p = Polyhedron.from_hrep([], dim=2)
         assert len(p.vertices) == 1
         rays = set(p.rays)
         assert all(tuple(-c for c in r) in rays for r in rays)  # line pairs
 
     def test_halfplane_has_line(self):
-        p = hrep_to_vrep(Polyhedron.from_hrep([Halfspace((1, 0), 0)], dim=2))
+        p = Polyhedron.from_hrep([Halfspace((1, 0), 0)], dim=2)
         assert (F(0), F(1)) in p.rays and (F(0), F(-1)) in p.rays
         assert (F(1), F(0)) in p.rays
 
 
 class TestVrepToHrep:
     def test_triangle(self):
-        p = vrep_to_hrep(Polyhedron.from_vrep([(0, 0), (1, 0), (0, 1)], dim=2))
+        p = Polyhedron.from_vrep([(0, 0), (1, 0), (0, 1)], dim=2)
         assert len(p.halfspaces) == 3
         assert p.equations == ()
 
     def test_single_point_becomes_equations(self):
-        p = vrep_to_hrep(Polyhedron.from_vrep([(1, 1)], dim=2))
+        p = Polyhedron.from_vrep([(1, 1)], dim=2)
         assert p.halfspaces == ()
         assert len(p.equations) == 2
         assert all(e.holds((1, 1)) for e in p.equations)
         assert not all(e.holds((1, 2)) for e in p.equations)
 
     def test_ray_in_one_dimension(self):
-        p = vrep_to_hrep(Polyhedron.from_vrep([(0,)], rays=[(1,)], dim=1))
+        p = Polyhedron.from_vrep([(0,)], rays=[(1,)], dim=1)
         assert [(h.normal, h.offset) for h in p.halfspaces] == [((F(1),), F(0))]
 
     def test_rays_without_vertex_rejected(self):
@@ -270,27 +264,23 @@ class TestRoundTrips:
         rng = random.Random(42)
         for _ in range(60):
             p = _random_hrep(rng, dim=rng.randint(1, 4))
-            p = hrep_to_vrep(p)
             if p.is_empty:
                 assert poly_equal(p, Polyhedron.empty(p.dim))
                 continue
             back = Polyhedron.from_vrep(p.vertices, p.rays, dim=p.dim)
-            back = vrep_to_hrep(back)
             assert poly_equal(p, back)
 
     def test_vrep_hrep_round_trip(self):
         rng = random.Random(43)
         for _ in range(60):
             p = _random_vrep(rng, dim=rng.randint(1, 4))
-            p = vrep_to_hrep(p)
             back = Polyhedron.from_hrep(p.halfspaces, p.equations, dim=p.dim)
-            back = hrep_to_vrep(back)
             assert poly_equal(p, back)
 
     def test_vertices_satisfy_constraints_tightly(self):
         rng = random.Random(44)
         for _ in range(40):
-            p = hrep_to_vrep(_random_hrep(rng, dim=rng.randint(2, 4)))
+            p = _random_hrep(rng, dim=rng.randint(2, 4))
             if p.is_empty:
                 continue
             lines = {tuple(-c for c in r) for r in p.rays} & set(p.rays)
@@ -326,7 +316,7 @@ class TestRoundTrips:
         rng = random.Random(45)
         empties = 0
         for _ in range(120):
-            p = hrep_to_vrep(_random_hrep(rng, dim=rng.randint(1, 3)))
+            p = _random_hrep(rng, dim=rng.randint(1, 3))
             if not p.is_empty:
                 continue
             empties += 1
@@ -392,7 +382,8 @@ class TestPointedConeEngine:
         engine.finish()
         assert len(set(engine.rays)) == len(engine.rays)
         assert set(engine.rays) == _brute_force_rays(rows, dim)
-        for ray, zs in zip(engine.rays, engine.zerosets):
+        for rid, ray in engine.items():
+            zs = engine._zs[rid]
             tight = sum(
                 1 << k
                 for k, row in enumerate(engine.processed)

@@ -13,20 +13,16 @@ from conequant import (
     OPTIMAL,
     QuantileLevel,
     ScalarSample,
-    build_lp,
     build_lp_dual,
     minimize_pinball_loss,
     pinball_loss,
-    pinball_right_derivative,
     project_data,
     quantile_direct,
     simplex_solve,
-    solve_scalarized_lp,
 )
 from conequant.univariate import (
     ascending,
     count_le,
-    dense_masses,
     greedy_cut,
     key_quantile_and_loss,
     project,
@@ -34,8 +30,10 @@ from conequant.univariate import (
     support_sum,
 )
 from conftest import (
+    build_lp,
     dense_support_sum,
     greedy_masses,
+    greedy_uv,
     loop_quantile_and_loss,
     random_cloud,
     random_direction,
@@ -100,11 +98,18 @@ class TestPinballLoss:
             ) + (1 - lam) * pinball_loss(s, lvl, t2)
 
 
+def right_slope(s: ScalarSample, lvl: QuantileLevel, t) -> Fraction:
+    """The pinball loss's slope just right of t, over a step of 1/2: its
+    right derivative #{x <= t} - N p for integer data and integer t."""
+    h = Fraction(1, 2)
+    return (pinball_loss(s, lvl, t + h) - pinball_loss(s, lvl, t)) / h
+
+
 class TestRightDerivative:
     def test_spot_values(self):
-        assert pinball_right_derivative(sample(1, 2, 3), level("1/2", 3), 2) == Fraction(1, 2)
-        assert pinball_right_derivative(sample(1, 2, 3), level("1/2", 3), 0) == Fraction(-3, 2)
-        assert pinball_right_derivative(sample(0, 1), level("1/4", 2), 0) == Fraction(1, 2)
+        assert right_slope(sample(1, 2, 3), level("1/2", 3), 2) == Fraction(1, 2)
+        assert right_slope(sample(1, 2, 3), level("1/2", 3), 0) == Fraction(-3, 2)
+        assert right_slope(sample(0, 1), level("1/4", 2), 0) == Fraction(1, 2)
 
     def test_sign_pattern_identifies_minimizer(self):
         rng = random.Random(24)
@@ -113,10 +118,10 @@ class TestRightDerivative:
             s = ScalarSample.from_values(values)
             lvl = random_valid_level(rng, s.n)
             t_star, _ = minimize_pinball_loss(s, lvl)
-            assert pinball_right_derivative(s, lvl, t_star) > 0
+            assert right_slope(s, lvl, t_star) > 0
             for v in values:
                 if v < t_star:
-                    assert pinball_right_derivative(s, lvl, v) < 0
+                    assert right_slope(s, lvl, v) < 0
 
 
 class TestMinimize:
@@ -151,26 +156,31 @@ class TestMinimize:
             minimize_pinball_loss(sample(1, 2, 3, 4), level("1/2", 4))
 
 
+def greedy_value(cloud, w, u, v) -> Fraction:
+    """sum_i (w.x_i)(u_i - v_i)."""
+    return sum(z * (a - b) for z, a, b in zip(project_data(cloud, w), u, v))
+
+
 class TestGreedyScalarization:
     def test_two_point_example(self):
         cloud = DataCloud.from_rows([[0], [1]])
-        lvl = level("1/4", 2)
-        sol = solve_scalarized_lp(cloud, lvl, (1,))
-        assert sol.u == (0, Fraction(1, 4))
-        assert sol.v == (Fraction(1, 4), 0)
-        assert sol.value == Fraction(1, 4)
-        assert sol.support_point == (Fraction(1, 4),)
+        u, v = greedy_uv(cloud, level("1/4", 2), (1,))
+        assert u == [0, Fraction(1, 4)]
+        assert v == [Fraction(1, 4), 0]
+        assert greedy_value(cloud, (1,), u, v) == Fraction(1, 4)
+        assert dense_support_sum(cloud.points, u, v) == (Fraction(1, 4),)
 
     def test_zero_direction(self):
         cloud = DataCloud.from_rows([[3, 1], [2, 2]])
-        sol = solve_scalarized_lp(cloud, level("1/3", 2), (0, 0))
-        assert sol.value == 0
+        u, v = greedy_uv(cloud, level("1/3", 2), (0, 0))
+        assert greedy_value(cloud, (0, 0), u, v) == 0
 
     def test_diagonal_example(self):
         cloud = DataCloud.from_rows([[0, 0], [1, 1]])
-        sol = solve_scalarized_lp(cloud, level("3/4", 2), ("1/2", "1/2"))
+        w = (Fraction(1, 2), Fraction(1, 2))
+        u, v = greedy_uv(cloud, level("3/4", 2), w)
         s = ScalarSample.from_values([0, 1])
-        assert sol.value == minimize_pinball_loss(s, level("3/4", 2))[1]
+        assert greedy_value(cloud, w, u, v) == minimize_pinball_loss(s, level("3/4", 2))[1]
 
     def test_feasibility_invariants(self):
         rng = random.Random(26)
@@ -178,14 +188,13 @@ class TestGreedyScalarization:
             cloud = random_cloud(rng, rng.randint(1, 12), rng.randint(1, 3), span=20)
             lvl = random_valid_level(rng, cloud.n, max_den=30)
             w = random_direction(rng, cloud.dim)
-            sol = solve_scalarized_lp(cloud, lvl, w)
-            assert all(0 <= ui <= lvl.p for ui in sol.u)
-            assert all(0 <= vi <= 1 - lvl.p for vi in sol.v)
-            assert sum(sol.u) == sum(sol.v)
-            assert sol.value == sum(
-                z * (ui - vi)
-                for z, ui, vi in zip(project_data(cloud, w), sol.u, sol.v)
-            )
+            u, v = greedy_uv(cloud, lvl, w)
+            assert all(0 <= ui <= lvl.p for ui in u)
+            assert all(0 <= vi <= 1 - lvl.p for vi in v)
+            assert sum(u) == sum(v)
+            # the support point pairs with w to the value
+            y = dense_support_sum(cloud.points, u, v)
+            assert greedy_value(cloud, w, u, v) == sum(a * b for a, b in zip(w, y))
 
 
 class TestStrongDuality:
@@ -195,7 +204,7 @@ class TestStrongDuality:
             cloud = random_cloud(rng, rng.randint(1, 10), rng.randint(1, 3), span=15)
             lvl = random_valid_level(rng, cloud.n, max_den=20)
             w = random_direction(rng, cloud.dim)
-            greedy = solve_scalarized_lp(cloud, lvl, w).value
+            greedy = greedy_value(cloud, w, *greedy_uv(cloud, lvl, w))
             s = ScalarSample(project_data(cloud, w))
             _, g = minimize_pinball_loss(s, lvl)
             assert greedy == g
@@ -212,7 +221,7 @@ class TestStrongDuality:
             cloud = random_cloud(rng, rng.randint(1, 10), rng.randint(1, 3), span=15)
             lvl = random_valid_level(rng, cloud.n, max_den=20)
             w = random_direction(rng, cloud.dim)
-            y = solve_scalarized_lp(cloud, lvl, w).support_point
+            y = dense_support_sum(cloud.points, *greedy_uv(cloud, lvl, w))
             for _ in range(10):
                 w2 = random_direction(rng, cloud.dim)
                 s2 = ScalarSample(project_data(cloud, w2))
@@ -295,11 +304,11 @@ def test_proj_pairs_matches_fraction_dot(span):
 )
 def test_greedy_serves_lower_index_first_among_ties(p, u, v, y):
     cloud = DataCloud.from_rows([[0, 0], [0, 1], [1, 0], [1, 1]])
-    sol = solve_scalarized_lp(cloud, QuantileLevel(Fraction(p), 4), (1, 0))
-    assert sol.u == tuple(map(Fraction, u))
-    assert sol.v == tuple(map(Fraction, v))
-    assert sol.support_point == tuple(map(Fraction, y))
-    assert sol.value == Fraction(3, 4)
+    gu, gv = greedy_uv(cloud, QuantileLevel(Fraction(p), 4), (1, 0))
+    assert gu == list(map(Fraction, u))
+    assert gv == list(map(Fraction, v))
+    assert dense_support_sum(cloud.points, gu, gv) == tuple(map(Fraction, y))
+    assert greedy_value(cloud, (1, 0), gu, gv) == Fraction(3, 4)
 
 
 # every level a/b with b <= 20, integral N p included
@@ -328,10 +337,14 @@ def test_greedy_cut_matches_the_loop(case):
     asc = ascending(keys)
     ka = list(map(keys.__getitem__, asc))
     cols = list(zip(*rows))
+    line = DataCloud.from_rows([[k] for k in keys])
     for p in SMALL_LEVELS:
         level = QuantileLevel(p, n)
         u, v = greedy_masses(keys, asc, p)
         groups = greedy_cut(ka, asc, p)
-        assert dense_masses(groups, n) == (u, v), (keys, p)
+        pd = p.denominator
+        assert greedy_uv(line, level, (1,)) == (
+            [Fraction(a, pd) for a in u], [Fraction(b, pd) for b in v]
+        ), (keys, p)
         assert support_sum(cols, groups) == dense_support_sum(rows, u, v)
         assert key_quantile_and_loss(ka, level) == loop_quantile_and_loss(keys, asc, level)

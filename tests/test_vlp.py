@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -25,21 +26,18 @@ from conequant import (
     benson_dual_solve,
     format_rational,
     halfspaces_of,
-    image_coords,
-    initial_outer,
     lift_dataset,
     make_dual_basis,
     minimize_pinball_loss,
-    pinball_right_derivative,
     poly_equal,
     project_data,
     quantile_direct,
     quantile_region,
     tukey_region,
     validate_cone,
-    weight_of,
 )
 from conequant.cli import document_bytes, region_document
+from conequant.vlp import _box_rows
 from conftest import random_cloud, random_cone, random_valid_level, solution_cuts
 
 F = Fraction
@@ -50,39 +48,16 @@ def orthant(dim):
     return validate_cone(rows)
 
 
-class TestCoordinateMaps:
-    def test_orthant_two_dim(self):
-        basis = make_dual_basis(orthant(2), (1, 1))
-        w = (F(1, 3), F(2, 3))
-        coords = image_coords(w, basis)
-        assert coords == (F(1, 3),)
-        assert weight_of(coords, basis) == w
-
-    def test_negative_sign_factor(self):
-        cone = validate_cone([[1, 0], [0, -1]])  # fourth-quadrant cone
-        basis = make_dual_basis(cone, (1, -1))
-        assert basis.sigma == -1
-        w = (F(2), F(1))  # c.w = 2 - 1 = 1
-        coords = image_coords(w, basis)
-        assert coords == (F(-2),)
-        assert weight_of(coords, basis) == w
-
-    def test_degenerate_dimension_one(self):
-        basis = make_dual_basis(validate_cone([[2]]))
-        assert image_coords((F(1, 2),), basis) == ()
-        assert weight_of((), basis) == (F(1, 2),)
-
-    def test_mutually_inverse_on_basis_points(self):
-        rng = random.Random(51)
-        for _ in range(30):
-            basis = make_dual_basis(random_cone(rng, rng.randint(1, 3)))
-            for w in basis_vertices(basis):
-                assert weight_of(image_coords(w, basis), basis) == w
+def box(basis):
+    """The starting outer approximation: the solver's box rows, each a row
+    (n, n0) over (coords, value, 1) read as n.z >= -n0."""
+    halfspaces = [Halfspace(r[:-1], -r[-1]) for r in _box_rows(basis)]
+    return Polyhedron.from_hrep(halfspaces, dim=basis.dim)
 
 
 class TestInitialOuter:
     def test_orthant_strip(self):
-        poly = initial_outer(make_dual_basis(orthant(2), (1, 1)))
+        poly = box(make_dual_basis(orthant(2), (1, 1)))
         strip = Polyhedron.from_hrep(
             [
                 Halfspace((1, 0), 0),
@@ -95,12 +70,12 @@ class TestInitialOuter:
         assert poly.rays == ((F(0), F(1)),)  # recession is the value ray
 
     def test_dimension_one(self):
-        poly = initial_outer(make_dual_basis(validate_cone([[1]]), (1,)))
+        poly = box(make_dual_basis(validate_cone([[1]]), (1,)))
         assert poly.vertices == ((F(0),),)
         assert poly.rays == ((F(1),),)
 
     def test_orthant_three_dim_simplex_slice(self):
-        poly = initial_outer(make_dual_basis(orthant(3), (1, 1, 1)))
+        poly = box(make_dual_basis(orthant(3), (1, 1, 1)))
         assert set(poly.vertices) == {
             (F(0), F(0), F(0)),
             (F(1), F(0), F(0)),
@@ -132,7 +107,8 @@ class TestBensonSolve:
         assert sol.entries == (((F(1),), F(3)),)
         s = ScalarSample(tuple(p[0] for p in cloud.points))
         _, g = minimize_pinball_loss(s, QuantileLevel(F(1, 2), 5))
-        assert sol.image_vertices[0].value == g
+        *_, m, z0 = sol.vertex_rays[0]
+        assert F(m, z0) == g
 
     def test_two_point_high_level(self):
         cloud = DataCloud.from_rows([[0, 0], [1, 1]])
@@ -163,30 +139,33 @@ class TestBensonSolve:
             basis = make_dual_basis(cone)
             level = random_valid_level(rng, cloud.n, max_den=40)
             sol = benson_dual_solve(cloud, level, basis)
-            assert len(sol.entries) == len(sol.dual_image.vertices)
-            for (w, t), pt in zip(sol.entries, sol.image_vertices):
+            assert len(sol.vertex_rays) == len(sol.entries)
+            for (w, t), ray in zip(sol.entries, sol.vertex_rays):
                 # w sits on the basis exactly
                 assert all(
                     sum(gj * wj for gj, wj in zip(g, w)) >= 0
                     for g in cone.generators
                 )
                 assert sum(cj * wj for cj, wj in zip(basis.c, w)) == 1
-                # t is the direct quantile, the value the loss minimum
+                # the entry's vertex (a, m, z0) sits at its weight: coords a/z0
+                a, m, z0 = ray[:-2], ray[-2], ray[-1]
+                assert tuple(basis.sigma * x for x in basis.permute(w)[:-1]) == tuple(
+                    F(x, z0) for x in a
+                )
+                # t is the direct quantile, the value m/z0 the loss minimum
                 s = ScalarSample(project_data(cloud, w))
                 assert t == quantile_direct(s, level)
                 t2, g = minimize_pinball_loss(s, level)
-                assert t2 == t and g == pt.value
-                # first-order conditions at the entry's t
-                assert pinball_right_derivative(s, level, t) > 0
+                assert t2 == t and g == F(m, z0)
+                # first-order conditions at the entry's t: the loss's right
+                # derivative #{x <= t} - N p is positive
+                assert sum(1 for x in s.values if x <= t) > level.n * level.p
             # cut soundness: the confirmed image points satisfy every cut
-            for pt in sol.image_vertices:
-                z = pt.coords + (pt.value,)
-                for cut in solution_cuts(sol):
-                    assert cut.holds(z)
+            for ray in sol.vertex_rays:
+                for row in sol.cut_rows:
+                    assert sum(map(mul, row, ray)) >= 0
 
     def test_outer_approximation_shrinks_onto_image(self):
-        from conequant import poly_contains
-
         rng = random.Random(55)
         for _ in range(10):
             dim = rng.randint(1, 3)
@@ -194,30 +173,13 @@ class TestBensonSolve:
             cone = random_cone(rng, dim)
             basis = make_dual_basis(cone)
             level = random_valid_level(rng, cloud.n, max_den=30)
-            start = initial_outer(basis)
             sol = benson_dual_solve(cloud, level, basis)
-            assert poly_contains(start, sol.dual_image)
-            assert sol.dual_image.rays == (
-                tuple([F(0)] * (dim - 1)) + (F(1),),
-            )
-
-    def test_region_solves_build_no_dual_image(self, monkeypatch):
-        """Regions read only the entries: the Fraction dual image and its
-        points are built on first access, which a region solve never makes."""
-        import conequant.vlp as vlp
-
-        def forbidden(*args):
-            raise AssertionError("a region solve built the dual image")
-
-        monkeypatch.setattr(vlp, "_cut_halfspace", forbidden)
-        monkeypatch.setattr(vlp, "_point", forbidden)
-        cloud = DataCloud.from_rows([[0, 0], [3, 1], [1, 4], [-2, 2], [2, -3]])
-        assert tukey_region(cloud, QuantileLevel(F(3, 10), 5)).region.vertices
-        assert quantile_region(cloud, QuantileLevel(F(7, 10), 5), orthant(2)).region.vertices
-        sol = benson_dual_solve(cloud, QuantileLevel(F(7, 10), 5), make_dual_basis(orthant(2)))
-        assert sol.stats.cuts_added > 0
-        monkeypatch.undo()
-        assert len(sol.dual_image.vertices) == len(sol.image_vertices) == len(sol.entries)
+            assert len(sol.vertex_rays) == len(sol.entries)
+            # the image, its vertices plus the upward value ray, lies in the
+            # starting box
+            up = (0,) * (dim - 1) + (1, 0)
+            for row in _box_rows(basis):
+                assert all(sum(map(mul, row, v)) >= 0 for v in sol.vertex_rays + (up,))
 
     def test_rerun_and_data_order_invariance(self):
         rng = random.Random(54)
