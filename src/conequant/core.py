@@ -15,12 +15,17 @@ Text scalars are read by :func:`parse_rational`, which accepts exactly what
 
 Here sign is "+" or "-", and digits are any Unicode decimal digits, not
 only ASCII ones, with single underscores allowed between them ("1_000").
-"inf", "nan", hexadecimal and a zero denominator are rejected.
+"inf", "nan", hexadecimal and a zero denominator are rejected, and so is an
+exponent whose magnitude exceeds Python's integer string limit
+(``sys.get_int_max_str_digits()``, 4300 by default): "1e4300" parses, but
+"1e4301" and "1e-4301" do not, since the power of ten alone would take
+minutes to build.  A limit of 0 lifts the bound.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,7 +54,13 @@ def parse_rational(text: str) -> Fraction:
         except ValueError:
             pass
     try:
-        return Fraction(text.strip())
+        token = text.strip()
+        _, e, exponent = token.lower().rpartition("e")
+        # int() is 0, no limit, on a Python without the integer string limit
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if e and limit and abs(int(exponent)) > limit:
+            raise ValueError("exponent out of range")
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational from {text!r}") from exc
 

@@ -2,19 +2,23 @@
 redundancy removal and set equality.
 
 Conversions run the double description method on the homogenization of the
-polyhedron.  When the constraint rows are rank deficient, lineality is split
-off first by an exact integer kernel basis; otherwise the cone is pointed and
-is handed over as it is.  A pointed cone engine enumerates extreme rays,
-and generators with positive homogenizing coordinate become vertices.  It
-works in integers on primitive ray vectors with zero sets as bitmasks, and
-keeps the cone's edge graph: a new row is located by an edge walk, touches
-only the rays it cuts off and their neighbours, and decides the new edges
-on its own facet by the exact combinatorial test.  The walk starts at a ray
-the caller names, such as the Benson vertex a cut was made from; a start
-removed since is replaced through the engine's map from each removed ray to
-a ray made by the insertion that removed it.  A conversion hands its rows to
-the engine in one fixed pseudo-random order, which keeps the intermediate
-cones small.
+polyhedron.  The rows go to a pointed cone engine as they are; only when
+they turn out rank deficient is lineality split off, by an exact integer
+kernel basis, and the engine run again in the row space.  The engine
+enumerates extreme rays, and generators with positive homogenizing
+coordinate become vertices.  It works in integers on primitive ray vectors
+with zero sets as bitmasks, and keeps the cone's edge graph: a new row is
+located by an edge walk, touches only the rays it cuts off and their
+neighbours, and decides the new edges on its own facet by the exact
+combinatorial test.  The walk starts at a ray the caller names, such as the
+Benson vertex a cut was made from; a start removed since is replaced
+through the engine's map from each removed ray to a ray made by the
+insertion that removed it.
+The intermediate cones depend on the row order.  A quantile region is built
+straight from the dual solve's primitive integer rows, with no Fraction in
+between, and they enter in the order its solver chose, likeliest facets
+first; every other conversion hands its rows over in one fixed
+pseudo-random order.
 A lineality direction appears in the V-representation as a pair of opposite
 rays; the "vertices" of a non-pointed polyhedron are canonical
 representatives of its minimal faces.
@@ -314,24 +318,29 @@ class _PointedCone:
         return True
 
 
-def _dd_cone(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
+def _dd_cone(
+    rows: list[IntVec], dim: int, shuffle: bool = True
+) -> tuple[list[IntVec], list[IntVec]]:
     """Lines and extreme rays of the general cone {x : row.x >= 0}.
 
-    The rows enter the engine in one fixed pseudo-random order.  The extreme
-    rays are the same in any order, but the intermediate cones are not: rows
-    in their given order, often lexicographic, tend to cut neighbouring
-    facets one after another and make many rays that later rows remove
-    again (Avis, Bremner & Seidel 1997; Fukuda & Prodon 1996 counter this
-    with a row ordering).  The rays come back in no particular order.
+    The extreme rays are the same in any row order, but the intermediate
+    cones are not: rows in their given order, often lexicographic, tend to
+    cut neighbouring facets one after another and make many rays that later
+    rows remove again (Avis, Bremner & Seidel 1997; Fukuda & Prodon 1996
+    counter this with a row ordering).  So the rows enter the engine in one
+    fixed pseudo-random order, unless ``shuffle`` is off because the caller
+    has ordered them already.  The rays come back in no particular order.
+
+    The pointed engine runs first, on the rows as they are, and finds full
+    rank itself; only when it never bootstraps is the lineality space split
+    off.
     """
     live = [r for r in rows if any(r)]
-    random.Random(0).shuffle(live)
-    if _linalg.int_rank(live) == dim:
-        # full rank: the cone is pointed, so the engine runs on the rows as
-        # they are
-        engine = _PointedCone(dim)
-        engine.add_rows(live)
-        engine.finish()
+    if shuffle:
+        random.Random(0).shuffle(live)
+    engine = _PointedCone(dim)
+    engine.add_rows(live)
+    if engine.ready:
         return [], engine.rays
     red, pivots = _linalg.echelon(live)
     lines = _linalg.kernel(red, pivots, dim)
@@ -358,10 +367,14 @@ class Polyhedron:
 
     The set value is immutable; representation conversions are cached on the
     instance.  Halfspaces are kept exactly as supplied (callers rely on the
-    echo); canonical forms are used for comparisons and ordering only.
+    echo); canonical forms are used for comparisons and ordering only.  A
+    polyhedron made from integer rows builds its Halfspaces only when they
+    are read.
     """
 
-    __slots__ = ("_dim", "_halfspaces", "_equations", "_vertices", "_rays", "_empty")
+    __slots__ = (
+        "_dim", "_halfspaces", "_equations", "_vertices", "_rays", "_empty", "_rows", "_view"
+    )
 
     def __init__(self, dim, halfspaces, equations, vertices, rays, empty) -> None:
         self._dim = dim
@@ -370,6 +383,7 @@ class Polyhedron:
         self._vertices = vertices
         self._rays = rays
         self._empty = empty
+        self._rows = self._view = None
 
     @classmethod
     def from_hrep(cls, halfspaces, equations=(), *, dim: int) -> "Polyhedron":
@@ -382,6 +396,16 @@ class Polyhedron:
             if len(e.normal) != dim:
                 raise DimensionMismatch("equation dimension mismatch")
         return cls(dim, hs, eqs, None, None, None)
+
+    @classmethod
+    def _from_rows(cls, rows, halfspaces, *, dim: int) -> "Polyhedron":
+        """The polyhedron {z : r.(z, 1) >= 0 for every row r}, from primitive
+        integer rows, which the V-representation takes in the order given.
+        ``halfspaces()`` returns the same constraints as Halfspaces; it runs
+        when they are first read."""
+        p = cls(dim, None, None, None, None, None)
+        p._rows, p._view = tuple(rows), halfspaces
+        return p
 
     @classmethod
     def from_vrep(cls, vertices, rays=(), *, dim: int) -> "Polyhedron":
@@ -464,15 +488,20 @@ class Polyhedron:
         if self._vertices is not None:
             return
         d = self._dim
-        rows: list[IntVec] = []
-        for h in self._halfspaces:
-            rows.append(_linalg.primitive((*h.normal, -h.offset)))
-        for e in self._equations:
-            row = _linalg.primitive((*e.normal, -e.offset))
-            rows.append(row)
-            rows.append(tuple(-v for v in row))
-        rows.append(tuple([0] * d + [1]))
-        lines, raw = _dd_cone(rows, d + 1)
+        homogenizing = tuple([0] * d + [1])
+        if self._rows is not None:
+            # the caller's order, after the homogenizing row
+            rows, shuffle = [homogenizing, *self._rows], False
+        else:
+            rows, shuffle = [], True
+            for h in self._halfspaces:
+                rows.append(_linalg.primitive((*h.normal, -h.offset)))
+            for e in self._equations:
+                row = _linalg.primitive((*e.normal, -e.offset))
+                rows.append(row)
+                rows.append(tuple(-v for v in row))
+            rows.append(homogenizing)
+        lines, raw = _dd_cone(rows, d + 1, shuffle)
         verts: list[Vector] = []
         rays: list[Vector] = []
         for g in raw:
@@ -502,6 +531,9 @@ class Polyhedron:
 
     def _ensure_hrep(self) -> None:
         if self._halfspaces is not None:
+            return
+        if self._rows is not None:
+            self._halfspaces, self._equations = tuple(self._view()), ()
             return
         d = self._dim
         if not self._vertices:

@@ -57,8 +57,7 @@ def quantile_region(
     """
     basis = make_dual_basis(cone, c)
     sol = benson_dual_solve(cloud, level, basis)
-    hs = halfspaces_of(sol)
-    region = Polyhedron.from_hrep(hs, dim=cloud.dim)
+    region = _region(cloud, sol.rows, lambda: halfspaces_of(sol))
     return QuantileRegion(
         region=region,
         defining_entries=sol.entries,
@@ -92,10 +91,13 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
 
     The lifted cloud is solved against the nonnegative orthant with the
     all-ones interior point (its last component is 1, so no permutation is
-    ever needed); each entry's normal is unlifted.  A zero unlifted normal
-    with t <= 0 is a vacuous constraint and is dropped.  One with t > 0
-    cannot occur: the only weight that unlifts to zero projects every lifted
-    point to 0, so its t is 0.  It raises InternalInvariantError.
+    ever needed).  Each entry's integer row r over (lifted z, 1) is unlifted
+    in integers, to the primitive row of ((r_j - r_d)_{j<d}, r_last); the
+    (lambda, t) pair of ``defining_entries`` is that row over c.r_head.  A
+    zero unlifted normal with t <= 0 is a vacuous constraint and is dropped.
+    One with t > 0 cannot occur: the only weight that unlifts to zero
+    projects every lifted point to 0, so its t is 0.  It raises
+    InternalInvariantError.
     """
     lifted = lift_dataset(cloud)
     d1 = lifted.dim
@@ -106,18 +108,21 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
     basis = make_dual_basis(orthant, tuple(one for _ in range(d1)))
     sol = benson_dual_solve(lifted, level, basis)
     entries: list[tuple[Vector, Fraction]] = []
-    halfspaces: list[Halfspace] = []
-    for w, t in sol.entries:
-        lam = unlift_normal(w)
+    rows = []
+    for *head, last in sol.rows:
+        lam = [v - head[-1] for v in head[:-1]]
         if not any(lam):
-            if t > 0:
+            if last < 0:
                 raise InternalInvariantError(
                     "an entry with a zero unlifted normal has a positive offset"
                 )
             continue
-        entries.append((lam, t))
-        halfspaces.append(Halfspace(lam, t))
-    region = Polyhedron.from_hrep(halfspaces, dim=cloud.dim)
+        s = sum(head)  # c.r_head, with c all ones
+        entries.append((tuple(Fraction(v, s) for v in lam), Fraction(-last, s)))
+        rows.append(primitive((*lam, last)))
+    region = _region(
+        cloud, rows, lambda: tuple(Halfspace(lam, t) for lam, t in entries)
+    )
     return QuantileRegion(
         region=region,
         defining_entries=tuple(entries),
@@ -125,6 +130,27 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
         provenance=TUKEY_PROVENANCE,
         stats=sol.stats,
     )
+
+
+def _region(cloud: DataCloud, rows, halfspaces) -> Polyhedron:
+    """The region {z : r.(z, 1) >= 0 for each row r}, its rows ordered for
+    the double description: ascending in the signed squared distance from
+    the data centroid m to the row's hyperplane, so the rows the centroid
+    violates most come first and then the nearest ones, which are the
+    likeliest facets.  With M = N den m in integers, the key is that
+    distance times (N den)^2, floored, so it is exact and never overflows.
+    ``halfspaces`` builds the region's Halfspaces when they are read.
+    """
+    points, den = cloud.int_form
+    m = [sum(col) for col in zip(*points)]
+    nden = cloud.n * den
+
+    def key(r):
+        s = sum(map(mul, m, r)) + nden * r[-1]
+        q = s * s // sum(v * v for v in r[:-1])
+        return q if s >= 0 else -q
+
+    return Polyhedron._from_rows(sorted(rows, key=key), halfspaces, dim=cloud.dim)
 
 
 def region_membership(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -48,23 +49,35 @@ class BensonStats:
 
 @dataclass(frozen=True)
 class DualSolution:
-    """The irredundant optimal solution of the geometric dual.
+    """The irredundant optimal solution of the geometric dual, in integers.
 
-    ``entries`` are (w, t) pairs in the caller's coordinate frame: w lies on
-    the dual-cone basis exactly (Y w >= 0 and c.w = 1) and t is the direct
-    lower quantile of the projected sample.  The dual image is kept in the
-    solver's homogeneous integers only (see the module docstring):
-    ``vertex_rays`` are its vertices as rays (a, m, z0), one per entry and in
-    entry order, so the entry's solver-frame weight has coords a/z0 and its
-    loss minimum is m/z0; ``cut_rows`` are the cuts as rows r, in the order
-    they were made, each with r.v >= 0 at every vertex ray v.
+    ``rows`` hold one primitive row r per entry, in the caller's coordinate
+    frame: the entry's halfspace w.z >= t is r.(z, 1) >= 0.  ``entries``
+    reads them as (w, t) pairs, w = r_head / (c.r_head) and
+    t = -r_last / (c.r_head): w lies on the dual-cone basis exactly
+    (Y w >= 0 and c.w = 1) and t is the direct lower quantile of the
+    projected sample.  The dual image is kept in the solver's homogeneous
+    integers (see the module docstring): ``vertex_rays`` are its vertices as
+    rays (a, m, z0), one per entry and in entry order, so the entry's
+    solver-frame weight has coords a/z0 and its loss minimum is m/z0;
+    ``cut_rows`` are the cuts as rows r, in the order they were made, each
+    with r.v >= 0 at every vertex ray v.
     """
 
-    entries: tuple[tuple[Vector, Fraction], ...]
+    rows: tuple[IntVec, ...]
     basis: DualConeBasis
     stats: BensonStats
     vertex_rays: tuple[IntVec, ...]
     cut_rows: tuple[IntVec, ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Vector, Fraction], ...]:
+        cn, cd = common_denominator(self.basis.c)
+        entries = []
+        for *head, last in self.rows:
+            s = sum(map(mul, cn, head))  # c.r_head times cd, positive
+            entries.append((tuple(Fraction(cd * v, s) for v in head), Fraction(-cd * last, s)))
+        return tuple(entries)
 
 
 def _box_rows(basis: DualConeBasis) -> list[IntVec]:
@@ -211,16 +224,16 @@ def benson_dual_solve(
             "dual image recession cone is not the upward value ray"
         )
     final = _by_coords(vertices)
-    entries = []
+    # w.z >= t with w = W/wden and t = key/(wden den) is (den W).z - key >= 0
+    entry_rows = []
     for key, _ in final:
-        weight, wden, t, _, _ = cache[key]
-        w = tuple(Fraction(wj, wden) for wj in weight)
-        entries.append((basis.unpermute(w), Fraction(t, wden * den)))
+        weight, _, t, _, _ = cache[key]
+        entry_rows.append(primitive((*basis.unpermute([den * wj for wj in weight]), -t)))
     stats = BensonStats(
         rounds=rounds, cuts_added=len(cut_rows), scalarizations=scalarizations
     )
     return DualSolution(
-        entries=tuple(entries),
+        rows=tuple(entry_rows),
         basis=basis,
         stats=stats,
         vertex_rays=tuple(ray for _, ray in final),

@@ -13,7 +13,18 @@ from pathlib import Path
 
 import pytest
 
-from conequant import Halfspace, Polyhedron, QuantileRegion, parse_rational, poly_equal
+from conequant import (
+    DataCloud,
+    Halfspace,
+    Polyhedron,
+    QuantileLevel,
+    QuantileRegion,
+    parse_rational,
+    poly_equal,
+    quantile_region,
+    tukey_region,
+    validate_cone,
+)
 from conequant.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,18 +37,20 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_fresh(module, args):
-    """``python -m module args`` in a new interpreter that imports the
-    package under test, also when it is imported from a checkout."""
+def run_fresh(module, args, *, flags=(), timeout=None):
+    """``python flags -m module args`` in a new interpreter that imports the
+    package under test, also when it is imported from a checkout; it is
+    killed, failing the test, after ``timeout`` seconds."""
     import conequant
 
     src = str(Path(conequant.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, *args],
+        [sys.executable, *flags, "-m", module, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
 
 
@@ -283,6 +296,35 @@ class TestRegionDocuments:
         assert not plot.exists()
         assert err == f"note: plot {plot} not written: {reason}\n"
 
+    @pytest.mark.parametrize("cone", [None, [[1, 0], [0, 1]]])
+    def test_region_conversion_builds_no_halfspace(self, cone, square, monkeypatch, capsys):
+        """A region and its document are made from integer rows; Halfspace
+        objects are built only when a caller reads ``region.halfspaces``."""
+        made = []
+        real = Halfspace.__post_init__
+
+        def counted(h):
+            made.append(h)
+            real(h)
+
+        monkeypatch.setattr(Halfspace, "__post_init__", counted)
+        args = ["tukey", square, "--p", "3/10"]
+        if cone is not None:  # the orthant of orthant2.txt
+            args = ["region", square, "--p", "3/10", "--cone", str(GOLDEN / "orthant2.txt")]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and json.loads(out)["vertices"]
+        assert made == []
+        cloud = DataCloud.from_rows([[0, 0], [1, 0], [0, 1], [1, 1]])
+        level = QuantileLevel(Fraction(3, 10), 4)
+        if cone is None:
+            reg = tukey_region(cloud, level)
+        else:
+            reg = quantile_region(cloud, level, validate_cone(cone))
+        reg.region.vertices, reg.region.rays, reg.region.is_empty
+        assert made == []
+        hs = reg.region.halfspaces
+        assert len(hs) == len(reg.defining_entries) and len(made) >= len(hs)
+
 
 class TestInternalInvariant:
     def test_broken_invariant_exits_4(self, square, value_below_vertex, capsys):
@@ -481,6 +523,15 @@ class TestDepthAndVerify:
         assert "error:" in err and "--trials" in err
         assert out == ""
 
+    def test_huge_exponent_fails_fast(self):
+        # 10**20000000 alone would take minutes to build
+        proc = run_fresh(
+            "conequant", ["depth", str(GOLDEN / "square.csv"), "1e20000000,0"], timeout=60
+        )
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert line == "error: cannot parse rational from '1e20000000'"
+
     def test_missing_file_exits_1(self, capsys):
         code, _, _ = run_cli(["depth", "nope.csv", "0,0"], capsys)
         assert code == 1
@@ -525,6 +576,13 @@ class TestDeterminism:
         proc = run_fresh("conequant", ["tukey", str(GOLDEN / "square.csv"), "--p", "3/10"])
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "square_tukey_p3_10.json").read_text()
+
+    def test_golden_document_under_optimize_flag(self):
+        # python -O strips assert statements; the solve must not depend on any
+        args = ["region", str(GOLDEN / "twopoint.csv"), "--p", "3/4"]
+        proc = run_fresh("conequant", [*args, "--cone", str(GOLDEN / "orthant2.txt")], flags=["-O"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "twopoint_orthant_p3_4.json").read_text()
 
 
 class TestRepeatedCalls:

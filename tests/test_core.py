@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,9 @@ from conequant.core import Cone, _certify_interior
 from conftest import lp_certify_interior, lp_validate_cone, random_cloud, random_direction
 
 F = Fraction
+NEEDS_INT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
+)
 
 
 class TestRational:
@@ -53,7 +57,8 @@ class TestRational:
 
     def test_grammar_is_fractions(self):
         """parse_rational reads exactly what Fraction reads from the stripped
-        text, integer tokens included, and refuses the rest with ValueError."""
+        text, integer tokens included, except an exponent beyond the integer
+        string limit, and refuses the rest with ValueError."""
         corpus = [
             "12", " 12 ", "+12", "-0", "007", "1_000", "1__0", "_1", "1_", "١٢",
             "\t3", "1e3", "1.", ".5", "-3/4", "1/0", "0x10", "inf", "nan", "", "-",
@@ -61,15 +66,38 @@ class TestRational:
         ]
         rng = random.Random(12)
         corpus += ["".join(rng.choices("0189_+-./eE ١\t", k=rng.randint(1, 6))) for _ in range(3000)]
+        limit = getattr(sys, "get_int_max_str_digits", int)()
         for text in corpus:
             try:
                 want = Fraction(text.strip())
+                _, e, exponent = text.lower().rpartition("e")
+                if e and limit and abs(int(exponent)) > limit:
+                    raise ValueError(text)
             except (ValueError, ZeroDivisionError):
                 with pytest.raises(ValueError):
                     parse_rational(text)
             else:
                 got = parse_rational(text)
                 assert (type(got), got) == (Fraction, want), text
+
+    @NEEDS_INT_LIMIT
+    def test_exponent_beyond_the_integer_string_limit_rejected(self):
+        """Building 10**20000000 would stall for minutes; such an exponent is
+        refused at once, while one within the limit still parses exactly."""
+        for text in ("1e20000000", "1e-20000000", "-2.5E+20000000"):
+            with pytest.raises(ValueError, match="cannot parse rational"):
+                parse_rational(text)
+        assert parse_rational("1e4000") == 10**4000
+        assert parse_rational("1e-4000") == Fraction(1, 10**4000)
+
+    @NEEDS_INT_LIMIT
+    def test_no_integer_string_limit_means_no_exponent_bound(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert parse_rational("1e5000") == 10**5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDataCloud:
@@ -307,7 +335,7 @@ def test_package_source_has_no_assert():
     """Invariants raise InternalInvariantError, which survives python -O; an
     assert statement would vanish there."""
     offenders = []
-    for path in sorted(Path(conequant.__file__).parent.glob("*.py")):
+    for path in sorted(Path(conequant.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [
             f"{path.name}:{node.lineno}"

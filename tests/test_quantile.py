@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -27,7 +27,13 @@ from conequant import (
     validate_cone,
 )
 from conequant.oracle import check_region, oracle_region_2d
-from conftest import assert_depth_brackets, random_cloud, random_cone, random_valid_level
+from conftest import (
+    assert_depth_brackets,
+    depth_level,
+    random_cloud,
+    random_cone,
+    random_valid_level,
+)
 
 F = Fraction
 
@@ -146,12 +152,81 @@ class TestTukeyRegion:
 
         def with_bad_entry(cloud, level, basis):
             sol = real(cloud, level, basis)
-            apex = tuple(F(1, cloud.dim) for _ in range(cloud.dim))
-            return SimpleNamespace(entries=sol.entries + ((apex, F(1)),), stats=sol.stats)
+            # the apex weight (1/d, ..., 1/d) with t = 1, as the row r with
+            # r.(z, 1) = d (w.z - t)
+            apex = (1,) * cloud.dim + (-cloud.dim,)
+            return dataclasses.replace(sol, rows=sol.rows + (apex,))
 
         monkeypatch.setattr(quantile, "benson_dual_solve", with_bad_entry)
         with pytest.raises(InternalInvariantError):
             tukey_region(SQUARE, QuantileLevel(F(3, 10), 4))
+
+
+def _row_corpus(rng):
+    """(cloud, cone or None) pairs for the integer-row regions: seeded clouds
+    in d = 1-4, collinear clouds, duplicate points, N = 1, coordinates of
+    size 10**12/10**9 and one cloud whose common denominator is about
+    10**190, where the scaled squared distances of the row order would
+    overflow a float."""
+    corpus = []
+    for dim, n in ((1, 6), (2, 9), (3, 8), (4, 6)):
+        corpus.append((random_cloud(rng, n, dim, span=9), None))
+        corpus.append((random_cloud(rng, n, dim, span=9), random_cone(rng, dim)))
+    line = [(t, 2 * t - 1, -t) for t in (rng.randint(-5, 5) for _ in range(6))]
+    corpus.append((DataCloud.from_rows(line), None))
+    corpus.append((DataCloud.from_rows([r[:2] for r in line]), random_cone(rng, 2)))
+    twice = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(4)] * 2
+    corpus.append((DataCloud.from_rows(twice), None))
+    corpus.append((DataCloud.from_rows(twice), random_cone(rng, 3)))
+    corpus.append((DataCloud.from_rows([[F(7, 3), F(-1, 2)]]), None))
+    corpus.append((DataCloud.from_rows([[F(7, 3), F(-1, 2), 5]]), random_cone(rng, 3)))
+    big = [
+        [F(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) for _ in range(3)]
+        for _ in range(6)
+    ]
+    corpus.append((DataCloud.from_rows(big), None))
+    huge = [
+        [F(rng.randint(-10**6, 10**6), 3 ** rng.randint(0, 400)) for _ in range(2)]
+        for _ in range(7)
+    ]
+    corpus.append((DataCloud.from_rows(huge), None))
+    corpus.append((DataCloud.from_rows(huge), random_cone(rng, 2)))
+    return corpus
+
+
+class TestIntegerRows:
+    """A solved region is built from the dual solve's integer rows; its
+    V-representation and its halfspaces match the intersection of the
+    defining entries' Fraction halfspaces."""
+
+    def test_rows_give_the_region_of_the_entries(self):
+        rng = random.Random(68)
+        empty = 0
+        for cloud, cone in _row_corpus(rng):
+            if cone is None:
+                # a depth up to N/2, whose region is seldom empty, and N
+                solves = [
+                    tukey_region(cloud, depth_level(k, cloud.n))
+                    for k in (rng.randint(1, (cloud.n + 1) // 2), cloud.n)
+                ]
+            else:
+                solves = [
+                    quantile_region(cloud, random_valid_level(rng, cloud.n, max_den=12), cone)
+                ]
+            for reg in solves:
+                hs = tuple(Halfspace(w, t) for w, t in reg.defining_entries)
+                if cone is not None:
+                    hs = tuple(sorted(hs, key=Halfspace.key))
+                want = Polyhedron.from_hrep(hs, dim=cloud.dim)
+                got = reg.region
+                assert (got.is_empty, got.vertices, got.rays) == (
+                    want.is_empty,
+                    want.vertices,
+                    want.rays,
+                )
+                assert got.halfspaces == hs and got.equations == ()
+                empty += got.is_empty
+        assert 0 < empty < 10
 
 
 class TestMembership:

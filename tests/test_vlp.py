@@ -221,7 +221,7 @@ class TestHalfspacesOf:
         basis = make_dual_basis(validate_cone([[1]]))
         sol = benson_dual_solve(cloud, QuantileLevel(F(1, 3), 1), basis)
         hollow = DualSolution(
-            entries=(),
+            rows=(),
             basis=sol.basis,
             stats=sol.stats,
             vertex_rays=(),
