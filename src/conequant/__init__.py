@@ -61,7 +61,6 @@ from .quantile import (
     region_membership,
     tukey_depth,
     tukey_region,
-    unlift_normal,
 )
 from .univariate import (
     ScalarSample,
@@ -131,6 +130,5 @@ __all__ = [
     "simplex_solve",
     "tukey_depth",
     "tukey_region",
-    "unlift_normal",
     "validate_cone",
 ]

@@ -22,6 +22,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from pathlib import Path
 
 from ._linalg import angle_key
@@ -29,6 +30,7 @@ from .core import (
     DataCloud,
     QuantileLevel,
     format_rational,
+    parse_int_row,
     parse_rational,
     validate_cone,
 )
@@ -64,7 +66,8 @@ def _read_text(path: str) -> str:
 
 def load_points(path: str) -> DataCloud:
     """CSV cloud: one point per row, rational or decimal entries, lines
-    starting with '#' are comments."""
+    starting with '#' are comments.  The cloud is read straight into integer
+    rows over the least common denominator of its entries."""
     text = _read_text(path)
     rows = []
     for ln, line in enumerate(text.splitlines(), 1):
@@ -72,15 +75,18 @@ def load_points(path: str) -> DataCloud:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([parse_rational(tok) for tok in line.split(",")])
+            rows.append(parse_int_row(line.split(",")))
         except ValueError as exc:
             raise CliInputError(f"{path}:{ln}: {exc}") from exc
     if not rows:
         raise CliInputError(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    width = len(rows[0][0])
+    if any(len(r) != width for r, _ in rows):
         raise CliInputError(f"{path}: rows have inconsistent column counts")
-    return DataCloud.from_rows(rows)
+    den = lcm(*{d for _, d in rows})
+    return DataCloud.from_int_form(
+        [r if d == den else tuple(a * (den // d) for a in r) for r, d in rows], den
+    )
 
 
 def load_cone(path: str) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...] | None]:

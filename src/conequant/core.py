@@ -1,10 +1,13 @@
 """Domain types: data clouds, quantile levels, cones and dual-cone bases.
 
-All scalars are exact rationals (``fractions.Fraction``).  Every type here
-is an immutable value.
+All scalars are exact rationals (``fractions.Fraction``), except that a data
+cloud is kept as integer rows over one common denominator and is read as
+Fractions only on demand.  Every type here is an immutable value.
 
-Text scalars are read by :func:`parse_rational`, which accepts exactly what
-``Fraction`` accepts from a string, with surrounding whitespace ignored:
+Text scalars are read by :func:`parse_rational`, and a row of them by
+:func:`parse_int_row` as integers over one denominator.  Both accept exactly
+what ``Fraction`` accepts from a string, with surrounding whitespace
+ignored:
 
 * a fraction ``[sign] digits "/" digits``, e.g. "-3/4" (no sign after the
   slash, nonzero denominator);
@@ -65,6 +68,18 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"cannot parse rational from {text!r}") from exc
 
 
+def parse_int_row(tokens) -> tuple[tuple[int, ...], int]:
+    """Rational tokens, read as ``parse_rational`` reads them, as integers
+    over their least common positive denominator.  A row of integer tokens
+    is read by int() alone and builds no Fraction."""
+    try:
+        return tuple(map(int, tokens)), 1
+    except ValueError:
+        qs = [parse_rational(tok) for tok in tokens]
+    den = math.lcm(*(q.denominator for q in qs))
+    return tuple(q.numerator * (den // q.denominator) for q in qs), den
+
+
 def format_rational(q: Fraction) -> str:
     """Render a rational as "a" or "a/b" (lowest terms, positive denominator)."""
     if type(q) is not Fraction:
@@ -79,39 +94,70 @@ def as_vector(values) -> Vector:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DataCloud:
-    """A finite collection of N points in d dimensions, duplicates allowed."""
+    """A finite collection of N points in d dimensions, duplicates allowed.
 
-    points: tuple[Vector, ...]
+    The cloud is kept as ``int_form``: integer rows over the least common
+    positive denominator of all coordinates.  ``points`` is the same cloud as
+    tuples of rationals, built the first time it is read, or the tuple the
+    cloud was constructed from.  Equality and hashing are by value.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise DimensionMismatch("a data cloud needs at least one point")
-        d = len(self.points[0])
-        if d < 1:
-            raise DimensionMismatch("points must have at least one coordinate")
-        if any(len(p) != d for p in self.points):
-            raise DimensionMismatch("all points must share the same dimension")
+    int_form: tuple[list[tuple[int, ...]], int]
+
+    def __init__(self, points) -> None:
+        d = _row_width(points)
+        flat, den = _linalg.common_denominator([c for p in points for c in p])
+        rows = [tuple(flat[i : i + d]) for i in range(0, len(flat), d)]
+        self.__dict__.update(int_form=(rows, den), points=points)
 
     @classmethod
     def from_rows(cls, rows) -> "DataCloud":
         return cls(tuple(as_vector(row) for row in rows))
 
+    @classmethod
+    def from_int_form(cls, rows, den: int) -> "DataCloud":
+        """The cloud of the points row / den, for a list of integer row
+        tuples and a positive integer den."""
+        _row_width(rows)
+        if den != 1:
+            g = math.gcd(den, *(c for row in rows for c in row))
+            if g != 1:
+                rows, den = [tuple(c // g for c in row) for row in rows], den // g
+        cloud = cls.__new__(cls)
+        cloud.__dict__["int_form"] = (rows, den)
+        return cloud
+
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.int_form[0])
 
     @property
     def dim(self) -> int:
-        return len(self.points[0])
+        return len(self.int_form[0][0])
 
     @cached_property
-    def int_form(self) -> tuple[list[tuple[int, ...]], int]:
-        """Points as integer rows over one common positive denominator."""
-        flat, den = _linalg.common_denominator([c for p in self.points for c in p])
-        d = self.dim
-        return [tuple(flat[i : i + d]) for i in range(0, len(flat), d)], den
+    def points(self) -> tuple[Vector, ...]:
+        rows, den = self.int_form
+        return tuple(tuple(Fraction(c, den) for c in row) for row in rows)
+
+    def __hash__(self) -> int:
+        # the rows are a list, which the generated hash could not hash
+        rows, den = self.int_form
+        return hash((tuple(rows), den))
+
+
+def _row_width(rows) -> int:
+    """The common length d >= 1 of a nonempty sequence of rows."""
+    if not rows:
+        raise DimensionMismatch("a data cloud needs at least one point")
+    d = len(rows[0])
+    if d < 1:
+        raise DimensionMismatch("points must have at least one coordinate")
+    if any(len(r) != d for r in rows):
+        raise DimensionMismatch("all points must share the same dimension")
+    return d
 
 
 @dataclass(frozen=True)

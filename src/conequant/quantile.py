@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from functools import cmp_to_key
+from itertools import accumulate
+from math import gcd, lcm
+from operator import mul, sub
 
-from ._linalg import angle_key, common_denominator, int_rank, primitive
+from ._linalg import common_denominator, int_rank, primitive
 from .core import (
     Cone,
     DataCloud,
@@ -68,22 +70,11 @@ def quantile_region(
 
 
 def lift_dataset(cloud: DataCloud) -> DataCloud:
-    """Append the negated coordinate sum so every lifted point sums to zero."""
-    return DataCloud(
-        tuple(p + (-sum(p, Fraction(0)),) for p in cloud.points)
-    )
-
-
-def unlift_normal(w) -> Vector:
-    """Collapse a lifted normal: subtract the last component from the rest.
-
-    Satisfies w.lift(x) = unlift(w).x for every point x.
-    """
-    w_vec = as_vector(w)
-    if len(w_vec) < 2:
-        raise DimensionMismatch("an unliftable normal needs at least 2 components")
-    last = w_vec[-1]
-    return tuple(wi - last for wi in w_vec[:-1])
+    """Append the negated coordinate sum so every lifted point sums to zero:
+    each integer row of ``cloud.int_form`` gets -sum(row) over the same
+    denominator, so no rational point is built."""
+    rows, den = cloud.int_form
+    return DataCloud.from_int_form([(*row, -sum(row)) for row in rows], den)
 
 
 def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
@@ -206,17 +197,20 @@ def _depth(cloud: DataCloud, z, generators) -> int:
     rows, den = cloud.int_form
     z_ints, z_den = common_denominator(z_vec)
     scale = lcm(den, z_den)
-    x_mul = scale // den
+    if scale != den:
+        rows = [tuple(a * (scale // den) for a in row) for row in rows]
     z_ints = [c * (scale // z_den) for c in z_ints]
     at_z = 0
     counts: dict[tuple[int, ...], int] = {}
     for row in rows:
-        y = tuple(a * x_mul - b for a, b in zip(row, z_ints))
-        if any(y):
-            y = primitive(y)
-            counts[y] = counts.get(y, 0) + 1
-        else:
+        y = tuple(map(sub, row, z_ints))
+        g = gcd(*y)
+        if g == 0:
             at_z += 1
+            continue
+        if g > 1:
+            y = tuple(v // g for v in y)
+        counts[y] = counts.get(y, 0) + 1
     for g in generators:
         if any(g):
             g = primitive(g)
@@ -276,23 +270,35 @@ def _plane_coords(counts: dict[tuple[int, ...], int]) -> dict[tuple[int, int], i
     return plane
 
 
+# counter-clockwise order within the upper half-plane: u before v iff u x v > 0
+_upper_angle_key = cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1])
+
+
 def _planar_least_count(counts: dict[tuple[int, int], int]) -> int:
     """Least #{y : w.y < 0} over planar w orthogonal to no y, by one
-    angular sweep.  Turning w counter-clockwise, y starts to count at
-    rot90(y) and stops at rot270(y)."""
+    angular sweep (Rousseeuw & Ruts, AS 307, 1996).  Turning w
+    counter-clockwise, y starts to count at rot90(y) and stops at
+    rot270(y) = -rot90(y).
+
+    So the events come in opposite pairs with opposite steps, and exactly
+    one of each pair lies in the upper half-plane H: b > 0, or b = 0 and
+    a > 0.  A half turn maps H onto the other half in the same angular order,
+    so the sweep's whole order is the events in H, sorted, followed by their
+    negations: only half of the events are sorted.  Within H, u comes before
+    v exactly when the cross product u x v is positive.
+    """
     events: dict[tuple[int, int], int] = {}
     for (a, b), c in counts.items():
-        events[(-b, a)] = events.get((-b, a), 0) + c
-        events[(b, -a)] = events.get((b, -a), 0) - c
-    order = sorted(events, key=angle_key)
+        if a > 0 or (a == 0 and b < 0):  # rot90(y) = (-b, a) is in H
+            events[(-b, a)] = events.get((-b, a), 0) + c
+        else:
+            events[(b, -a)] = events.get((b, -a), 0) - c
+    order = sorted(events, key=_upper_angle_key)
+    steps = [events[e] for e in order]
+    steps += [-s for s in steps]
     # the count just counter-clockwise of the first event, at g + eps*rot90(g)
     g0, g1 = order[0]
     count = sum(
         c for (a, b), c in counts.items() if (g0 * a + g1 * b, g0 * b - g1 * a) < (0, 0)
     )
-    best = count
-    for e in order[1:]:
-        count += events[e]
-        if count < best:
-            best = count
-    return best
+    return min(accumulate(steps[1:], initial=count))

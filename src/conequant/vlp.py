@@ -131,11 +131,9 @@ def benson_dual_solve(
     if level.n != cloud.n:
         raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
     d = basis.dim
+    rows, den = cloud.int_form
     if basis.is_permuted:
-        solver_cloud = DataCloud(tuple(basis.permute(p) for p in cloud.points))
-    else:
-        solver_cloud = cloud
-    rows, den = solver_cloud.int_form
+        rows = [basis.permute(row) for row in rows]
     cols = list(zip(*rows))
     cn, cd = common_denominator(basis.solver_c)
     cn_head, c_last = cn[:-1], cn[-1]

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from conequant import (
     tukey_region,
     validate_cone,
 )
-from conequant.cli import _build_parser, main
+from conequant.cli import CliInputError, _build_parser, load_points, main
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
@@ -126,6 +127,100 @@ class TestUniquantile:
         code, _, err = run_cli(["uniquantile", str(data), "--p", "1/3"], capsys)
         assert code == 1
         assert "cannot parse rational from 'inf'" in err
+
+
+class TestLoadPoints:
+    """``load_points`` reads a CSV cloud straight into integer rows; it reads
+    exactly what parsing every entry with ``parse_rational`` reads."""
+
+    GRAMMAR = [
+        "12", " 12 ", "+12", "-0", "007", "1_000", "1__0", "_1", "1_", "١٢",
+        "\t3", "1e3", "1.", ".5", "-3/4", "1/0", "0x10", "inf", "nan", "", "-",
+        "1" * 5000, "2.50", "-1.5e-2", "6/4", "١.٥",
+    ]
+
+    @staticmethod
+    def fraction_load(path: str, text: str):
+        """The cloud, or the error message, from parsing each entry into a
+        Fraction and building the cloud from those rows."""
+        rows = []
+        for ln, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                rows.append([parse_rational(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                return f"{path}:{ln}: {exc}"
+        if not rows:
+            return f"{path}: no data rows"
+        if any(len(r) != len(rows[0]) for r in rows):
+            return f"{path}: rows have inconsistent column counts"
+        return DataCloud.from_rows(rows)
+
+    def test_matches_fraction_parsing(self, tmp_path):
+        rng = random.Random(13)
+        tokens = self.GRAMMAR + [
+            "".join(rng.choices("0189_+-./eE ١\t", k=rng.randint(1, 6))) for _ in range(1500)
+        ]
+        path = tmp_path / "cloud.csv"
+        outcomes = {DataCloud: 0, str: 0}
+        for i, tok in enumerate(tokens):
+            layouts = [
+                f"# comment\n\n{tok}\n",
+                f"1,2\n\n  # {tok}\n-3, 0.25\n{tok},7/3\n",
+                f"5,{tok}\n1.5e1,-2\n",
+                f"{tok},{tok}\n3\n",
+            ]
+            text = layouts[i % len(layouts)]
+            path.write_text(text)
+            want = self.fraction_load(str(path), text)
+            outcomes[type(want)] += 1
+            try:
+                got = load_points(str(path))
+            except CliInputError as exc:
+                assert str(exc) == want, repr(text)
+                continue
+            assert isinstance(want, DataCloud), repr(text)
+            assert (got.points, got.int_form) == (want.points, want.int_form), repr(text)
+            rebuilt = DataCloud(want.points)
+            assert rebuilt == got and hash(rebuilt) == hash(got), repr(text)
+        assert min(outcomes.values()) > 100, outcomes  # both branches are exercised
+
+    def test_error_line_reaches_stderr(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("# header\n1,2\n\n3,0x10\n")
+        code, out, err = run_cli(["depth", str(data), "0,0"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {data}:4: cannot parse rational from '0x10'\n"
+
+    def test_commands_build_no_fraction_cloud(self, monkeypatch, capsys):
+        """depth, tukey and region work on the integer rows alone; only
+        uniquantile and verify read the cloud's rational points."""
+
+        def refuse(cloud):
+            raise AssertionError("built the rational points of a cloud")
+
+        monkeypatch.setattr(DataCloud, "points", property(refuse))
+        square = str(GOLDEN / "square.csv")
+        for point, want in [("1/2,1/2", "2\n"), ("5,5", "0\n"), ("0,0", "1\n")]:
+            assert run_cli(["depth", square, point], capsys) == (0, want, "")
+        code, out, _ = run_cli(["tukey", square, "--p", "3/10"], capsys)
+        assert (code, out) == (0, (GOLDEN / "square_tukey_p3_10.json").read_text())
+        code, out, _ = run_cli(
+            ["region", str(GOLDEN / "twopoint.csv"), "--p", "3/4",
+             "--cone", str(GOLDEN / "orthant2.txt")],
+            capsys,
+        )
+        assert (code, out) == (0, (GOLDEN / "twopoint_orthant_p3_4.json").read_text())
+        uni = ["uniquantile", str(GOLDEN / "univariate.csv"), "--p", "1/2"]
+        with pytest.raises(AssertionError, match="rational points"):
+            main(uni)
+        monkeypatch.undo()
+        code, out, _ = run_cli(uni, capsys)
+        assert code == 0 and out.startswith("q=")
+        code, out, _ = run_cli(["verify", square, "--p", "3/10"], capsys)
+        assert code == 0 and out.startswith("exact depth check:")
 
 
 class TestRegionDocuments:

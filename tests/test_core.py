@@ -121,6 +121,20 @@ class TestDataCloud:
             assert tuple(Fraction(a, den) for a in row) == point
 
 
+    def test_integer_rows_are_the_stored_form(self):
+        cloud = DataCloud.from_int_form([(2, 4), (6, -3)], 6)
+        assert (cloud.n, cloud.dim) == (2, 2)
+        assert "points" not in vars(cloud)  # n and dim read the integer rows
+        assert cloud.points == ((F(1, 3), F(2, 3)), (F(1), F(-1, 2)))
+        scaled = DataCloud.from_int_form([(4, 8), (12, -6)], 12)
+        assert scaled.int_form == ([(2, 4), (6, -3)], 6)  # least denominator
+        rebuilt = DataCloud(cloud.points)
+        assert scaled == cloud == rebuilt
+        assert len({scaled, cloud, rebuilt}) == 1
+        assert cloud != DataCloud.from_int_form([(2, 4), (6, -3)], 7)
+        with pytest.raises(AttributeError):
+            cloud.points = ()
+
 class TestQuantileLevel:
     def test_ceiling_threshold(self):
         level = QuantileLevel(Fraction(1, 2), 5)
@@ -360,7 +374,7 @@ PUBLIC = [
     "oracle_region_2d", "parse_rational", "pinball_loss", "poly_contains",
     "poly_equal", "project_data", "quantile_direct", "quantile_region",
     "region_membership", "remove_redundant", "simplex_solve", "tukey_depth",
-    "tukey_region", "unlift_normal", "validate_cone",
+    "tukey_region", "validate_cone",
 ]
 
 

@@ -6,8 +6,9 @@ derandomized hypothesis profile in conftest.py."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conequant import DataCloud, tukey_depth, validate_cone
@@ -125,6 +126,58 @@ def test_matches_region_sweep_up_to_the_plane(case):
     points, z = case
     cloud = DataCloud.from_rows(points)
     assert_depth_brackets(cloud, z, tukey_depth(cloud, z))
+
+
+def brute_planar_depth(points, z) -> int:
+    """Planar Tukey depth by brute force, with no angular sort: the least
+    #{i : w.y_i <= 0}, y_i = x_i - z scaled to integers, over a direction w
+    strictly inside every open arc between consecutive normals of the y_i.
+
+    The normals rot90(y) and rot270(y) come in opposite pairs, so no arc
+    is longer than a half turn.  n + m lies strictly inside the arc from n to
+    a next normal m when that arc is shorter, and rot90(n) when it is a half
+    turn; (1, 0) covers a cloud with no normal.  Every candidate's count is
+    that of a real closed halfplane through z, so none undercuts the depth.
+    """
+    den = lcm(*(F(c).denominator for c in (*z, *(c for p in points for c in p))))
+    ys = [tuple(int((F(a) - F(b)) * den) for a, b in zip(p, z)) for p in points]
+    normals = {n for a, b in ys if (a, b) != (0, 0) for n in ((-b, a), (b, -a))}
+    dirs = {(1, 0)} | {(-b, a) for a, b in normals}
+    dirs |= {(n[0] + m[0], n[1] + m[1]) for n in normals for m in normals}
+    dirs.discard((0, 0))
+    return min(sum(1 for y in ys if w[0] * y[0] + w[1] * y[1] <= 0) for w in dirs)
+
+
+@st.composite
+def planar_cloud_and_query(draw):
+    """Up to 9 planar points with coordinates in [-3, 3], or on one line,
+    so that duplicate points, collinear clouds and sweep events on the axes
+    (points level with the query or straight above it) are common; the
+    query is a data point, a lattice point or a rational point."""
+    coord = st.integers(-3, 3)
+    if draw(st.booleans()):
+        points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=9))
+    else:
+        (a, b), (u, v) = draw(st.tuples(coord, coord)), draw(st.tuples(coord, coord))
+        ts = draw(st.lists(coord, min_size=1, max_size=9))
+        points = [(a + t * u, b + t * v) for t in ts]
+    query = draw(
+        st.one_of(
+            st.sampled_from(points),
+            st.tuples(coord, coord),
+            st.tuples(*[st.fractions(-4, 4, max_denominator=3)] * 2),
+        )
+    )
+    return points, tuple(map(F, query))
+
+
+@settings(max_examples=300)
+@given(planar_cloud_and_query())
+@example(([(0, 0), (0, 1), (0, -1), (1, 0)], (F(0), F(0))))
+@example(([(1, 1), (1, -2), (-1, 0), (3, 0)], (F(1), F(0))))
+def test_planar_sweep_matches_brute_force(case):
+    points, z = case
+    assert depth(points, z) == brute_planar_depth(points, z)
 
 
 @EXAMPLES

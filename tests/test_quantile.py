@@ -23,7 +23,6 @@ from conequant import (
     remove_redundant,
     tukey_depth,
     tukey_region,
-    unlift_normal,
     validate_cone,
 )
 from conequant.oracle import check_region, oracle_region_2d
@@ -95,21 +94,17 @@ class TestLifting:
         for p in lift_dataset(cloud).points:
             assert sum(p) == 0
 
-    def test_unlift_examples(self):
-        assert unlift_normal(("1/5", "3/10", "1/2")) == (F(-3, 10), F(-1, 5))
-        assert unlift_normal((1, 1, 1)) == (F(0), F(0))
-        assert unlift_normal((1, 0, 0)) == (F(1), F(0))
-
     def test_unlift_identity(self):
+        """w.lift(x) = (w_j - w_d)_{j<d}.x for every point x and lifted
+        normal w, the identity by which a Tukey entry is unlifted."""
         rng = random.Random(63)
         for _ in range(100):
             d = rng.randint(1, 4)
             x = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d))
             w = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d + 1))
-            lifted = x + (-sum(x),)
+            (lifted,) = lift_dataset(DataCloud.from_rows([x])).points
             lhs = sum(a * b for a, b in zip(w, lifted))
-            lam = unlift_normal(w)
-            rhs = sum(a * b for a, b in zip(lam, x))
+            rhs = sum((wj - w[-1]) * xj for wj, xj in zip(w, x))
             assert lhs == rhs
 
 
