@@ -73,7 +73,6 @@ from .vlp import (
     DualSolution,
     basis_vertices,
     benson_dual_solve,
-    halfspaces_of,
 )
 
 __version__ = "0.1.0"
@@ -112,7 +111,6 @@ __all__ = [
     "build_lp_dual",
     "critical_directions",
     "format_rational",
-    "halfspaces_of",
     "lift_dataset",
     "make_dual_basis",
     "membership_sample",

@@ -76,8 +76,8 @@ def parse_int_row(tokens) -> tuple[tuple[int, ...], int]:
         return tuple(map(int, tokens)), 1
     except ValueError:
         qs = [parse_rational(tok) for tok in tokens]
-    den = math.lcm(*(q.denominator for q in qs))
-    return tuple(q.numerator * (den // q.denominator) for q in qs), den
+    nums, den = _linalg.common_denominator(qs)
+    return tuple(nums), den
 
 
 def format_rational(q: Fraction) -> str:
@@ -294,10 +294,6 @@ class DualConeBasis:
     @cached_property
     def solver_c(self) -> Vector:
         return self.permute(self.c)
-
-    @cached_property
-    def solver_generators(self) -> tuple[Vector, ...]:
-        return tuple(self.permute(g) for g in self.cone.generators)
 
     @property
     def sigma(self) -> int:

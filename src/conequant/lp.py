@@ -264,21 +264,21 @@ class _Simplex:
                 if self.status[j] == _AT_LO
                 else self.hi[j] if self.status[j] == _AT_UP else Fraction(0)
             )
-            pv = self.T[leave_row][j]
+            # a column where the pivot row is zero keeps its value in every
+            # row and in r, so only the pivot row's nonzeros are updated
             prow = self.T[leave_row]
-            if pv != 1:
-                inv = 1 / pv
-                self.T[leave_row] = prow = [v * inv for v in prow]
-            for i in range(m):
-                if i == leave_row:
-                    continue
-                f = self.T[i][j]
+            pv = prow[j]
+            nonzeros = []
+            for k, v in enumerate(prow):
+                if v != 0:
+                    if pv != 1:
+                        prow[k] = v = v / pv
+                    nonzeros.append((k, v))
+            for row in (*self.T[:leave_row], *self.T[leave_row + 1 :], self.r):
+                f = row[j]
                 if f != 0:
-                    row = self.T[i]
-                    self.T[i] = [a - f * b for a, b in zip(row, prow)]
-            fr = self.r[j]
-            if fr != 0:
-                self.r = [a - fr * b for a, b in zip(self.r, prow)]
+                    for k, v in nonzeros:
+                        row[k] -= f * v
             self.xb[leave_row] = start + dirn * delta
             self.status[self.basis[leave_row]] = leave_hit
             self.status[j] = _BASIC

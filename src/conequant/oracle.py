@@ -207,10 +207,12 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
     Tukey region, in {0}.  T is in R: every halfspace w.z >= t of R's own
     H-representation, with an equation counted as two opposite halfspaces,
     has w in C+ and t = q(w).  So R = T with no tolerance, and an empty R
-    passes only when all its halfspaces are quantile halfspaces.  A solved
-    region's halfspaces are its defining entries, all quantile halfspaces;
-    an H-representation derived from vertices may bound a lower-dimensional
-    R = T by other normals, and is then refuted.
+    passes only when all its halfspaces are quantile halfspaces.  Both tests
+    hold at any positive scale of (w, t), since q(sw) = s q(w) for s > 0.  A
+    solved region's halfspaces are its defining entries up to a positive
+    scale, all quantile halfspaces; an H-representation derived from
+    vertices may bound a lower-dimensional R = T by other normals, and is
+    then refuted.
     """
     provenance = TUKEY_PROVENANCE if cone is None else CONE_PROVENANCE
     if result.provenance != provenance:

@@ -368,13 +368,11 @@ class Polyhedron:
     The set value is immutable; representation conversions are cached on the
     instance.  Halfspaces are kept exactly as supplied (callers rely on the
     echo); canonical forms are used for comparisons and ordering only.  A
-    polyhedron made from integer rows builds its Halfspaces only when they
-    are read.
+    polyhedron made from primitive integer rows r echoes them as the
+    halfspaces r_head.z >= -r_last, in their order, built when first read.
     """
 
-    __slots__ = (
-        "_dim", "_halfspaces", "_equations", "_vertices", "_rays", "_empty", "_rows", "_view"
-    )
+    __slots__ = ("_dim", "_halfspaces", "_equations", "_vertices", "_rays", "_empty", "_rows")
 
     def __init__(self, dim, halfspaces, equations, vertices, rays, empty) -> None:
         self._dim = dim
@@ -383,7 +381,7 @@ class Polyhedron:
         self._vertices = vertices
         self._rays = rays
         self._empty = empty
-        self._rows = self._view = None
+        self._rows = None
 
     @classmethod
     def from_hrep(cls, halfspaces, equations=(), *, dim: int) -> "Polyhedron":
@@ -398,13 +396,11 @@ class Polyhedron:
         return cls(dim, hs, eqs, None, None, None)
 
     @classmethod
-    def _from_rows(cls, rows, halfspaces, *, dim: int) -> "Polyhedron":
+    def _from_rows(cls, rows, *, dim: int) -> "Polyhedron":
         """The polyhedron {z : r.(z, 1) >= 0 for every row r}, from primitive
-        integer rows, which the V-representation takes in the order given.
-        ``halfspaces()`` returns the same constraints as Halfspaces; it runs
-        when they are first read."""
+        integer rows, which the V-representation takes in the order given."""
         p = cls(dim, None, None, None, None, None)
-        p._rows, p._view = tuple(rows), halfspaces
+        p._rows = tuple(rows)
         return p
 
     @classmethod
@@ -533,7 +529,8 @@ class Polyhedron:
         if self._halfspaces is not None:
             return
         if self._rows is not None:
-            self._halfspaces, self._equations = tuple(self._view()), ()
+            self._halfspaces = tuple(Halfspace(r[:-1], -r[-1]) for r in self._rows)
+            self._equations = ()
             return
         d = self._dim
         if not self._vertices:

@@ -24,8 +24,8 @@ from .core import (
     validate_cone,
 )
 from .errors import DimensionMismatch, InternalInvariantError
-from .polyhedra import Halfspace, Polyhedron
-from .vlp import BensonStats, benson_dual_solve, halfspaces_of
+from .polyhedra import Polyhedron
+from .vlp import BensonStats, benson_dual_solve
 
 TUKEY_PROVENANCE = "tukey-lifted"
 CONE_PROVENANCE = "cone-quantile"
@@ -36,7 +36,10 @@ class QuantileRegion:
     """A polyhedral quantile region with its defining scalarizations.
 
     ``defining_entries`` are the (w, t) pairs whose halfspaces w.z >= t cut
-    out the region; the region polyhedron is exactly their intersection.
+    out the region; the region polyhedron is exactly their intersection.  A
+    solved region is made from the entries' primitive integer rows, and its
+    ``halfspaces`` are those rows: the entries' halfspaces at a positive
+    integer scale, in the order the double description took them.
     """
 
     region: Polyhedron
@@ -59,14 +62,7 @@ def quantile_region(
     """
     basis = make_dual_basis(cone, c)
     sol = benson_dual_solve(cloud, level, basis)
-    region = _region(cloud, sol.rows, lambda: halfspaces_of(sol))
-    return QuantileRegion(
-        region=region,
-        defining_entries=sol.entries,
-        level=level,
-        provenance=CONE_PROVENANCE,
-        stats=sol.stats,
-    )
+    return _region(cloud, level, sol.rows, sol.entries, CONE_PROVENANCE, sol.stats)
 
 
 def lift_dataset(cloud: DataCloud) -> DataCloud:
@@ -111,26 +107,18 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
         s = sum(head)  # c.r_head, with c all ones
         entries.append((tuple(Fraction(v, s) for v in lam), Fraction(-last, s)))
         rows.append(primitive((*lam, last)))
-    region = _region(
-        cloud, rows, lambda: tuple(Halfspace(lam, t) for lam, t in entries)
-    )
-    return QuantileRegion(
-        region=region,
-        defining_entries=tuple(entries),
-        level=level,
-        provenance=TUKEY_PROVENANCE,
-        stats=sol.stats,
-    )
+    return _region(cloud, level, rows, tuple(entries), TUKEY_PROVENANCE, sol.stats)
 
 
-def _region(cloud: DataCloud, rows, halfspaces) -> Polyhedron:
-    """The region {z : r.(z, 1) >= 0 for each row r}, its rows ordered for
-    the double description: ascending in the signed squared distance from
-    the data centroid m to the row's hyperplane, so the rows the centroid
-    violates most come first and then the nearest ones, which are the
-    likeliest facets.  With M = N den m in integers, the key is that
+def _region(
+    cloud: DataCloud, level: QuantileLevel, rows, entries, provenance: str, stats
+) -> QuantileRegion:
+    """The region {z : r.(z, 1) >= 0 for each row r} of the entries, its
+    rows ordered for the double description: ascending in the signed squared
+    distance from the data centroid m to the row's hyperplane, so the rows
+    the centroid violates most come first and then the nearest ones, which
+    are the likeliest facets.  With M = N den m in integers, the key is that
     distance times (N den)^2, floored, so it is exact and never overflows.
-    ``halfspaces`` builds the region's Halfspaces when they are read.
     """
     points, den = cloud.int_form
     m = [sum(col) for col in zip(*points)]
@@ -141,7 +129,8 @@ def _region(cloud: DataCloud, rows, halfspaces) -> Polyhedron:
         q = s * s // sum(v * v for v in r[:-1])
         return q if s >= 0 else -q
 
-    return Polyhedron._from_rows(sorted(rows, key=key), halfspaces, dim=cloud.dim)
+    region = Polyhedron._from_rows(sorted(rows, key=key), dim=cloud.dim)
+    return QuantileRegion(region, entries, level, provenance, stats)
 
 
 def region_membership(

@@ -18,9 +18,12 @@ keeps the image in that form alone.  With the solver-frame c written as
 cn/cd over one denominator, the weight of a vertex is W/D with
 W = (cn[-1] a_j ..., sigma cd z0 - sum_j cn_j a_j) and D = |cn[-1]| z0 > 0,
 so its projected keys are W.x over D den.  A vertex is confirmed when
-m den D pden equals the loss numerator times z0, and the cut from the
-integer support sum Y is the primitive homogeneous row
-(Y_last cn_j - cn[-1] Y_j ..., den pden |cn[-1]|, -sigma cd Y_last).
+m den D pden equals the loss numerator times z0.  Every row the loop adds is
+one integer formula, the support row at a vector y of the solver frame:
+(y_last cn_j - cn[-1] y_j ..., v, -sigma cd y_last).  A cut is that row at
+the integer support sum Y with v = den pden |cn[-1]|.  By geometric duality
+(Heyde & Loehne, 2008) the starting box's vertical facets are support rows
+of the same kind: the row at y = -g with v = 0 for each cone generator g.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from operator import mul
 from ._linalg import common_denominator, dot, primitive
 from .core import DataCloud, DualConeBasis, QuantileLevel, Vector
 from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
-from .polyhedra import Halfspace, IntVec, _PointedCone
+from .polyhedra import IntVec, _PointedCone
 from .univariate import ascending, greedy_cut, key_quantile_and_loss, project_keys, support_sum
 
 
@@ -80,31 +83,39 @@ class DualSolution:
         return tuple(entries)
 
 
+def _support_row(cn: list[int], scd: int, y, value: int) -> IntVec:
+    """The support row at y with value v (see the module docstring), for
+    scd = sigma cd.  On a ray (a, m, 1) it reads v m - W.y: a cut at Y says
+    m >= w.Y / (den pden), a box row at -g says w.g >= 0."""
+    c_last = cn[-1]
+    head = [y[-1] * cj - c_last * yj for cj, yj in zip(cn[:-1], y)]
+    return primitive((*head, value, -scd * y[-1]))
+
+
 def _box_rows(basis: DualConeBasis) -> list[IntVec]:
     """The starting outer approximation as primitive rows over
     (coords, value, 1): the full coordinate image of the basis times the
     nonnegative value axis.
 
-    Substituting the affine weight reconstruction into Y w >= 0 yields the
-    coordinate image's rows; the value floor, last, uses that the pinball
-    loss is nonnegative.  The set contains the dual image and its recession
-    cone is exactly the upward value ray.
+    Substituting the affine weight reconstruction into Y w >= 0 gives the
+    coordinate image's rows, one support row per generator; the value
+    floor, last, uses that the pinball loss is nonnegative.  The set
+    contains the dual image and its recession cone is exactly the upward
+    value ray.
     """
-    d = basis.dim
-    c = basis.solver_c
-    s = basis.sigma
+    cn, cd = common_denominator(basis.solver_c)
+    scd = basis.sigma * cd
     rows: list[IntVec] = []
-    for g in basis.solver_generators:
-        coef = tuple(s * (g[j] - g[-1] * c[j] / c[-1]) for j in range(d - 1))
-        const = g[-1] / c[-1]
-        if all(v == 0 for v in coef):
-            if const < 0:
+    for g in basis.cone.generators:
+        row = _support_row(cn, scd, [-v for v in basis.permute(primitive(g))], 0)
+        if not any(row[:-2]):
+            if row[-1] < 0:
                 raise InternalInvariantError(
                     "validated cone yielded an infeasible constant row"
                 )
             continue
-        rows.append(primitive((*coef, 0, const)))
-    rows.append((0,) * (d - 1) + (1, 0))
+        rows.append(row)
+    rows.append((0,) * (basis.dim - 1) + (1, 0))
     return rows
 
 
@@ -193,14 +204,7 @@ def benson_dual_solve(
                 raise InternalInvariantError("outer vertex ended up above the dual image")
             y = support_sum(cols, greedy_cut(ka, asc, level.p))
             scalarizations += 1
-            # the cut value' >= w(coords').y times den pden |cn[-1]|
-            row = primitive(
-                (
-                    *(y[-1] * cj - c_last * yj for cj, yj in zip(cn_head, y)),
-                    cut_scale,
-                    -scd * y[-1],
-                )
-            )
+            row = _support_row(cn, scd, y, cut_scale)
             if row not in seen_rows:
                 seen_rows.add(row)
                 new_rows.append((row, rid))
@@ -267,18 +271,6 @@ def _by_coords(items) -> list[tuple]:
     items = list(items)
     zl = lcm(*(it[0][-1] for it in items))
     return sorted(items, key=lambda it: tuple(a * (zl // it[0][-1]) for a in it[0][:-1]))
-
-
-def halfspaces_of(sol: DualSolution) -> tuple[Halfspace, ...]:
-    """One halfspace {z : w.z >= t} per entry, ordered by canonical normal.
-
-    Entries are emitted at their basis normalization (c.w = 1), without any
-    deduplication beyond the solution's own irredundancy.
-    """
-    if not sol.entries:
-        raise EmptyBasis("dual solution has no entries")
-    halfspaces = [Halfspace(w, t) for w, t in sol.entries]
-    return tuple(sorted(halfspaces, key=Halfspace.key))
 
 
 def basis_vertices(basis: DualConeBasis) -> tuple[Vector, ...]:

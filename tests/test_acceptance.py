@@ -9,8 +9,10 @@ to see them stream.  The whole suite is seeded and deterministic.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from pathlib import Path
 
@@ -332,11 +334,17 @@ def _check_count_characterization(region: QuantileRegion, cloud, cone, rng) -> N
     verts = region.region.vertices
     if not verts:
         return
+    # in integers: the vertices z = zn/zd, the points x = X/den and w = wn/wd,
+    # so w.x <= w.z iff wn.X <= den (wn.zn) / zd, whose floor will do
+    zd = lcm(*(c.denominator for z in verts for c in z))
+    zns = [[c.numerator * (zd // c.denominator) for c in z] for z in verts]
+    rows, den = cloud.int_form
     for w in dirs:
-        proj = project_data(cloud, w)
-        for z in verts:
-            wz = sum(a * b for a, b in zip(w, z))
-            assert sum(1 for v in proj if v <= wz) >= k
+        wd = lcm(*(c.denominator for c in w))
+        wn = [c.numerator * (wd // c.denominator) for c in w]
+        keys = sorted(sum(map(mul, wn, x)) for x in rows)
+        for zn in zns:
+            assert bisect_right(keys, den * sum(map(mul, wn, zn)) // zd) >= k
 
 
 def _shifted_region(entries, shift, dim):

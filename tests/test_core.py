@@ -369,7 +369,7 @@ PUBLIC = [
     "MalformedProgram", "NotFullDimensional", "NotInterior", "OPTIMAL",
     "Polyhedron", "QuantileLevel", "QuantileRegion", "Rational", "ScalarSample",
     "UNBOUNDED", "basis_vertices", "benson_dual_solve", "build_lp_dual",
-    "critical_directions", "format_rational", "halfspaces_of", "lift_dataset",
+    "critical_directions", "format_rational", "lift_dataset",
     "make_dual_basis", "membership_sample", "minimize_pinball_loss",
     "oracle_region_2d", "parse_rational", "pinball_loss", "poly_contains",
     "poly_equal", "project_data", "quantile_direct", "quantile_region",

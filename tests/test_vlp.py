@@ -14,8 +14,6 @@ import pytest
 from conequant import (
     BensonStats,
     DataCloud,
-    DualSolution,
-    EmptyBasis,
     Halfspace,
     IntegralNp,
     InternalInvariantError,
@@ -25,7 +23,6 @@ from conequant import (
     basis_vertices,
     benson_dual_solve,
     format_rational,
-    halfspaces_of,
     lift_dataset,
     make_dual_basis,
     minimize_pinball_loss,
@@ -37,6 +34,7 @@ from conequant import (
     validate_cone,
 )
 from conequant.cli import document_bytes, region_document
+from conequant._linalg import primitive
 from conequant.vlp import _box_rows
 from conftest import random_cloud, random_cone, random_valid_level, solution_cuts
 
@@ -97,6 +95,44 @@ class TestInitialOuter:
                 dim=basis.dim,
             )
             assert full.is_bounded
+
+
+def fraction_box_rows(basis):
+    """The box rows derived in Fractions: Y w >= 0 under the affine weight
+    reconstruction from the solver-frame coords, row by row, then the value
+    floor.  A reference for the solver's integer support rows."""
+    d, s = basis.dim, basis.sigma
+    c = basis.permute(basis.c)
+    rows = []
+    for g in map(basis.permute, basis.cone.generators):
+        coef = tuple(s * (g[j] - g[-1] * c[j] / c[-1]) for j in range(d - 1))
+        if any(coef):
+            rows.append(primitive((*coef, 0, g[-1] / c[-1])))
+    return rows + [(0,) * (d - 1) + (1, 0)]
+
+
+class TestBoxRows:
+    def test_support_rows_equal_the_fraction_box(self):
+        rng = random.Random(57)
+        kinds = dict.fromkeys(("permuted", "sigma -1", "rational", "zero"), 0)
+        for _ in range(400):
+            dim = rng.randint(1, 4)
+            cone = random_cone(rng, dim, span=2)
+            # a positive rational scale per generator keeps the cone
+            scales = [F(rng.randint(1, 3), rng.randint(1, 3)) for _ in cone.generators]
+            gens = [tuple(k * v for v in g) for k, g in zip(scales, cone.generators)]
+            cone = validate_cone(gens)
+            c = None
+            if rng.random() < 0.5:  # a positive combination of all generators is interior
+                coefs = [rng.randint(1, 3) for _ in gens]
+                c = [sum(k * g[j] for k, g in zip(coefs, gens)) for j in range(dim)]
+            basis = make_dual_basis(cone, c)
+            assert _box_rows(basis) == fraction_box_rows(basis)
+            kinds["permuted"] += basis.is_permuted
+            kinds["sigma -1"] += basis.sigma < 0
+            kinds["rational"] += any(v.denominator > 1 for g in gens for v in g)
+            kinds["zero"] += not all(map(any, gens))
+        assert all(kinds.values()), kinds
 
 
 class TestBensonSolve:
@@ -197,38 +233,6 @@ class TestBensonSolve:
             rng.shuffle(shuffled)
             sol3 = benson_dual_solve(DataCloud(tuple(shuffled)), level, basis)
             assert sol3.entries == sol1.entries
-
-
-class TestHalfspacesOf:
-    def test_lexicographic_by_canonical_normal(self):
-        cloud = DataCloud.from_rows([[0, 0], [1, 1]])
-        basis = make_dual_basis(orthant(2))
-        sol = benson_dual_solve(cloud, QuantileLevel(F(3, 4), 2), basis)
-        hs = halfspaces_of(sol)
-        keys = [h.key() for h in hs]
-        assert keys == sorted(keys)
-        assert len(hs) == len(sol.entries)
-
-    def test_one_dimensional(self):
-        cloud = DataCloud.from_rows([[1], [2], [3], [4], [5]])
-        basis = make_dual_basis(validate_cone([[1]]), (1,))
-        sol = benson_dual_solve(cloud, QuantileLevel(F(1, 2), 5), basis)
-        (h,) = halfspaces_of(sol)
-        assert h.normal == (F(1),) and h.offset == F(3)
-
-    def test_empty_solution_rejected(self):
-        cloud = DataCloud.from_rows([[1]])
-        basis = make_dual_basis(validate_cone([[1]]))
-        sol = benson_dual_solve(cloud, QuantileLevel(F(1, 3), 1), basis)
-        hollow = DualSolution(
-            rows=(),
-            basis=sol.basis,
-            stats=sol.stats,
-            vertex_rays=(),
-            cut_rows=sol.cut_rows,
-        )
-        with pytest.raises(EmptyBasis):
-            halfspaces_of(hollow)
 
 
 class TestInternalInvariants:
