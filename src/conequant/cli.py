@@ -53,6 +53,9 @@ class CliInputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
+        if self.prog.endswith(" depth") and message.endswith("point"):
+            # argparse reads a point such as -1,0 as an option
+            message += "; put -- before a point that starts with '-': depth FILE -- -1,0"
         raise CliInputError(message)
 
 
@@ -100,6 +103,8 @@ def load_cone(path: str) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fracti
             continue
         try:
             if line.startswith("interior:"):
+                if interior is not None:
+                    raise ValueError("a second interior: line")
                 interior = tuple(
                     parse_rational(tok) for tok in line[len("interior:"):].split(",")
                 )
@@ -350,7 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_depth = sub.add_parser("depth", help="Tukey depth of a point")
     p_depth.add_argument("file")
-    p_depth.add_argument("point", help="comma-separated rational coordinates")
+    p_depth.add_argument(
+        "point",
+        help="comma-separated coordinates in the data syntax; "
+        "put -- before a point that starts with '-'",
+    )
     p_depth.set_defaults(func=cmd_depth)
 
     p_verify = sub.add_parser("verify", help="check a region against the oracles")

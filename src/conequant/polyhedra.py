@@ -1,27 +1,30 @@
 """Exact polyhedral calculus: H- and V-representations, double description,
 redundancy removal and set equality.
 
-Conversions run the double description method on the homogenization of the
-polyhedron.  The rows go to a pointed cone engine as they are; only when
-they turn out rank deficient is lineality split off, by an exact integer
-kernel basis, and the engine run again in the row space.  The engine
-enumerates extreme rays, and generators with positive homogenizing
-coordinate become vertices.  It works in integers on primitive ray vectors
-with zero sets as bitmasks, and keeps the cone's edge graph: a new row is
+A polyhedron is held over the homogenized points (z, 1) in one integer
+form per side: primitive rows r, each a halfspace r.(z, 1) >= 0 or an
+equation r.(z, 1) = 0, and primitive generators g = (a, z0), a vertex
+a / z0 when z0 > 0 and a ray a when z0 = 0.  A line is two opposite rays,
+and the "vertices" of a non-pointed polyhedron are canonical
+representatives of its minimal faces.  g lies in r iff r.g >= 0 (r.g = 0
+for an equation), so every containment test is an integer sign.
+
+Each conversion runs the double description method on one side's vectors
+and reads the other side off the extreme rays.  The vectors go to a pointed
+cone engine as they are; only when they turn out rank deficient is
+lineality split off, by an exact integer kernel basis, and the engine run
+again in the row space.  The engine works on primitive ray vectors with
+zero sets as bitmasks, and keeps the cone's edge graph: a new row is
 located by an edge walk, touches only the rays it cuts off and their
 neighbours, and decides the new edges on its own facet by the exact
 combinatorial test.  The walk starts at a ray the caller names, such as the
 Benson vertex a cut was made from; a start removed since is replaced
 through the engine's map from each removed ray to a ray made by the
 insertion that removed it.
-The intermediate cones depend on the row order.  A quantile region is built
-straight from the dual solve's primitive integer rows, with no Fraction in
-between, and they enter in the order its solver chose, likeliest facets
-first; every other conversion hands its rows over in one fixed
-pseudo-random order.
-A lineality direction appears in the V-representation as a pair of opposite
-rays; the "vertices" of a non-pointed polyhedron are canonical
-representatives of its minimal faces.
+The intermediate cones depend on the row order.  A quantile region's rows
+are the dual solve's own, and they enter in the order its solver chose,
+likeliest facets first; every other conversion hands its vectors over in
+one fixed pseudo-random order.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
+from math import lcm
 from operator import mul
 
 from . import _linalg
@@ -362,96 +367,112 @@ def _dd_cone(
     return lines, rays
 
 
-class Polyhedron:
-    """A convex polyhedron with lazily paired exact representations.
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
-    The set value is immutable; representation conversions are cached on the
-    instance.  Halfspaces are kept exactly as supplied (callers rely on the
-    echo); canonical forms are used for comparisons and ordering only.  A
-    polyhedron made from primitive integer rows r echoes them as the
-    halfspaces r_head.z >= -r_last, in their order, built when first read.
+
+def _negated(row: IntVec) -> IntVec:
+    return tuple(-v for v in row)
+
+
+def _canonical_order(rows) -> tuple[IntVec, ...]:
+    """Rows with nonzero normals, sorted as the ``key()`` of the constraints
+    they read as: by (normal, offset) / s, where s is the absolute value of
+    the first nonzero normal coordinate.  Every key is scaled by the lcm of
+    all the s, so it stays in integers."""
+    heads = {r: abs(next(v for v in r if v)) for r in rows}
+    scale = lcm(*heads.values())
+
+    def key(r):
+        f = scale // heads[r]
+        return (*(v * f for v in r[:-1]), -r[-1] * f)
+
+    return tuple(sorted(heads, key=key))
+
+
+class Polyhedron:
+    """A convex polyhedron as primitive integer constraint rows and
+    generators, in the form the module describes; a missing side is
+    converted from the other when first needed.  The set value is immutable.
+    ``halfspaces`` and ``equations`` read the rows at primitive integer scale
+    in their order, ``vertices`` and ``rays`` the generators as sorted
+    tuples of rationals; each view is built when first read.
     """
 
-    __slots__ = ("_dim", "_halfspaces", "_equations", "_vertices", "_rays", "_empty", "_rows")
-
-    def __init__(self, dim, halfspaces, equations, vertices, rays, empty) -> None:
+    def __init__(self, dim: int, rows=None, eqs=(), gens=None, empty=None, ordered=False):
         self._dim = dim
-        self._halfspaces = halfspaces
-        self._equations = equations
-        self._vertices = vertices
-        self._rays = rays
+        self._rows = rows
+        self._eqs = eqs
+        self._gens = gens
         self._empty = empty
-        self._rows = None
+        # whether the rows are in the order the V-representation takes them
+        self._ordered = ordered
 
     @classmethod
     def from_hrep(cls, halfspaces, equations=(), *, dim: int) -> "Polyhedron":
-        hs = tuple(halfspaces)
-        eqs = tuple(equations)
-        for h in hs:
-            if len(h.normal) != dim:
-                raise DimensionMismatch("halfspace dimension mismatch")
-        for e in eqs:
-            if len(e.normal) != dim:
-                raise DimensionMismatch("equation dimension mismatch")
-        return cls(dim, hs, eqs, None, None, None)
+        rows = tuple(_linalg.primitive((*h.normal, -h.offset)) for h in halfspaces)
+        eqs = tuple(_linalg.primitive((*e.normal, -e.offset)) for e in equations)
+        if any(len(r) != dim + 1 for r in rows):
+            raise DimensionMismatch("halfspace dimension mismatch")
+        if any(len(r) != dim + 1 for r in eqs):
+            raise DimensionMismatch("equation dimension mismatch")
+        return cls(dim, rows, eqs)
 
     @classmethod
     def _from_rows(cls, rows, *, dim: int) -> "Polyhedron":
         """The polyhedron {z : r.(z, 1) >= 0 for every row r}, from primitive
         integer rows, which the V-representation takes in the order given."""
-        p = cls(dim, None, None, None, None, None)
-        p._rows = tuple(rows)
-        return p
+        return cls(dim, tuple(rows), ordered=True)
 
     @classmethod
     def from_vrep(cls, vertices, rays=(), *, dim: int) -> "Polyhedron":
-        vs = tuple(as_vector(v) for v in vertices)
-        rs = tuple(as_vector(r) for r in rays)
-        for v in vs:
+        gens = []
+        for v in map(as_vector, vertices):
             if len(v) != dim:
                 raise DimensionMismatch("vertex dimension mismatch")
-        for r in rs:
+            gens.append(_linalg.primitive((*v, 1)))
+        nv = len(gens)
+        for r in map(as_vector, rays):
             if len(r) != dim:
                 raise DimensionMismatch("ray dimension mismatch")
-            if all(c == 0 for c in r):
+            if not any(r):
                 raise ValueError("rays must be nonzero")
-        if not vs and rs:
+            gens.append(_linalg.primitive((*r, 0)))
+        if not nv and gens:
             raise ValueError("a V-representation needs at least one vertex")
-        return cls(dim, None, None, vs, rs, not vs)
+        return cls(dim, gens=tuple(gens), empty=not nv)
 
     @classmethod
     def empty(cls, dim: int) -> "Polyhedron":
         """The canonical empty polyhedron: x_1 >= 1 together with x_1 <= 0."""
-        e1 = tuple(Fraction(int(j == 0)) for j in range(dim))
-        hs = (
-            Halfspace(e1, Fraction(1)),
-            Halfspace(tuple(-c for c in e1), Fraction(0)),
-        )
-        return cls(dim, hs, (), (), (), True)
+        e1 = (1,) + (0,) * (dim - 1)
+        return cls(dim, ((*e1, -1), (*_negated(e1), 0)), gens=(), empty=True)
 
     @property
     def dim(self) -> int:
         return self._dim
 
-    @property
+    @cached_property
     def halfspaces(self) -> tuple[Halfspace, ...]:
         self._ensure_hrep()
-        return self._halfspaces
+        return tuple(Halfspace(r[:-1], -r[-1]) for r in self._rows)
 
-    @property
+    @cached_property
     def equations(self) -> tuple[Equation, ...]:
         self._ensure_hrep()
-        return self._equations
+        return tuple(Equation(r[:-1], -r[-1]) for r in self._eqs)
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[Vector, ...]:
         self._ensure_vrep()
-        return self._vertices
+        return tuple(
+            sorted(tuple(Fraction(a, g[-1]) for a in g[:-1]) for g in self._gens if g[-1])
+        )
 
-    @property
+    @cached_property
     def rays(self) -> tuple[Vector, ...]:
         self._ensure_vrep()
-        return self._rays
+        return tuple(sorted(tuple(map(Fraction, g[:-1])) for g in self._gens if not g[-1]))
 
     @property
     def is_empty(self) -> bool:
@@ -462,150 +483,92 @@ class Polyhedron:
     @property
     def is_bounded(self) -> bool:
         """Vacuously true for the empty set."""
-        return self.is_empty or not self.rays
+        return self.is_empty or all(g[-1] for g in self._gens)
 
     def has_vrep(self) -> bool:
-        return self._vertices is not None
+        return self._gens is not None
 
     def contains(self, point) -> bool:
+        """Whether the point satisfies the H-representation (an empty
+        polyhedron's rows hold nowhere); no V-representation is built."""
         z = as_vector(point)
         if len(z) != self._dim:
             raise DimensionMismatch("point dimension mismatch")
         self._ensure_hrep()
-        if self._empty:
-            return False
-        return all(h.holds(z) for h in self._halfspaces) and all(
-            e.holds(z) for e in self._equations
+        nums, den = _linalg.common_denominator(z)
+        g = (*nums, den)
+        return all(_dot(r, g) >= 0 for r in self._rows) and not any(
+            _dot(e, g) for e in self._eqs
         )
 
     # -- conversions -------------------------------------------------------
 
     def _ensure_vrep(self) -> None:
-        if self._vertices is not None:
+        if self._gens is not None:
             return
         d = self._dim
-        homogenizing = tuple([0] * d + [1])
-        if self._rows is not None:
-            # the caller's order, after the homogenizing row
-            rows, shuffle = [homogenizing, *self._rows], False
-        else:
-            rows, shuffle = [], True
-            for h in self._halfspaces:
-                rows.append(_linalg.primitive((*h.normal, -h.offset)))
-            for e in self._equations:
-                row = _linalg.primitive((*e.normal, -e.offset))
-                rows.append(row)
-                rows.append(tuple(-v for v in row))
-            rows.append(homogenizing)
-        lines, raw = _dd_cone(rows, d + 1, shuffle)
-        verts: list[Vector] = []
-        rays: list[Vector] = []
-        for g in raw:
-            z0 = g[-1]
-            if z0 < 0:
-                raise InternalInvariantError(
-                    "homogenizing coordinate escaped its halfspace"
-                )
-            if z0 > 0:
-                verts.append(tuple(Fraction(v, z0) for v in g[:-1]))
-            else:
-                rays.append(tuple(Fraction(v) for v in g[:-1]))
-        for ln in lines:
-            if ln[-1] != 0:
-                raise InternalInvariantError("a line leaves the homogenizing hyperplane")
-            vec = tuple(Fraction(v) for v in ln[:-1])
-            rays.append(vec)
-            rays.append(tuple(-v for v in vec))
-        if not verts:
-            self._vertices = ()
-            self._rays = ()
-            self._empty = True
-        else:
-            self._vertices = tuple(sorted(verts))
-            self._rays = tuple(sorted(rays))
-            self._empty = False
+        homogenizing = (0,) * d + (1,)
+        rows = [*self._rows, *(r for e in self._eqs for r in (e, _negated(e)))]
+        # ordered rows keep the caller's order, after the homogenizing row
+        rows = [homogenizing, *rows] if self._ordered else [*rows, homogenizing]
+        lines, raw = _dd_cone(rows, d + 1, shuffle=not self._ordered)
+        if any(g[-1] < 0 for g in raw):
+            raise InternalInvariantError("homogenizing coordinate escaped its halfspace")
+        if any(ln[-1] for ln in lines):
+            raise InternalInvariantError("a line leaves the homogenizing hyperplane")
+        self._empty = not any(g[-1] for g in raw)
+        self._gens = () if self._empty else (*raw, *lines, *map(_negated, lines))
 
     def _ensure_hrep(self) -> None:
-        if self._halfspaces is not None:
-            return
         if self._rows is not None:
-            self._halfspaces = tuple(Halfspace(r[:-1], -r[-1]) for r in self._rows)
-            self._equations = ()
             return
         d = self._dim
-        if not self._vertices:
-            canon = Polyhedron.empty(d)
-            self._halfspaces = canon._halfspaces
-            self._equations = canon._equations
+        if self._empty:
+            self._rows = Polyhedron.empty(d)._rows
             return
-        gens: list[IntVec] = []
-        for v in self._vertices:
-            gens.append(_linalg.primitive((*v, Fraction(1))))
-        for r in self._rays:
-            gens.append(_linalg.primitive((*r, Fraction(0))))
-        lines, raw = _dd_cone(gens, d + 1)
-        equations: list[Equation] = []
+        lines, raw = _dd_cone(self._gens, d + 1)
+        eqs = []
         for ln in lines:
-            n, off = ln[:-1], ln[-1]
-            if all(v == 0 for v in n):
-                if off != 0:
-                    raise InternalInvariantError(
-                        "an equation with a zero normal has a nonzero offset"
-                    )
-                continue
-            equations.append(Equation(tuple(map(Fraction, n)), Fraction(-off)).canonical())
-        # directions of the affine hull, for filtering constraints that are
-        # constant on it (they are not facets)
-        normals = [_linalg.primitive(e.normal) for e in equations]
-        hull_dirs = _linalg.kernel(*_linalg.echelon(normals), d)
-        halfspaces: list[Halfspace] = []
-        for g in raw:
-            n, off = g[:-1], g[-1]
-            if all(v == 0 for v in n):
-                continue
-            varies = any(
-                sum(a * b for a, b in zip(n, hd)) != 0 for hd in hull_dirs
-            )
-            if not varies:
-                continue  # constant on the affine hull, not a facet
-            halfspaces.append(
-                Halfspace(tuple(map(Fraction, n)), Fraction(-off)).canonical()
-            )
-        self._halfspaces = tuple(sorted(halfspaces, key=Halfspace.key))
-        self._equations = tuple(sorted(equations, key=Equation.key))
+            if any(ln[:-1]):
+                # the first nonzero normal coordinate > 0, as in Equation.canonical()
+                eqs.append(ln if next(v for v in ln if v) > 0 else _negated(ln))
+            elif ln[-1]:
+                raise InternalInvariantError(
+                    "an equation with a zero normal has a nonzero offset"
+                )
+        # directions of the affine hull: a row constant on it, such as the
+        # homogenizing row, is not a facet
+        hull_dirs = _linalg.kernel(*_linalg.echelon([e[:-1] for e in eqs]), d)
+        rows = [g for g in raw if any(_dot(g[:-1], h) for h in hull_dirs)]
+        self._rows = _canonical_order(rows)
+        self._eqs = _canonical_order(eqs)
 
 
 def remove_redundant(p: Polyhedron) -> Polyhedron:
     """Drop every halfspace implied by the others.
 
-    The halfspaces are visited in canonical order, exact duplicates merged
-    first.  A halfspace h is kept iff the polyhedron Q cut out by the ones
-    kept so far, the later ones and the equations is not contained in h.
+    The halfspace rows are visited in canonical order, exact duplicates
+    merged first.  A row r is kept iff the polyhedron Q cut out by the rows
+    kept so far, the later ones and the equations is not contained in r.
     Q contains the nonempty p, so Q = conv(V) + cone(R) from its
-    V-representation, and h fails on Q iff it fails on some vertex in V or
-    some ray in R; a line enters R as two opposite rays, so it must lie in
-    h's boundary.  A pair of opposite halfspaces encodes an implicit
-    equation; both sides survive the test, so such pairs are preserved.
-    The empty polyhedron maps to its canonical two-constraint form.
+    generators, and r fails on Q iff r.g < 0 for some generator g; a line
+    is two opposite rays, so it must lie in r's boundary.  A pair of
+    opposite halfspaces encodes an implicit equation; both sides survive the
+    test, so such pairs are preserved.  The empty polyhedron maps to its
+    canonical two-constraint form.
     """
     p._ensure_hrep()
     if p.is_empty:
         return Polyhedron.empty(p.dim)
-    seen = set()
-    ordered: list[Halfspace] = []
-    for h in sorted((h.canonical() for h in p.halfspaces), key=Halfspace.key):
-        if h.key() in seen:
-            continue
-        seen.add(h.key())
-        ordered.append(h)
-    kept: list[Halfspace] = []
-    for i, h in enumerate(ordered):
-        q = Polyhedron.from_hrep(kept + ordered[i + 1 :], p.equations, dim=p.dim)
+    ordered = _canonical_order(set(p._rows))
+    kept: list[IntVec] = []
+    for i, r in enumerate(ordered):
+        q = Polyhedron(p.dim, (*kept, *ordered[i + 1 :]), p._eqs)
         if q.is_empty:
             raise InternalInvariantError("nonempty polyhedron lost feasibility")
-        if not all(map(h.holds, q.vertices)) or not all(map(h.holds_ray, q.rays)):
-            kept.append(h)
-    return Polyhedron.from_hrep(kept, p.equations, dim=p.dim)
+        if any(_dot(r, g) < 0 for g in q._gens):
+            kept.append(r)
+    return Polyhedron(p.dim, tuple(kept), p._eqs)
 
 
 def poly_equal(p: Polyhedron, q: Polyhedron) -> bool:
@@ -618,7 +581,9 @@ def poly_equal(p: Polyhedron, q: Polyhedron) -> bool:
 
 
 def poly_contains(outer: Polyhedron, inner: Polyhedron) -> bool:
-    """Whether every point of ``inner`` satisfies ``outer``'s constraints."""
+    """Whether every point of ``inner`` satisfies ``outer``'s constraints:
+    r.g >= 0 for every halfspace row r and r.g = 0 for every equation row r
+    of ``outer``, over every generator g of ``inner``."""
     if outer.dim != inner.dim:
         raise DimensionMismatch("polyhedra live in different dimensions")
     if inner.is_empty:
@@ -626,13 +591,7 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron) -> bool:
     if outer.is_empty:
         return False
     outer._ensure_hrep()
-    inner._ensure_vrep()
-    for v in inner.vertices:
-        if not outer.contains(v):
-            return False
-    for r in inner.rays:
-        if not all(h.holds_ray(r) for h in outer.halfspaces):
-            return False
-        if not all(e.holds_ray(r) for e in outer.equations):
-            return False
-    return True
+    gens = inner._gens
+    return all(_dot(r, g) >= 0 for r in outer._rows for g in gens) and not any(
+        _dot(e, g) for e in outer._eqs for g in gens
+    )

@@ -457,6 +457,15 @@ class TestConeErrors:
         assert code == 0
         assert json.loads(out)["input"]["cone"]["interior"] == ["2", "3"]
 
+    def test_second_interior_line_exits_1(self, square, tmp_path, capsys):
+        cone = tmp_path / "cone.txt"
+        cone.write_text("1,0\n0,1\ninterior: 1,1\n\ninterior: 5,1\n")
+        code, out, err = run_cli(
+            ["region", square, "--p", "3/10", "--cone", str(cone)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {cone}:5: a second interior: line\n"
+
 
 class TestDepthAndVerify:
     def test_depth_values(self, square, capsys):
@@ -464,6 +473,15 @@ class TestDepthAndVerify:
             code, out, _ = run_cli(["depth", square, point], capsys)
             assert code == 0
             assert out.strip() == want
+
+    @pytest.mark.parametrize("point, want", [("-1,0", "0"), ("-1/2,0", "0"), ("-0,0", "1")])
+    def test_depth_point_with_leading_minus(self, point, want, square, capsys):
+        # argparse reads a leading '-' as an option unless '--' comes first
+        code, out, err = run_cli(["depth", square, point], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the following arguments are required: point; ")
+        assert "put -- before a point that starts with '-'" in err
+        assert run_cli(["depth", square, "--", point], capsys) == (0, want + "\n", "")
 
     def test_depth_dimension_mismatch(self, square, capsys):
         code, _, _ = run_cli(["depth", square, "1,2,3"], capsys)

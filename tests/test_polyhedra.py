@@ -10,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conequant import (
+    DataCloud,
     DimensionMismatch,
     Equation,
     Halfspace,
     Polyhedron,
+    QuantileLevel,
     poly_contains,
     poly_equal,
     remove_redundant,
 )
 from conequant._linalg import primitive
 from conequant.lp import INFEASIBLE, LinearProgram, simplex_solve
+from conequant.oracle import oracle_region_2d
 from conequant.polyhedra import _PointedCone
 from conftest import frac_nullspace, frac_rank, lp_remove_redundant
 
@@ -551,3 +554,124 @@ def test_conversion_ignores_constraint_order(case):
     assert q.is_empty == p.is_empty
     assert q.vertices == p.vertices
     assert q.rays == p.rays
+
+
+def _fraction_contains(p, z):
+    """Membership by the Fraction constraints that ``halfspaces`` and
+    ``equations`` read as."""
+    return all(h.holds(z) for h in p.halfspaces) and all(e.holds(z) for e in p.equations)
+
+
+def _fraction_poly_contains(outer, inner):
+    """Containment by the Fraction constraints of ``outer`` on the vertices
+    and rays of ``inner``."""
+    if inner.is_empty:
+        return True
+    if outer.is_empty:
+        return False
+    return all(_fraction_contains(outer, v) for v in inner.vertices) and all(
+        c.holds_ray(r) for c in (*outer.halfspaces, *outer.equations) for r in inner.rays
+    )
+
+
+class TestIntegerForm:
+    """Both sides of a polyhedron are primitive integer vectors, and every
+    containment test is the sign of r.g."""
+
+    def test_contains_builds_no_vrep(self):
+        p = unit_square()
+        assert p.contains((F(1, 2), 1)) and not p.contains((2, 0))
+        assert not p.has_vrep()
+        cloud = DataCloud.from_rows([[0, 0], [4, 0], [0, 4], [4, 4], [1, 2]])
+        region = oracle_region_2d(cloud, QuantileLevel(F(3, 10), 5), None).region
+        assert region.contains((1, 2))
+        assert not region.has_vrep()
+
+    def test_matches_the_fraction_rule(self):
+        rng = random.Random(90)
+        outcomes = {True: 0, False: 0}
+        pair_outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            dim = rng.randint(1, 3)
+            pool = [_random_hrep(rng, dim) for _ in range(3)]
+            pool += [_random_vrep(rng, dim) for _ in range(3)]
+            for p in list(pool):
+                if not p.is_empty:  # a subset: some of p's own generators
+                    verts = rng.sample(p.vertices, rng.randint(1, len(p.vertices)))
+                    pool.append(Polyhedron.from_vrep(verts, p.rays[:1], dim=dim))
+            for p in pool:
+                points = [
+                    tuple(F(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(dim))
+                    for _ in range(15)
+                ]
+                for z in points + list(p.vertices):
+                    got = p.contains(z)
+                    assert got == _fraction_contains(p, z), (p.halfspaces, z)
+                    outcomes[got] += 1
+            for outer in pool:
+                for inner in pool:
+                    got = poly_contains(outer, inner)
+                    assert got == _fraction_poly_contains(outer, inner)
+                    pair_outcomes[got] += 1
+        assert min(outcomes.values()) >= 200, outcomes
+        assert min(pair_outcomes.values()) >= 200, pair_outcomes
+
+    def test_no_fraction_constraint_is_built(self, monkeypatch):
+        import conequant.polyhedra as polyhedra
+
+        rng = random.Random(91)
+        cases = []
+        for _ in range(12):
+            dim = rng.randint(1, 3)
+            for p in (_random_hrep(rng, dim), _random_vrep(rng, dim)):
+                q = _random_hrep(rng, dim)
+                z = tuple(F(rng.randint(-6, 6), 2) for _ in range(dim))
+                answers = (
+                    poly_equal(p, q), poly_contains(p, q), poly_contains(q, p), p.contains(z)
+                )
+                fresh = Polyhedron.from_vrep(p.vertices, p.rays, dim=dim) if p.vertices else p
+                cases.append((p, fresh, q, z, answers, _keys(remove_redundant(p))))
+
+        def refuse(*args):
+            raise AssertionError("a Fraction constraint was built")
+
+        monkeypatch.setattr(polyhedra, "Halfspace", refuse)
+        monkeypatch.setattr(polyhedra, "Equation", refuse)
+        reduced = []
+        for p, fresh, q, z, answers, _ in cases:
+            for r in (p, fresh):
+                got = (poly_equal(r, q), poly_contains(r, q), poly_contains(q, r), r.contains(z))
+                assert got == answers
+                reduced.append(remove_redundant(r))
+                assert poly_equal(reduced[-1], r)
+        monkeypatch.undo()
+        assert [_keys(out) for out in reduced] == [keys for *_, keys in cases for _ in range(2)]
+
+    def test_hrep_reads_at_primitive_scale(self):
+        (h,) = Polyhedron.from_hrep([Halfspace((-2, 4), 6)], dim=2).halfspaces
+        assert (h.normal, h.offset) == ((F(-1), F(2)), F(3))
+        (e,) = Polyhedron.from_hrep([], [Equation((F(1, 2), F(-3, 4)), 1)], dim=2).equations
+        assert (e.normal, e.offset) == ((F(2), F(-3)), F(4))
+
+    def test_vrep_reads_sorted_at_primitive_scale(self):
+        p = Polyhedron.from_vrep([(1, 1), (0, F(1, 2)), (0, 0)], rays=[(F(1, 2), 1), (0, 6)], dim=2)
+        assert p.vertices == ((F(0), F(0)), (F(0), F(1, 2)), (F(1), F(1)))
+        assert p.rays == ((F(0), F(1)), (F(1), F(2)))
+
+    def test_conversions_give_primitive_rows_in_key_order(self):
+        # 2x + 3y <= 6 reads as (-2, -3).z >= -6, not as (-1, -3/2).z >= -3
+        tri = Polyhedron.from_vrep([(0, 0), (3, 0), (0, 2)], dim=2)
+        assert [(h.normal, h.offset) for h in tri.halfspaces] == [
+            ((F(-2), F(-3)), F(-6)),
+            ((F(0), F(1)), F(0)),
+            ((F(1), F(0)), F(0)),
+        ]
+        segment = Polyhedron.from_vrep([(0, 0), (3, 2)], dim=2)
+        assert [(e.normal, e.offset) for e in segment.equations] == [((F(2), F(-3)), F(0))]
+        p = Polyhedron.from_hrep(
+            [Halfspace((4, 6), 12), Halfspace((1, 0), 0), Halfspace((2, 3), 5)], dim=2
+        )
+        assert [(h.normal, h.offset) for h in remove_redundant(p).halfspaces] == [
+            ((F(1), F(0)), F(0)),
+            ((F(2), F(3)), F(6)),
+        ]
