@@ -47,7 +47,6 @@ from .oracle import (
     oracle_region_2d,
 )
 from .polyhedra import (
-    Equation,
     Halfspace,
     Polyhedron,
     poly_contains,
@@ -89,7 +88,6 @@ __all__ = [
     "DualConeBasis",
     "DualSolution",
     "EmptyBasis",
-    "Equation",
     "Halfspace",
     "INFEASIBLE",
     "IntegralNp",

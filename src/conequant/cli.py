@@ -60,9 +60,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    """The file's text; an unreadable or undecodable file is an input error."""
+    """The file's text as UTF-8, after a byte order mark if there is one; an
+    unreadable or undecodable file is an input error."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
@@ -319,52 +320,50 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="conequant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cone_required=False, with_cone=True):
-        p.add_argument("file", help="CSV point cloud, one point per row")
-        p.add_argument("--p", required=True, help="quantile level as a rational")
-        if with_cone:
-            p.add_argument(
-                "--cone",
-                required=cone_required,
-                help="cone file: one generator row per line, optional interior: line",
-            )
+    # the arguments several subcommands take, each declared once
+    shared = {
+        "file": {"help": "CSV point cloud, one point per row"},
+        "--p": {"required": True, "help": "quantile level as a rational"},
+        "--cone": {"help": "cone file: one generator row per line, optional interior: line"},
+        "--out": {"help": "write the JSON document here instead of stdout"},
+        "--plot": {"help": "write a 2-D vertex cycle as decimals"},
+        "--nudge": {
+            "action": "store_true",
+            "help": "shift an integral N*p level down by 1/(2*N*den(p))",
+        },
+    }
 
-    p_uni = sub.add_parser("uniquantile", help="univariate quantile and loss minimum")
-    p_uni.add_argument("file")
-    p_uni.add_argument("--p", required=True)
-    p_uni.add_argument("--check", action="store_true", help="cross-check by exact simplex")
-    p_uni.set_defaults(func=cmd_uniquantile)
+    def command(name, func, summary, *names, required=()):
+        p = sub.add_parser(name, help=summary)
+        for n in names:
+            p.add_argument(n, **shared[n], **({"required": True} if n in required else {}))
+        p.set_defaults(func=func)
+        return p
 
-    p_region = sub.add_parser("region", help="cone quantile region document")
-    add_common(p_region, cone_required=True)
-    p_region.add_argument("--out", help="write the JSON document here instead of stdout")
-    p_region.add_argument("--plot", help="write a 2-D vertex cycle as decimals")
-    p_region.add_argument(
-        "--nudge",
-        action="store_true",
-        help="shift an integral N*p level down by 1/(2*N*den(p))",
+    p_uni = command(
+        "uniquantile", cmd_uniquantile, "univariate quantile and loss minimum", "file", "--p"
     )
-    p_region.set_defaults(func=cmd_region)
-
-    p_tukey = sub.add_parser("tukey", help="Tukey depth region document")
-    add_common(p_tukey, with_cone=False)
-    p_tukey.add_argument("--out")
-    p_tukey.add_argument("--plot")
-    p_tukey.add_argument("--nudge", action="store_true")
-    p_tukey.set_defaults(func=cmd_tukey)
-
-    p_depth = sub.add_parser("depth", help="Tukey depth of a point")
-    p_depth.add_argument("file")
+    p_uni.add_argument("--check", action="store_true", help="cross-check by exact simplex")
+    command(
+        "region",
+        cmd_region,
+        "cone quantile region document",
+        *("file", "--p", "--cone", "--out", "--plot", "--nudge"),
+        required=("--cone",),
+    )
+    command(
+        "tukey",
+        cmd_tukey,
+        "Tukey depth region document",
+        *("file", "--p", "--out", "--plot", "--nudge"),
+    )
+    p_depth = command("depth", cmd_depth, "Tukey depth of a point", "file")
     p_depth.add_argument(
         "point",
         help="comma-separated coordinates in the data syntax; "
         "put -- before a point that starts with '-'",
     )
-    p_depth.set_defaults(func=cmd_depth)
-
-    p_verify = sub.add_parser("verify", help="check a region against the oracles")
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "check a region against the oracles", "file", "--p", "--cone")
 
     return parser
 
@@ -386,11 +385,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ConequantError as exc:
-        if isinstance(exc, DimensionMismatch):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return EXIT_INPUT if isinstance(exc, DimensionMismatch) else EXIT_HYPOTHESIS
 
 
 if __name__ == "__main__":

@@ -205,8 +205,8 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
     R is in T: every vertex has depth >= k, and every ray lies in the
     recession cone C (w.r >= 0 for every extreme ray w of C+) or, for a
     Tukey region, in {0}.  T is in R: every halfspace w.z >= t of R's own
-    H-representation, with an equation counted as two opposite halfspaces,
-    has w in C+ and t = q(w).  So R = T with no tolerance, and an empty R
+    H-representation, where an equation is two opposite halfspaces, has w in
+    C+ and t = q(w).  So R = T with no tolerance, and an empty R
     passes only when all its halfspaces are quantile halfspaces.  Both tests
     hold at any positive scale of (w, t), since q(sw) = s q(w) for s > 0.  A
     solved region's halfspaces are its defining entries up to a positive
@@ -236,10 +236,9 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
             return DepthCheck(
                 len(verts), 0, f"ray {show(r)} leaves the recession cone of the region"
             )
-    sides = [(h.normal, h.offset) for h in region.halfspaces]
-    for e in region.equations:
-        sides += [(e.normal, e.offset), (tuple(-c for c in e.normal), -e.offset)]
-    for checked, (w, t) in enumerate(sides):
+    sides = region.halfspaces
+    for checked, h in enumerate(sides):
+        w, t = h.normal, h.offset
         if cone is not None and not cone.dual_contains(w):
             wrong = "has a normal outside the dual cone"
         else:

@@ -2,12 +2,12 @@
 redundancy removal and set equality.
 
 A polyhedron is held over the homogenized points (z, 1) in one integer
-form per side: primitive rows r, each a halfspace r.(z, 1) >= 0 or an
-equation r.(z, 1) = 0, and primitive generators g = (a, z0), a vertex
-a / z0 when z0 > 0 and a ray a when z0 = 0.  A line is two opposite rays,
-and the "vertices" of a non-pointed polyhedron are canonical
-representatives of its minimal faces.  g lies in r iff r.g >= 0 (r.g = 0
-for an equation), so every containment test is an integer sign.
+form per side: primitive rows r, each a halfspace r.(z, 1) >= 0, and
+primitive generators g = (a, z0), a vertex a / z0 when z0 > 0 and a ray a
+when z0 = 0.  An equation is two opposite rows, as a line is two opposite
+rays, and the "vertices" of a non-pointed polyhedron are canonical
+representatives of its minimal faces.  g lies in r iff r.g >= 0, so every
+containment test is an integer sign.
 
 Each conversion runs the double description method on one side's vectors
 and reads the other side off the extreme rays.  The vectors go to a pointed
@@ -73,36 +73,6 @@ class Halfspace:
 
     def holds_ray(self, r: Vector) -> bool:
         return _linalg.dot(self.normal, r) >= 0
-
-
-@dataclass(frozen=True)
-class Equation:
-    """The hyperplane {z : normal.z = offset}."""
-
-    normal: Vector
-    offset: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", as_vector(self.normal))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        if all(c == 0 for c in self.normal):
-            raise ValueError("equation normal must be nonzero")
-
-    def canonical(self) -> "Equation":
-        scale = next(c for c in self.normal if c != 0)
-        if scale == 1:
-            return self
-        return Equation(tuple(c / scale for c in self.normal), self.offset / scale)
-
-    def key(self) -> tuple:
-        e = self.canonical()
-        return (*e.normal, e.offset)
-
-    def holds(self, z: Vector) -> bool:
-        return _linalg.dot(self.normal, z) == self.offset
-
-    def holds_ray(self, r: Vector) -> bool:
-        return _linalg.dot(self.normal, r) == 0
 
 
 class _PointedCone:
@@ -394,29 +364,25 @@ class Polyhedron:
     """A convex polyhedron as primitive integer constraint rows and
     generators, in the form the module describes; a missing side is
     converted from the other when first needed.  The set value is immutable.
-    ``halfspaces`` and ``equations`` read the rows at primitive integer scale
-    in their order, ``vertices`` and ``rays`` the generators as sorted
-    tuples of rationals; each view is built when first read.
+    ``halfspaces`` reads the rows at primitive integer scale in their order,
+    ``vertices`` and ``rays`` the generators as sorted tuples of rationals;
+    each view is built when first read.
     """
 
-    def __init__(self, dim: int, rows=None, eqs=(), gens=None, empty=None, ordered=False):
+    def __init__(self, dim: int, rows=None, gens=None, empty=None, ordered=False):
         self._dim = dim
         self._rows = rows
-        self._eqs = eqs
         self._gens = gens
         self._empty = empty
         # whether the rows are in the order the V-representation takes them
         self._ordered = ordered
 
     @classmethod
-    def from_hrep(cls, halfspaces, equations=(), *, dim: int) -> "Polyhedron":
+    def from_hrep(cls, halfspaces, *, dim: int) -> "Polyhedron":
         rows = tuple(_linalg.primitive((*h.normal, -h.offset)) for h in halfspaces)
-        eqs = tuple(_linalg.primitive((*e.normal, -e.offset)) for e in equations)
         if any(len(r) != dim + 1 for r in rows):
             raise DimensionMismatch("halfspace dimension mismatch")
-        if any(len(r) != dim + 1 for r in eqs):
-            raise DimensionMismatch("equation dimension mismatch")
-        return cls(dim, rows, eqs)
+        return cls(dim, rows)
 
     @classmethod
     def _from_rows(cls, rows, *, dim: int) -> "Polyhedron":
@@ -458,11 +424,6 @@ class Polyhedron:
         return tuple(Halfspace(r[:-1], -r[-1]) for r in self._rows)
 
     @cached_property
-    def equations(self) -> tuple[Equation, ...]:
-        self._ensure_hrep()
-        return tuple(Equation(r[:-1], -r[-1]) for r in self._eqs)
-
-    @cached_property
     def vertices(self) -> tuple[Vector, ...]:
         self._ensure_vrep()
         return tuple(
@@ -497,9 +458,7 @@ class Polyhedron:
         self._ensure_hrep()
         nums, den = _linalg.common_denominator(z)
         g = (*nums, den)
-        return all(_dot(r, g) >= 0 for r in self._rows) and not any(
-            _dot(e, g) for e in self._eqs
-        )
+        return all(_dot(r, g) >= 0 for r in self._rows)
 
     # -- conversions -------------------------------------------------------
 
@@ -508,7 +467,7 @@ class Polyhedron:
             return
         d = self._dim
         homogenizing = (0,) * d + (1,)
-        rows = [*self._rows, *(r for e in self._eqs for r in (e, _negated(e)))]
+        rows = self._rows
         # ordered rows keep the caller's order, after the homogenizing row
         rows = [homogenizing, *rows] if self._ordered else [*rows, homogenizing]
         lines, raw = _dd_cone(rows, d + 1, shuffle=not self._ordered)
@@ -527,29 +486,24 @@ class Polyhedron:
             self._rows = Polyhedron.empty(d)._rows
             return
         lines, raw = _dd_cone(self._gens, d + 1)
-        eqs = []
-        for ln in lines:
-            if any(ln[:-1]):
-                # the first nonzero normal coordinate > 0, as in Equation.canonical()
-                eqs.append(ln if next(v for v in ln if v) > 0 else _negated(ln))
-            elif ln[-1]:
-                raise InternalInvariantError(
-                    "an equation with a zero normal has a nonzero offset"
-                )
+        if any(not any(ln[:-1]) for ln in lines):
+            raise InternalInvariantError(
+                "an equation with a zero normal has a nonzero offset"
+            )
         # directions of the affine hull: a row constant on it, such as the
         # homogenizing row, is not a facet
-        hull_dirs = _linalg.kernel(*_linalg.echelon([e[:-1] for e in eqs]), d)
+        hull_dirs = _linalg.kernel(*_linalg.echelon([ln[:-1] for ln in lines]), d)
         rows = [g for g in raw if any(_dot(g[:-1], h) for h in hull_dirs)]
-        self._rows = _canonical_order(rows)
-        self._eqs = _canonical_order(eqs)
+        # each line l of the dual cone is an equation, the rows l and -l
+        self._rows = _canonical_order([*rows, *lines, *map(_negated, lines)])
 
 
 def remove_redundant(p: Polyhedron) -> Polyhedron:
     """Drop every halfspace implied by the others.
 
-    The halfspace rows are visited in canonical order, exact duplicates
-    merged first.  A row r is kept iff the polyhedron Q cut out by the rows
-    kept so far, the later ones and the equations is not contained in r.
+    The rows are visited in canonical order, exact duplicates merged first.
+    A row r is kept iff the polyhedron Q cut out by the rows kept so far and
+    the later ones is not contained in r.
     Q contains the nonempty p, so Q = conv(V) + cone(R) from its
     generators, and r fails on Q iff r.g < 0 for some generator g; a line
     is two opposite rays, so it must lie in r's boundary.  A pair of
@@ -563,12 +517,12 @@ def remove_redundant(p: Polyhedron) -> Polyhedron:
     ordered = _canonical_order(set(p._rows))
     kept: list[IntVec] = []
     for i, r in enumerate(ordered):
-        q = Polyhedron(p.dim, (*kept, *ordered[i + 1 :]), p._eqs)
+        q = Polyhedron(p.dim, (*kept, *ordered[i + 1 :]))
         if q.is_empty:
             raise InternalInvariantError("nonempty polyhedron lost feasibility")
         if any(_dot(r, g) < 0 for g in q._gens):
             kept.append(r)
-    return Polyhedron(p.dim, tuple(kept), p._eqs)
+    return Polyhedron(p.dim, tuple(kept))
 
 
 def poly_equal(p: Polyhedron, q: Polyhedron) -> bool:
@@ -582,8 +536,8 @@ def poly_equal(p: Polyhedron, q: Polyhedron) -> bool:
 
 def poly_contains(outer: Polyhedron, inner: Polyhedron) -> bool:
     """Whether every point of ``inner`` satisfies ``outer``'s constraints:
-    r.g >= 0 for every halfspace row r and r.g = 0 for every equation row r
-    of ``outer``, over every generator g of ``inner``."""
+    r.g >= 0 for every row r of ``outer`` and every generator g of
+    ``inner``."""
     if outer.dim != inner.dim:
         raise DimensionMismatch("polyhedra live in different dimensions")
     if inner.is_empty:
@@ -592,6 +546,4 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron) -> bool:
         return False
     outer._ensure_hrep()
     gens = inner._gens
-    return all(_dot(r, g) >= 0 for r in outer._rows for g in gens) and not any(
-        _dot(e, g) for e in outer._eqs for g in gens
-    )
+    return all(_dot(r, g) >= 0 for r in outer._rows for g in gens)

@@ -162,10 +162,11 @@ def benson_dual_solve(
     if not any(ray[-1] > 0 for ray in engine.rays):
         raise EmptyBasis("dual-cone basis has no extreme points")
 
-    # (W, D, t key, loss numerator, loss denominator) per coords, keyed by
-    # primitive (a, z0): w = W/D and t = key/(D den).  The projection is not
-    # kept, since a vertex that needs a cut is cut off and never comes back.
-    cache: dict[IntVec, tuple[IntVec, int, int, int, int]] = {}
+    # (W, t key, loss numerator, loss denominator) per coords, keyed by
+    # primitive (a, z0): w = W/D and t = key/(D den) with D = |c_last| z0.
+    # The projection is not kept, since a vertex that needs a cut is cut off
+    # and never comes back.
+    cache: dict[IntVec, tuple[IntVec, int, int, int]] = {}
     cut_rows: list[IntVec] = []
     rounds = 0
     scalarizations = 0
@@ -193,9 +194,8 @@ def benson_dual_solve(
             asc = ascending(keys)
             ka = list(map(keys.__getitem__, asc))
             t, loss = key_quantile_and_loss(ka, level)
-            wden = abs(c_last) * z
-            loss_den = wden * den * level.p.denominator
-            cache[key] = (weight, wden, t, loss, loss_den)
+            loss_den = abs(c_last) * z * den * level.p.denominator
+            cache[key] = (weight, t, loss, loss_den)
             scalarizations += 1
             value, bound = ray[-2] * loss_den, loss * ray[-1]
             if value == bound:
@@ -226,10 +226,10 @@ def benson_dual_solve(
             "dual image recession cone is not the upward value ray"
         )
     final = _by_coords(vertices)
-    # w.z >= t with w = W/wden and t = key/(wden den) is (den W).z - key >= 0
+    # w.z >= t with w = W/D and t = key/(D den) is (den W).z - key >= 0
     entry_rows = []
     for key, _ in final:
-        weight, _, t, _, _ = cache[key]
+        weight, t, _, _ = cache[key]
         entry_rows.append(primitive((*basis.unpermute([den * wj for wj in weight]), -t)))
     stats = BensonStats(
         rounds=rounds, cuts_added=len(cut_rows), scalarizations=scalarizations

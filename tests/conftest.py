@@ -353,8 +353,8 @@ def lp_certify_interior(cone: Cone, c) -> None:
 
 def lp_remove_redundant(p):
     """``polyhedra.remove_redundant`` by one LP per halfspace: h is kept iff
-    minimizing its left-hand side over the kept, later and equation rows
-    falls strictly below its offset or is unbounded below."""
+    minimizing its left-hand side over the kept and later rows falls strictly
+    below its offset or is unbounded below."""
     from conequant import Halfspace, InternalInvariantError, Polyhedron
     from conequant.lp import INFEASIBLE, OPTIMAL, LinearProgram, simplex_solve
 
@@ -366,17 +366,15 @@ def lp_remove_redundant(p):
         if h.key() not in seen:
             seen.add(h.key())
             ordered.append(h)
-    eq_rows = [e.normal for e in p.equations]
-    eq_rhs = [e.offset for e in p.equations]
     kept = []
     for i, h in enumerate(ordered):
         others = kept + ordered[i + 1 :]
         lp = LinearProgram(
             sense="min",
             objective=h.normal,
-            rows=tuple([o.normal for o in others] + eq_rows),
-            relations=(">=",) * len(others) + ("=",) * len(eq_rows),
-            rhs=tuple([o.offset for o in others] + eq_rhs),
+            rows=tuple(o.normal for o in others),
+            relations=(">=",) * len(others),
+            rhs=tuple(o.offset for o in others),
             bounds=tuple((None, None) for _ in range(p.dim)),
         )
         outcome = simplex_solve(lp)
@@ -384,7 +382,7 @@ def lp_remove_redundant(p):
             raise InternalInvariantError("nonempty polyhedron lost feasibility")
         if outcome.status != OPTIMAL or outcome.value < h.offset:
             kept.append(h)
-    return Polyhedron.from_hrep(kept, p.equations, dim=p.dim)
+    return Polyhedron.from_hrep(kept, dim=p.dim)
 
 
 def solution_cuts(sol):

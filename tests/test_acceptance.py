@@ -481,7 +481,7 @@ def test_criterion_9_polyhedral_kernel_round_trips():
                 assert poly_equal(p, back)
         else:
             p = random_vrep_polyhedron(rng, dim)
-            back = Polyhedron.from_hrep(p.halfspaces, p.equations, dim=dim)
+            back = Polyhedron.from_hrep(p.halfspaces, dim=dim)
             assert poly_equal(p, back)
         once = remove_redundant(p)
         twice = remove_redundant(once)

@@ -257,6 +257,20 @@ class TestRegionDocuments:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        # files saved as "UTF-8 with BOM" give the same documents
+        bom = b"\xef\xbb\xbf"
+        cloud, cone = tmp_path / "square.csv", tmp_path / "orthant2.txt"
+        cloud.write_bytes(bom + (GOLDEN / "square.csv").read_bytes())
+        cone.write_bytes(bom + (GOLDEN / "orthant2.txt").read_bytes())
+        code, out, _ = run_cli(["tukey", str(cloud), "--p", "3/10"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / "square_tukey_p3_10.json").read_text()
+        args = ["region", str(GOLDEN / "twopoint.csv"), "--p", "3/4", "--cone", str(cone)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out == (GOLDEN / "twopoint_orthant_p3_4.json").read_text()
+
     def test_univariate_matches_golden_bytes(self, capsys):
         code, out, _ = run_cli(
             [
@@ -743,3 +757,17 @@ def test_readme_synopsis_lists_every_option():
         for name, sub in commands.choices.items()
     }
     assert documented == defined
+
+
+def test_every_argument_has_help():
+    """``conequant COMMAND --help`` describes every argument of every
+    subcommand."""
+    parser = _build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    undocumented = [
+        f"{name} {a.option_strings[0] if a.option_strings else a.dest}"
+        for name, sub in commands.choices.items()
+        for a in sub._actions
+        if not a.help
+    ]
+    assert undocumented == []

@@ -364,7 +364,7 @@ def test_package_source_has_no_assert():
 PUBLIC = [
     "BensonStats", "Cone", "ConequantError", "ContainsLine", "DataCloud",
     "DegenerateBasis", "DimensionMismatch", "DimensionNot2", "DualConeBasis",
-    "DualSolution", "EmptyBasis", "Equation", "Halfspace", "INFEASIBLE",
+    "DualSolution", "EmptyBasis", "Halfspace", "INFEASIBLE",
     "IntegralNp", "InternalInvariantError", "LinearProgram", "LpOutcome",
     "MalformedProgram", "NotFullDimensional", "NotInterior", "OPTIMAL",
     "Polyhedron", "QuantileLevel", "QuantileRegion", "Rational", "ScalarSample",

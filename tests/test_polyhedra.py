@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conequant import (
     DataCloud,
     DimensionMismatch,
-    Equation,
     Halfspace,
     Polyhedron,
     QuantileLevel,
@@ -27,6 +26,11 @@ from conequant.polyhedra import _PointedCone
 from conftest import frac_nullspace, frac_rank, lp_remove_redundant
 
 F = Fraction
+
+
+def _opposite(h):
+    """The halfspace -normal.z >= -offset; with h it makes an equation."""
+    return Halfspace(tuple(-c for c in h.normal), -h.offset)
 
 
 def unit_square():
@@ -90,14 +94,17 @@ class TestVrepToHrep:
     def test_triangle(self):
         p = Polyhedron.from_vrep([(0, 0), (1, 0), (0, 1)], dim=2)
         assert len(p.halfspaces) == 3
-        assert p.equations == ()
+        keys = {h.key() for h in p.halfspaces}
+        assert not any(_opposite(h).key() in keys for h in p.halfspaces)
 
     def test_single_point_becomes_equations(self):
         p = Polyhedron.from_vrep([(1, 1)], dim=2)
-        assert p.halfspaces == ()
-        assert len(p.equations) == 2
-        assert all(e.holds((1, 1)) for e in p.equations)
-        assert not all(e.holds((1, 2)) for e in p.equations)
+        # two equations, each as a pair of opposite halfspaces
+        assert len(p.halfspaces) == 4
+        keys = {h.key() for h in p.halfspaces}
+        assert all(_opposite(h).key() in keys for h in p.halfspaces)
+        assert all(h.holds((1, 1)) for h in p.halfspaces)
+        assert not all(h.holds((1, 2)) for h in p.halfspaces)
 
     def test_ray_in_one_dimension(self):
         p = Polyhedron.from_vrep([(0,)], rays=[(1,)], dim=1)
@@ -156,8 +163,9 @@ class TestRemoveRedundant:
 def _feature_hrep(rng, dim):
     """A random H-representation with rational offsets that mixes in what
     redundancy removal has to handle: scaled and loosened copies, opposite
-    pairs (an implicit equation, a slab or a contradiction), equations, and
-    normals blind to the last axis, which make that axis a line."""
+    pairs (an implicit equation, a slab or a contradiction), an exact
+    equation as a pair of opposite halfspaces, and normals blind to the last
+    axis, which make that axis a line."""
     blind = dim > 1 and rng.random() < 0.3
 
     def normal():
@@ -182,13 +190,13 @@ def _feature_hrep(rng, dim):
         elif roll < 0.5:
             gap = rng.choice((0, 0, 1, 1, -1))
             hs.append(Halfspace(tuple(-c for c in h.normal), -h.offset - gap))
-    eqs = [Equation(normal(), offset())] if rng.random() < 0.3 else []
+    eq = [Halfspace(normal(), offset())] if rng.random() < 0.3 else []
     rng.shuffle(hs)
-    return Polyhedron.from_hrep(hs, eqs, dim=dim)
+    return Polyhedron.from_hrep(hs + eq + [_opposite(h) for h in eq], dim=dim)
 
 
 def _keys(p):
-    return [h.key() for h in p.halfspaces], [e.key() for e in p.equations]
+    return [h.key() for h in p.halfspaces]
 
 
 class TestRemoveRedundantMatchesLp:
@@ -210,11 +218,9 @@ class TestRemoveRedundantMatchesLp:
                 continue
             assert poly_equal(once, p)
             keys = {h.key() for h in once.halfspaces}
-            seen["equations"] += bool(p.equations)
-            seen["implicit"] += any(
-                Halfspace(tuple(-c for c in h.normal), -h.offset).key() in keys
-                for h in once.halfspaces
-            )
+            given = {h.key() for h in p.halfspaces}
+            seen["equations"] += any(_opposite(h).key() in given for h in p.halfspaces)
+            seen["implicit"] += any(_opposite(h).key() in keys for h in once.halfspaces)
             seen["line"] += any(tuple(-c for c in r) in p.rays for r in p.rays)
             seen["unbounded"] += not p.is_bounded
         assert min(seen.values()) >= 5, seen
@@ -277,7 +283,7 @@ class TestRoundTrips:
         rng = random.Random(43)
         for _ in range(60):
             p = _random_vrep(rng, dim=rng.randint(1, 4))
-            back = Polyhedron.from_hrep(p.halfspaces, p.equations, dim=p.dim)
+            back = Polyhedron.from_hrep(p.halfspaces, dim=p.dim)
             assert poly_equal(p, back)
 
     def test_vertices_satisfy_constraints_tightly(self):
@@ -308,9 +314,7 @@ class TestRoundTrips:
             base = remove_redundant(p)
             shuffled = list(p.halfspaces)
             rng.shuffle(shuffled)
-            again = remove_redundant(
-                Polyhedron.from_hrep(shuffled, p.equations, dim=p.dim)
-            )
+            again = remove_redundant(Polyhedron.from_hrep(shuffled, dim=p.dim))
             assert [h.key() for h in again.halfspaces] == [
                 h.key() for h in base.halfspaces
             ]
@@ -517,8 +521,9 @@ KINDS = ("bounded", "unbounded", "equations", "lineality", "empty")
 
 @st.composite
 def hrep_and_permutation(draw):
-    """Halfspaces (and equations) of one kind of polyhedron in d <= 4 with
-    small integer data, and a reordering of them."""
+    """Halfspaces of one kind of polyhedron in d <= 4 with small integer
+    data, and a reordering of them; an equation is a pair of opposite
+    halfspaces."""
     kind = draw(st.sampled_from(KINDS))
     dim = draw(st.integers(1 if kind != "equations" else 2, 4))
     width = dim - 1 if kind == "lineality" and dim > 1 else dim
@@ -528,7 +533,6 @@ def hrep_and_permutation(draw):
         Halfspace(n + pad, off)
         for n, off in draw(st.lists(st.tuples(normal, st.integers(-6, 6)), max_size=8))
     ]
-    eqs = []
     for k in range(dim):
         unit = tuple(int(i == k) for i in range(dim))
         if kind == "bounded":
@@ -537,29 +541,29 @@ def hrep_and_permutation(draw):
             hs.append(Halfspace(unit, -5))
     if kind == "equations":
         for n, off in draw(st.lists(st.tuples(normal, st.integers(-4, 4)), min_size=1, max_size=dim - 1)):
-            eqs.append(Equation(n, off))
+            eq = Halfspace(n, off)
+            hs += [eq, _opposite(eq)]
     if kind == "empty":
         hs += [Halfspace((1,) + (0,) * (dim - 1), 1), Halfspace((-1,) + (0,) * (dim - 1), 0)]
-    return dim, hs, eqs, draw(st.permutations(hs)), draw(st.permutations(eqs))
+    return dim, hs, draw(st.permutations(hs))
 
 
 @settings(max_examples=150)
 @given(hrep_and_permutation())
 def test_conversion_ignores_constraint_order(case):
     """The V-representation is a function of the set: any order of the same
-    halfspaces and equations gives the same vertices and rays."""
-    dim, hs, eqs, hs2, eqs2 = case
-    p = Polyhedron.from_hrep(hs, eqs, dim=dim)
-    q = Polyhedron.from_hrep(hs2, eqs2, dim=dim)
+    halfspaces gives the same vertices and rays."""
+    dim, hs, hs2 = case
+    p = Polyhedron.from_hrep(hs, dim=dim)
+    q = Polyhedron.from_hrep(hs2, dim=dim)
     assert q.is_empty == p.is_empty
     assert q.vertices == p.vertices
     assert q.rays == p.rays
 
 
 def _fraction_contains(p, z):
-    """Membership by the Fraction constraints that ``halfspaces`` and
-    ``equations`` read as."""
-    return all(h.holds(z) for h in p.halfspaces) and all(e.holds(z) for e in p.equations)
+    """Membership by the Fraction constraints that ``halfspaces`` reads as."""
+    return all(h.holds(z) for h in p.halfspaces)
 
 
 def _fraction_poly_contains(outer, inner):
@@ -570,7 +574,7 @@ def _fraction_poly_contains(outer, inner):
     if outer.is_empty:
         return False
     return all(_fraction_contains(outer, v) for v in inner.vertices) and all(
-        c.holds_ray(r) for c in (*outer.halfspaces, *outer.equations) for r in inner.rays
+        h.holds_ray(r) for h in outer.halfspaces for r in inner.rays
     )
 
 
@@ -636,7 +640,6 @@ class TestIntegerForm:
             raise AssertionError("a Fraction constraint was built")
 
         monkeypatch.setattr(polyhedra, "Halfspace", refuse)
-        monkeypatch.setattr(polyhedra, "Equation", refuse)
         reduced = []
         for p, fresh, q, z, answers, _ in cases:
             for r in (p, fresh):
@@ -650,8 +653,12 @@ class TestIntegerForm:
     def test_hrep_reads_at_primitive_scale(self):
         (h,) = Polyhedron.from_hrep([Halfspace((-2, 4), 6)], dim=2).halfspaces
         assert (h.normal, h.offset) == ((F(-1), F(2)), F(3))
-        (e,) = Polyhedron.from_hrep([], [Equation((F(1, 2), F(-3, 4)), 1)], dim=2).equations
-        assert (e.normal, e.offset) == ((F(2), F(-3)), F(4))
+        eq = Halfspace((F(1, 2), F(-3, 4)), 1)
+        pair = Polyhedron.from_hrep([eq, _opposite(eq)], dim=2).halfspaces
+        assert [(h.normal, h.offset) for h in pair] == [
+            ((F(2), F(-3)), F(4)),
+            ((F(-2), F(3)), F(-4)),
+        ]
 
     def test_vrep_reads_sorted_at_primitive_scale(self):
         p = Polyhedron.from_vrep([(1, 1), (0, F(1, 2)), (0, 0)], rays=[(F(1, 2), 1), (0, 6)], dim=2)
@@ -667,7 +674,11 @@ class TestIntegerForm:
             ((F(1), F(0)), F(0)),
         ]
         segment = Polyhedron.from_vrep([(0, 0), (3, 2)], dim=2)
-        assert [(e.normal, e.offset) for e in segment.equations] == [((F(2), F(-3)), F(0))]
+        rows = [(h.normal, h.offset) for h in segment.halfspaces]
+        assert ((F(2), F(-3)), F(0)) in rows and ((F(-2), F(3)), F(0)) in rows
+        assert [h.key() for h in segment.halfspaces] == sorted(
+            h.key() for h in segment.halfspaces
+        )
         p = Polyhedron.from_hrep(
             [Halfspace((4, 6), 12), Halfspace((1, 0), 0), Halfspace((2, 3), 5)], dim=2
         )

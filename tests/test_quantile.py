@@ -217,9 +217,9 @@ class TestIntegerRows:
                     want.vertices,
                     want.rays,
                 )
-                # the entries' halfspaces, at the rows' scale and order
+                # the entries' halfspaces, at the rows' scale and order, and
+                # no other row
                 assert sorted(map(Halfspace.key, got.halfspaces)) == sorted(map(Halfspace.key, hs))
-                assert got.equations == ()
                 empty += got.is_empty
         assert 0 < empty < 10
 

@@ -82,16 +82,16 @@ class TestInitialOuter:
         assert poly.rays == ((F(0), F(0), F(1)),)
 
     def test_bounded_basis_for_random_cones(self):
-        from conequant import Equation
-
         rng = random.Random(52)
         for _ in range(20):
             basis = make_dual_basis(random_cone(rng, rng.randint(1, 3)))
             # bounded and nonempty: this is what makes the slice a basis
             assert basis_vertices(basis)
+            # c.w = 1 as two opposite halfspaces
+            c = basis.c
+            slice_ = [Halfspace(c, F(1)), Halfspace(tuple(-x for x in c), F(-1))]
             full = Polyhedron.from_hrep(
-                [Halfspace(g, F(0)) for g in basis.cone.generators if any(g)],
-                [Equation(basis.c, F(1))],
+                [Halfspace(g, F(0)) for g in basis.cone.generators if any(g)] + slice_,
                 dim=basis.dim,
             )
             assert full.is_bounded
