@@ -8,13 +8,14 @@ needed because the arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
+from operator import mul
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def dot(u, v):
+    """u.v: an int for integer vectors, a Fraction for rational ones."""
+    return sum(map(mul, u, v))
 
 
 def echelon(rows) -> tuple[list[list[int]], list[int]]:

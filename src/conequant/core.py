@@ -38,6 +38,7 @@ from .errors import (
     ContainsLine,
     DegenerateBasis,
     DimensionMismatch,
+    IntegralNp,
     NotFullDimensional,
     NotInterior,
 )
@@ -100,13 +101,15 @@ class DataCloud:
 
     The cloud is kept as ``int_form``: integer rows over the least common
     positive denominator of all coordinates.  ``points`` is the same cloud as
-    tuples of rationals, built the first time it is read, or the tuple the
-    cloud was constructed from.  Equality and hashing are by value.
+    tuples of rationals, built the first time it is read, or the points the
+    cloud was constructed from, each entry read by ``as_vector``.  Equality
+    and hashing are by value.
     """
 
     int_form: tuple[list[tuple[int, ...]], int]
 
     def __init__(self, points) -> None:
+        points = tuple(map(as_vector, points))
         d = _row_width(points)
         flat, den = _linalg.common_denominator([c for p in points for c in p])
         rows = [tuple(flat[i : i + d]) for i in range(0, len(flat), d)]
@@ -114,7 +117,7 @@ class DataCloud:
 
     @classmethod
     def from_rows(cls, rows) -> "DataCloud":
-        return cls(tuple(as_vector(row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def from_int_form(cls, rows, den: int) -> "DataCloud":
@@ -186,8 +189,6 @@ class QuantileLevel:
 
     def require_valid(self) -> None:
         if not self.is_valid:
-            from .errors import IntegralNp
-
             raise IntegralNp(
                 f"N*p = {format_rational(self.n * self.p)} is an integer; "
                 "the unique-minimizer hypothesis needs N*p to be non-integral"
@@ -232,8 +233,10 @@ def validate_cone(generators) -> Cone:
 
     Raises NotFullDimensional when rank < d and ContainsLine when some nonzero
     generator's negation is also in the cone (which is equivalent to the
-    cone containing a line).  Full rank makes the dual cone pointed, and -g
-    lies in the cone iff g is zero on every extreme ray of the dual cone.
+    cone containing a line).  Both are read off one double description run
+    of the dual cone: its lines are a basis of the generators' kernel, so
+    rank = d - #lines.  Full rank makes the dual cone pointed, and -g lies
+    in the cone iff g is zero on every extreme ray of the dual cone.
     """
     rows = tuple(as_vector(g) for g in generators)
     if not rows:
@@ -241,14 +244,13 @@ def validate_cone(generators) -> Cone:
     d = len(rows[0])
     if d < 1 or any(len(g) != d for g in rows):
         raise DimensionMismatch("generator rows must share one dimension >= 1")
-    rank = _linalg.int_rank([_linalg.primitive(g) for g in rows])
-    if rank < d:
+    cone = Cone(rows)
+    lines, rays = cone.dual_rays
+    if lines:
         raise NotFullDimensional(
-            f"generators span a {rank}-dimensional subspace of "
+            f"generators span a {d - len(lines)}-dimensional subspace of "
             f"R^{d}; the cone has empty interior"
         )
-    cone = Cone(rows)
-    _, rays = cone.dual_rays
     for g in rows:
         if any(g) and all(_linalg.dot(g, r) == 0 for r in rays):
             raise ContainsLine(

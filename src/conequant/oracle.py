@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from ._linalg import angle_key, cross, dot, primitive
+from ._linalg import angle_key, common_denominator, cross, dot, primitive
 from .core import (
     Cone,
     DataCloud,
@@ -29,7 +29,6 @@ from .core import (
     as_vector,
     format_rational,
     make_dual_basis,
-    project_data,
 )
 from .errors import DimensionMismatch, DimensionNot2, InternalInvariantError
 from .polyhedra import Halfspace, Polyhedron
@@ -219,6 +218,8 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
         raise ValueError(f"the depth check needs a {provenance} region")
     generators = () if cone is None else cone.generators
     level = result.level
+    if level.n != cloud.n:
+        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
     k = level.ceil_np
     region = result.region
     verts = region.vertices
@@ -236,16 +237,20 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
             return DepthCheck(
                 len(verts), 0, f"ray {show(r)} leaves the recession cone of the region"
             )
+    # q(w) is the k-th smallest w.x_i; with w = ws / s and the cloud as
+    # integer rows over den, that is the k-th smallest ws.row over s * den
+    rows, den = cloud.int_form
     sides = region.halfspaces
     for checked, h in enumerate(sides):
         w, t = h.normal, h.offset
         if cone is not None and not cone.dual_contains(w):
             wrong = "has a normal outside the dual cone"
         else:
-            q = quantile_direct(ScalarSample(project_data(cloud, w)), level)
-            if t == q:
+            ws, s = common_denominator(w)
+            key = sorted(dot(ws, row) for row in rows)[k - 1]
+            if t * (s * den) == key:
                 continue
-            wrong = f"is not at its quantile {format_rational(q)}"
+            wrong = f"is not at its quantile {format_rational(Fraction(key, s * den))}"
         halfspace = f"halfspace {show(w)}.z >= {format_rational(t)}"
         return DepthCheck(len(verts), checked, f"{halfspace} {wrong}")
     return DepthCheck(len(verts), len(sides), None)

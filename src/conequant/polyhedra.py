@@ -11,16 +11,16 @@ containment test is an integer sign.
 
 Each conversion runs the double description method on one side's vectors
 and reads the other side off the extreme rays.  The vectors go to a pointed
-cone engine as they are; only when they turn out rank deficient is
-lineality split off, by an exact integer kernel basis, and the engine run
-again in the row space.  The engine works on primitive ray vectors with
-zero sets as bitmasks, and keeps the cone's edge graph: a new row is
-located by an edge walk, touches only the rays it cuts off and their
-neighbours, and decides the new edges on its own facet by the exact
-combinatorial test.  The walk starts at a ray the caller names, such as the
-Benson vertex a cut was made from; a start removed since is replaced
-through the engine's map from each removed ray to a ray made by the
-insertion that removed it.
+cone engine as they are; only when they turn out rank deficient does an
+exact integer kernel basis of the lineality space enter the same engine,
+each line as two opposite rows, and cut the lineality away.  The engine
+works on primitive ray vectors with zero sets as bitmasks, and keeps the
+cone's edge graph: a new row is located by an edge walk, touches only the
+rays it cuts off and their neighbours, and decides the new edges on its own
+facet by the exact combinatorial test.  The walk starts at a ray the caller
+names, such as the Benson vertex a cut was made from; a start removed since
+is replaced through the engine's map from each removed ray to a ray made by
+the insertion that removed it.
 The intermediate cones depend on the row order.  A quantile region's rows
 are the dual solve's own, and they enter in the order its solver chose,
 likeliest facets first; every other conversion hands its vectors over in
@@ -174,10 +174,6 @@ class _PointedCone:
         self._height[i] = sum(map(mul, self._e, ray))
         return i
 
-    def finish(self) -> None:
-        if not self._initialized:
-            raise ValueError("cone is not pointed: constraint rows are rank deficient")
-
     @property
     def ready(self) -> bool:
         return self._initialized
@@ -307,8 +303,12 @@ def _dd_cone(
     has ordered them already.  The rays come back in no particular order.
 
     The pointed engine runs first, on the rows as they are, and finds full
-    rank itself; only when it never bootstraps is the lineality space split
-    off.
+    rank itself.  When it never bootstraps, the rows leave the lineality
+    space L free; each line l of an integer kernel basis of L then enters
+    the same engine as the two rows l and -l.  The rows and L span the
+    space, so the engine bootstraps, and it ends with the pointed cone of
+    the x orthogonal to L with row.x >= 0.  The cone is L plus that cone,
+    whose extreme rays are the rays returned.
     """
     live = [r for r in rows if any(r)]
     if shuffle:
@@ -319,26 +319,11 @@ def _dd_cone(
         return [], engine.rays
     red, pivots = _linalg.echelon(live)
     lines = _linalg.kernel(red, pivots, dim)
-    if not live:
-        return lines, []
-    # split off the lineality space: run the engine in the row space, with
-    # the reduced rows b_k as its basis; a row r maps to (r.b_k) and a ray z
-    # back to sum z_k b_k
-    engine = _PointedCone(len(red))
-    engine.add_rows(
-        _linalg.primitive([sum(map(mul, r, b)) for b in red]) for r in live
-    )
-    engine.finish()
-    columns = list(zip(*red))
-    rays = [
-        _linalg.primitive([sum(map(mul, z, col)) for col in columns])
-        for z in engine.rays
-    ]
-    return lines, rays
-
-
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
+    for line in lines:
+        engine.add_rows((line, _negated(line)))
+    if not engine.ready:
+        raise InternalInvariantError("the rows and their kernel basis do not span the space")
+    return lines, engine.rays
 
 
 def _negated(row: IntVec) -> IntVec:
@@ -458,7 +443,7 @@ class Polyhedron:
         self._ensure_hrep()
         nums, den = _linalg.common_denominator(z)
         g = (*nums, den)
-        return all(_dot(r, g) >= 0 for r in self._rows)
+        return all(_linalg.dot(r, g) >= 0 for r in self._rows)
 
     # -- conversions -------------------------------------------------------
 
@@ -493,7 +478,7 @@ class Polyhedron:
         # directions of the affine hull: a row constant on it, such as the
         # homogenizing row, is not a facet
         hull_dirs = _linalg.kernel(*_linalg.echelon([ln[:-1] for ln in lines]), d)
-        rows = [g for g in raw if any(_dot(g[:-1], h) for h in hull_dirs)]
+        rows = [g for g in raw if any(_linalg.dot(g[:-1], h) for h in hull_dirs)]
         # each line l of the dual cone is an equation, the rows l and -l
         self._rows = _canonical_order([*rows, *lines, *map(_negated, lines)])
 
@@ -520,7 +505,7 @@ def remove_redundant(p: Polyhedron) -> Polyhedron:
         q = Polyhedron(p.dim, (*kept, *ordered[i + 1 :]))
         if q.is_empty:
             raise InternalInvariantError("nonempty polyhedron lost feasibility")
-        if any(_dot(r, g) < 0 for g in q._gens):
+        if any(_linalg.dot(r, g) < 0 for g in q._gens):
             kept.append(r)
     return Polyhedron(p.dim, tuple(kept))
 
@@ -546,4 +531,4 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron) -> bool:
         return False
     outer._ensure_hrep()
     gens = inner._gens
-    return all(_dot(r, g) >= 0 for r in outer._rows for g in gens)
+    return all(_linalg.dot(r, g) >= 0 for r in outer._rows for g in gens)

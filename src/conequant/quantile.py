@@ -88,11 +88,8 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
     """
     lifted = lift_dataset(cloud)
     d1 = lifted.dim
-    one = Fraction(1)
-    orthant = validate_cone(
-        tuple(tuple(one if i == j else Fraction(0) for j in range(d1)) for i in range(d1))
-    )
-    basis = make_dual_basis(orthant, tuple(one for _ in range(d1)))
+    orthant = validate_cone(tuple(tuple(int(i == j) for j in range(d1)) for i in range(d1)))
+    basis = make_dual_basis(orthant, (1,) * d1)
     sol = benson_dual_solve(lifted, level, basis)
     entries: list[tuple[Vector, Fraction]] = []
     rows = []

@@ -195,8 +195,8 @@ class TestLoadPoints:
         assert err == f"error: {data}:4: cannot parse rational from '0x10'\n"
 
     def test_commands_build_no_fraction_cloud(self, monkeypatch, capsys):
-        """depth, tukey and region work on the integer rows alone; only
-        uniquantile and verify read the cloud's rational points."""
+        """depth, tukey, region and verify work on the integer rows alone;
+        only uniquantile reads the cloud's rational points."""
 
         def refuse(cloud):
             raise AssertionError("built the rational points of a cloud")
@@ -213,14 +213,24 @@ class TestLoadPoints:
             capsys,
         )
         assert (code, out) == (0, (GOLDEN / "twopoint_orthant_p3_4.json").read_text())
+        code, out, _ = run_cli(["verify", square, "--p", "3/10"], capsys)
+        assert (code, out) == (
+            0, "exact depth check: 1 vertices at tukey_depth >= 2, 8 halfspaces at their quantiles\n"
+        )
+        code, out, _ = run_cli(
+            ["verify", str(GOLDEN / "twopoint.csv"), "--p", "3/4",
+             "--cone", str(GOLDEN / "orthant2.txt")],
+            capsys,
+        )
+        assert (code, out) == (
+            0, "exact depth check: 1 vertices at cone depth >= 2, 2 halfspaces at their quantiles\n"
+        )
         uni = ["uniquantile", str(GOLDEN / "univariate.csv"), "--p", "1/2"]
         with pytest.raises(AssertionError, match="rational points"):
             main(uni)
         monkeypatch.undo()
         code, out, _ = run_cli(uni, capsys)
         assert code == 0 and out.startswith("q=")
-        code, out, _ = run_cli(["verify", square, "--p", "3/10"], capsys)
-        assert code == 0 and out.startswith("exact depth check:")
 
 
 class TestRegionDocuments:

@@ -135,6 +135,19 @@ class TestDataCloud:
         with pytest.raises(AttributeError):
             cloud.points = ()
 
+    def test_entries_are_read_as_rationals(self):
+        """Float, int and string entries are read exactly, as ``from_rows``
+        reads them, and the points are Fractions whatever was passed in."""
+        clouds = [
+            DataCloud(((0.5, 1.0), (0, -2))),
+            DataCloud(((F(1, 2), 1), (0, -2))),
+            DataCloud((("1/2", "1"), ("0", "-2.0"))),
+            DataCloud.from_rows([[0.5, 1], [0, -2]]),
+        ]
+        assert all(c == clouds[0] for c in clouds) and len(set(clouds)) == 1
+        for cloud in clouds + [DataCloud(((0, 0), (1, 1)))]:
+            assert all(type(c) is Fraction for p in cloud.points for c in p)
+
 class TestQuantileLevel:
     def test_ceiling_threshold(self):
         level = QuantileLevel(Fraction(1, 2), 5)
@@ -171,6 +184,10 @@ class TestValidateCone:
             validate_cone([[1, 0]])
         with pytest.raises(NotFullDimensional, match="a 1-dimensional subspace"):
             validate_cone([["1/2", "1/3"], [3, 2], [0, 0]])
+        with pytest.raises(NotFullDimensional, match="a 0-dimensional subspace of R"):
+            validate_cone([[0, 0, 0]])
+        with pytest.raises(NotFullDimensional, match="a 2-dimensional subspace of R"):
+            validate_cone([[1, 0, 0], [-1, 0, 0], [0, 1, 1], [0, 2, 2], [1, 1, 1]])
 
     def test_line_detected(self):
         with pytest.raises(ContainsLine):

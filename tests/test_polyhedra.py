@@ -22,7 +22,7 @@ from conequant import (
 from conequant._linalg import primitive
 from conequant.lp import INFEASIBLE, LinearProgram, simplex_solve
 from conequant.oracle import oracle_region_2d
-from conequant.polyhedra import _PointedCone
+from conequant.polyhedra import _dd_cone, _PointedCone
 from conftest import frac_nullspace, frac_rank, lp_remove_redundant
 
 F = Fraction
@@ -386,7 +386,7 @@ class TestPointedConeEngine:
         return self._verify(engine, rows, dim)
 
     def _verify(self, engine, rows, dim):
-        engine.finish()
+        assert engine.ready
         assert len(set(engine.rays)) == len(engine.rays)
         assert set(engine.rays) == _brute_force_rays(rows, dim)
         for rid, ray in engine.items():
@@ -514,6 +514,38 @@ class TestPointedConeEngine:
                 engine = self._check(rows, dim)
             apex = next(i for i, r in engine._ray.items() if r == (6,) * k + (0, 1))
             assert len(engine._nbrs[apex]) == degree
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_dd_cone_cuts_lineality_away(dim):
+    """Rank-deficient rows, every rank 0..dim-1, with zero rows and
+    duplicates: the lines are a kernel basis of the rows, and the rays are
+    the extreme rays of the pointed cone the rows and +-lines cut out."""
+    rng = random.Random(900 + dim)
+    with_rays = 0
+    for rank in range(dim):
+        for _ in range(6):
+            rows = []
+            while frac_rank(rows) < rank or not rows:
+                basis = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rank)]
+                coefs = [
+                    [rng.randint(-2, 2) for _ in basis]
+                    for _ in range(rng.randint(rank, rank + 3))
+                ]
+                rows = [
+                    tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(dim))
+                    for cs in coefs
+                ]
+            rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))] + [(0,) * dim]
+            rng.shuffle(rows)
+            lines, rays = _dd_cone(rows, dim)
+            assert len(lines) == dim - rank == frac_rank(lines)
+            assert all(sum(map(mul, row, ln)) == 0 for row in rows for ln in lines)
+            cut = rows + lines + [tuple(-c for c in ln) for ln in lines]
+            assert len(set(rays)) == len(rays)
+            assert set(rays) == _brute_force_rays(cut, dim)
+            with_rays += bool(rays)
+    assert with_rays >= 2 * (dim - 1)
 
 
 KINDS = ("bounded", "unbounded", "equations", "lineality", "empty")
