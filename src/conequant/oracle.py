@@ -1,16 +1,21 @@
 """Independent brute-force verifiers.
 
+Every check reads the cloud as integer rows over one denominator, so w.x_i
+for an integer direction w is an integer key over it and q(w) is the k-th
+smallest key; Fractions appear only in what the checks report and in the
+dual basis that membership sampling draws from.
+
 The planar oracle rebuilds regions straight from the defining intersection
 over all directions: the direction-indexed quantile is piecewise constant,
 changing only across directions orthogonal to some difference of data
 points, so finitely many critical directions plus one interior direction per
 arc give the exact region.  It deliberately shares nothing with the dual
-solver except the direct quantile and the final halfspace-intersection
-utility.  A Tukey or cone region in any dimension is checked exactly on both
-sides by its definition: each of its halfspaces is a quantile halfspace,
-and each of its vertices has depth >= k by the direct count, which solves
-no region.  Sampled one-sided membership is kept as a further check that
-shares neither.
+solver except the final halfspace intersection.  A Tukey or cone region in
+any dimension is checked exactly on both sides by its definition: each of
+its halfspaces is a quantile halfspace, and each of its vertices has depth
+>= k by the direct count, which solves no region.  Sampled one-sided
+membership is kept as a further check that shares neither; like the exact
+check, it projects the cloud with the solver's column-wise projection.
 """
 
 from __future__ import annotations
@@ -32,17 +37,13 @@ from .core import (
 )
 from .errors import DimensionMismatch, DimensionNot2, InternalInvariantError
 from .polyhedra import Halfspace, Polyhedron
-from .quantile import CONE_PROVENANCE, TUKEY_PROVENANCE, QuantileRegion, _depth
-from .univariate import ScalarSample, count_le, project, quantile_direct
+from .quantile import CONE_PROVENANCE, TUKEY_PROVENANCE, QuantileRegion, _check_fit, _depth
+from .univariate import project_keys
 from .vlp import basis_vertices
 
 ORACLE_PROVENANCE = "oracle-2d"
 
 IntDir = tuple[int, int]
-
-
-def _dot2(w: IntDir, x: Vector) -> Fraction:
-    return w[0] * x[0] + w[1] * x[1]
 
 
 def critical_directions(cloud: DataCloud, cone: Cone | None) -> tuple[IntDir, ...]:
@@ -51,11 +52,10 @@ def critical_directions(cloud: DataCloud, cone: Cone | None) -> tuple[IntDir, ..
     the extreme rays of the dual cone (cone case) or the axis directions
     (Tukey case)."""
     dirs: set[IntDir] = set()
-    pts = cloud.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dx = pts[i][0] - pts[j][0]
-            dy = pts[i][1] - pts[j][1]
+    rows, _ = cloud.int_form
+    for i, (xi, yi) in enumerate(rows):
+        for xj, yj in rows[i + 1 :]:
+            dx, dy = xi - xj, yi - yj
             if dx == 0 and dy == 0:
                 continue
             n = primitive((-dy, dx))
@@ -64,14 +64,14 @@ def critical_directions(cloud: DataCloud, cone: Cone | None) -> tuple[IntDir, ..
     if cone is None:
         dirs.update([(1, 0), (-1, 0), (0, 1), (0, -1)])
         return tuple(sorted(dirs, key=angle_key))
-    in_dual = [w for w in dirs if cone.dual_contains(tuple(map(Fraction, w)))]
+    in_dual = [w for w in dirs if cone.dual_contains(w)]
     boundary: set[IntDir] = set()
     for g in cone.generators:
         for cand in ((-g[1], g[0]), (g[1], -g[0])):
             if cand[0] == 0 and cand[1] == 0:
                 continue
             cp = primitive(cand)
-            if cone.dual_contains(tuple(map(Fraction, cp))):
+            if cone.dual_contains(cp):
                 boundary.add(cp)
     sector = set(in_dual) | boundary
     # the sector spans less than a half turn, so the cross product is a
@@ -92,22 +92,24 @@ def oracle_region_2d(
     if cloud.dim != 2:
         raise DimensionNot2(f"the planar oracle needs 2-dimensional data, got {cloud.dim}")
     level.require_valid()
+    _check_fit(cloud, level, cone)
     crit = critical_directions(cloud, cone)
     k = level.ceil_np
+    rows, den = cloud.int_form
     halfspaces: list[Halfspace] = []
     entries: list[tuple[Vector, Fraction]] = []
 
-    def q_of(w: IntDir) -> Fraction:
-        sample = ScalarSample(tuple(_dot2(w, p) for p in cloud.points))
-        return quantile_direct(sample, level)
+    def keys(w: IntDir) -> list[int]:
+        return [w[0] * x + w[1] * y for x, y in rows]
 
-    def add(w: IntDir, offset: Fraction) -> None:
+    def add(w: IntDir, key: int) -> None:
         vec = (Fraction(w[0]), Fraction(w[1]))
+        offset = Fraction(key, den)
         halfspaces.append(Halfspace(vec, offset))
         entries.append((vec, offset))
 
     for w in crit:
-        add(w, q_of(w))
+        add(w, sorted(keys(w))[k - 1])
 
     if cone is None:
         arcs = [(crit[i], crit[(i + 1) % len(crit)]) for i in range(len(crit))]
@@ -119,11 +121,10 @@ def oracle_region_2d(
             raise InternalInvariantError(
                 "two consecutive critical directions are antipodal"
             )
-        proj = [_dot2(mid, p) for p in cloud.points]
-        order = sorted(range(len(proj)), key=lambda i: (proj[i], i))
-        anchor = cloud.points[order[k - 1]]
-        add(a, _dot2(a, anchor))
-        add(b, _dot2(b, anchor))
+        mid_keys = keys(mid)
+        anchor = rows[sorted(range(len(rows)), key=mid_keys.__getitem__)[k - 1]]
+        add(a, dot(a, anchor))
+        add(b, dot(b, anchor))
 
     region = Polyhedron.from_hrep(halfspaces, dim=2)
     return QuantileRegion(
@@ -146,9 +147,10 @@ def membership_sample(
     """One-sided membership test by sampled directions.
 
     Returns False as soon as a sampled dual-cone direction w refutes
-    membership (the at-or-below count of w.z among the projections falls
-    short of the level's threshold); True only means "not refuted".
-    Deterministic for a given seed.
+    membership: fewer than ceil(N p) of the w.x_i are at or below w.z.  True
+    only means "not refuted".  Deterministic for a given seed.  With w at
+    primitive integer scale, x_i = row_i / den and z = zn / zd, w.x_i <= w.z
+    exactly when the integer key w.row_i is at most floor(den (w.zn) / zd).
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -156,30 +158,31 @@ def membership_sample(
     if len(z_vec) != cloud.dim:
         raise DimensionMismatch("query point dimension does not match the data")
     level.require_valid()
+    _check_fit(cloud, level, cone)
     rng = random.Random(seed)
     d = cloud.dim
     k = level.ceil_np
     rows, den = cloud.int_form
     cols = list(zip(*rows))
-    gens: tuple[Vector, ...] = ()
+    zn, zd = common_denominator(z_vec)
+    gens: list[list[int]] = []
     if cone is not None:
-        gens = basis_vertices(make_dual_basis(cone))
+        # one integer scale for all basis vertices scales each w by s > 0
+        flat, _ = common_denominator(sum(basis_vertices(make_dual_basis(cone)), ()))
+        gens = [flat[i : i + d] for i in range(0, len(flat), d)]
     for _ in range(trials):
         if cone is None:
-            w = tuple(Fraction(rng.randint(-9, 9)) for _ in range(d))
-            while all(c == 0 for c in w):
-                w = tuple(Fraction(rng.randint(-9, 9)) for _ in range(d))
+            w = [rng.randint(-9, 9) for _ in range(d)]
+            while not any(w):
+                w = [rng.randint(-9, 9) for _ in range(d)]
         else:
             coefs = [rng.randint(0, 9) for _ in gens]
-            while all(c == 0 for c in coefs):
+            while not any(coefs):
                 coefs = [rng.randint(0, 9) for _ in gens]
-            w = tuple(
-                sum((c * v[j] for c, v in zip(coefs, gens)), Fraction(0))
-                for j in range(d)
-            )
-        keys, kden = project(cols, den, w)
-        t = sum((wi * zi for wi, zi in zip(w, z_vec)), Fraction(0))
-        if count_le(keys, kden, t) < k:
+            w = [sum(c * v[j] for c, v in zip(coefs, gens)) for j in range(d)]
+        w = primitive(w)
+        bound = den * dot(w, zn) // zd
+        if sum(1 for key in project_keys(cols, w) if key <= bound) < k:
             return False
     return True
 
@@ -205,8 +208,10 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
     recession cone C (w.r >= 0 for every extreme ray w of C+) or, for a
     Tukey region, in {0}.  T is in R: every halfspace w.z >= t of R's own
     H-representation, where an equation is two opposite halfspaces, has w in
-    C+ and t = q(w).  So R = T with no tolerance, and an empty R
-    passes only when all its halfspaces are quantile halfspaces.  Both tests
+    C+ and t = q(w).  So R = T with no tolerance, and an empty R passes only
+    when all its halfspaces are quantile halfspaces.  Each halfspace is read
+    as R's own primitive integer row (w, -t); with the cloud's integer rows
+    over den, q(w) is the k-th smallest key w.row_i over den.  Both tests
     hold at any positive scale of (w, t), since q(sw) = s q(w) for s > 0.  A
     solved region's halfspaces are its defining entries up to a positive
     scale, all quantile halfspaces; an H-representation derived from
@@ -218,8 +223,7 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
         raise ValueError(f"the depth check needs a {provenance} region")
     generators = () if cone is None else cone.generators
     level = result.level
-    if level.n != cloud.n:
-        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
+    _check_fit(cloud, level, cone)
     k = level.ceil_np
     region = result.region
     verts = region.vertices
@@ -237,20 +241,19 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
             return DepthCheck(
                 len(verts), 0, f"ray {show(r)} leaves the recession cone of the region"
             )
-    # q(w) is the k-th smallest w.x_i; with w = ws / s and the cloud as
-    # integer rows over den, that is the k-th smallest ws.row over s * den
     rows, den = cloud.int_form
-    sides = region.halfspaces
-    for checked, h in enumerate(sides):
-        w, t = h.normal, h.offset
+    cols = list(zip(*rows))
+    region._ensure_hrep()
+    sides = region._rows
+    for checked, row in enumerate(sides):
+        w, t = row[:-1], -row[-1]
         if cone is not None and not cone.dual_contains(w):
             wrong = "has a normal outside the dual cone"
         else:
-            ws, s = common_denominator(w)
-            key = sorted(dot(ws, row) for row in rows)[k - 1]
-            if t * (s * den) == key:
+            key = sorted(project_keys(cols, w))[k - 1]
+            if t * den == key:
                 continue
-            wrong = f"is not at its quantile {format_rational(Fraction(key, s * den))}"
-        halfspace = f"halfspace {show(w)}.z >= {format_rational(t)}"
+            wrong = f"is not at its quantile {format_rational(Fraction(key, den))}"
+        halfspace = f"halfspace {show(w)}.z >= {t}"
         return DepthCheck(len(verts), checked, f"{halfspace} {wrong}")
     return DepthCheck(len(verts), len(sides), None)

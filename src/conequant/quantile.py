@@ -138,14 +138,20 @@ def region_membership(
     ceil(N p).  The depth is counted directly; no region is solved.
     """
     level.require_valid()
+    _check_fit(cloud, level, cone)
+    generators = () if cone is None else cone.generators
+    return _depth(cloud, z, generators) >= level.ceil_np
+
+
+def _check_fit(cloud: DataCloud, level: QuantileLevel, cone: Cone | None) -> None:
+    """Raise DimensionMismatch unless the level is for the cloud's N and the
+    cone, if any, has the cloud's dimension."""
     if level.n != cloud.n:
         raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
     if cone is not None and cone.dim != cloud.dim:
         raise DimensionMismatch(
             f"data dimension {cloud.dim} does not match cone dimension {cone.dim}"
         )
-    generators = () if cone is None else cone.generators
-    return _depth(cloud, z, generators) >= level.ceil_np
 
 
 def tukey_depth(cloud: DataCloud, z) -> int:

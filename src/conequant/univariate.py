@@ -37,7 +37,7 @@ from itertools import repeat
 from operator import add, itemgetter, mul
 
 from ._linalg import common_denominator
-from .core import QuantileLevel, Vector
+from .core import QuantileLevel
 from .errors import DimensionMismatch
 
 
@@ -67,8 +67,8 @@ class ScalarSample:
 
 # The integer scalar layer.  A cloud projected onto a rational direction is a
 # list of integer keys over one common denominator; ordering, order
-# statistics, the pinball loss, threshold counts and the greedy transport
-# solution all run on those keys, and Fractions appear only in results.
+# statistics, the pinball loss and the greedy transport solution all run on
+# those keys, and Fractions appear only in results.
 
 
 def project_keys(cols: list[tuple[int, ...]], weight: tuple[int, ...]) -> list[int]:
@@ -82,26 +82,9 @@ def project_keys(cols: list[tuple[int, ...]], weight: tuple[int, ...]) -> list[i
     return [0] * len(cols[0]) if keys is None else list(keys)
 
 
-def project(cols: list[tuple[int, ...]], den: int, w: Vector) -> tuple[list[int], int]:
-    """Keys and their denominator for the projections w.x_i.
-
-    ``cols``/``den`` is a cloud's ``int_form`` by columns; w.x_i ==
-    keys[i] / kden with kden = den * lcm(denominators of w).
-    """
-    wnums, wden = common_denominator(w)
-    return project_keys(cols, wnums), wden * den
-
-
 def ascending(keys: list[int]) -> list[int]:
     """Indices in ascending key order; equal keys keep the lower index first."""
     return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def count_le(keys: list[int], den: int, t: Fraction) -> int:
-    """#{i : keys[i] / den <= t}."""
-    # integer keys: key <= t*den exactly when key <= floor(t*den)
-    bound = t.numerator * den // t.denominator
-    return sum(1 for x in keys if x <= bound)
 
 
 def _loss_num(ka: list[int], t: int, p: Fraction) -> int:

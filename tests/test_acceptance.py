@@ -329,11 +329,14 @@ def _direction_pool(rng, cone: Cone | None, count: int):
 
 
 def _check_count_characterization(region: QuantileRegion, cloud, cone, rng) -> None:
-    k = region.level.ceil_np
     dirs = _direction_pool(rng, cone, 1000)
-    verts = region.region.vertices
-    if not verts:
-        return
+    if region.region.vertices:
+        _assert_counts(cloud, region.region.vertices, dirs, region.level.ceil_np)
+
+
+def _assert_counts(cloud, verts, dirs, k: int) -> None:
+    """At least k points have w.x <= w.z, for every vertex z and direction w:
+    one integer sort per direction and a bisection per vertex."""
     # in integers: the vertices z = zn/zd, the points x = X/den and w = wn/wd,
     # so w.x <= w.z iff wn.X <= den (wn.zn) / zd, whose floor will do
     zd = lcm(*(c.denominator for z in verts for c in z))
@@ -451,14 +454,9 @@ def test_criterion_8_three_dimensional_partial_verification():
             (w, alpha * t) for w, t in reg.defining_entries
         )
         # count characterization on the vertices, sampled directions
-        k = level.ceil_np
         if reg.region.vertices:
-            for _ in range(200):
-                w = random_direction(rng, 3)
-                proj = project_data(cloud, w)
-                for z in reg.region.vertices:
-                    wz = sum(a * b for a, b in zip(w, z))
-                    assert sum(1 for v in proj if v <= wz) >= k
+            dirs = [random_direction(rng, 3) for _ in range(200)]
+            _assert_counts(cloud, reg.region.vertices, dirs, level.ceil_np)
     assert nonempty >= 25
     report(8, f"50 spatial clouds, {nonempty} nonempty regions, the exact check never refuted")
 

@@ -5,14 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+import conequant.oracle as oracle
+import conequant.polyhedra as polyhedra
 from conequant import (
     DataCloud,
+    DimensionMismatch,
     DimensionNot2,
     Halfspace,
     Polyhedron,
     QuantileLevel,
     QuantileRegion,
+    basis_vertices,
     critical_directions,
+    make_dual_basis,
     membership_sample,
     oracle_region_2d,
     poly_equal,
@@ -24,7 +29,7 @@ from conequant import (
     validate_cone,
 )
 from conequant.oracle import check_region
-from conftest import random_cloud, random_cone, random_valid_level
+from conftest import random_cloud, random_cone, random_direction, random_valid_level
 
 F = Fraction
 
@@ -153,6 +158,50 @@ class TestMembershipSample:
         b = membership_sample(SQUARE, level, None, (F(1, 4), F(1, 4)), 200, 5)
         assert a == b
 
+    def test_verdicts_match_the_fraction_rule(self):
+        """The integer count gives the verdict of the same sampled rule in
+        Fractions, on integer and rational clouds, with and without a cone,
+        at region vertices, points pushed off them and random points."""
+        rng = random.Random(79)
+        verdicts = {True: 0, False: 0}
+        for i in range(40):
+            d = 2 + i % 2
+            n = rng.randint(2, 9)
+            cloud = random_cloud(rng, n, d, span=9)
+            if i % 4 >= 2:
+                cloud = scaled(cloud, F(rng.randint(1, 9), rng.randint(2, 9)))
+            level = random_valid_level(rng, n, max_den=20)
+            cone = random_cone(rng, d) if i % 3 else None
+            reg = tukey_region(cloud, level) if cone is None else quantile_region(cloud, level, cone)
+            step = F(rng.choice([-1, 1]), rng.randint(2, 30))
+            zs = [*reg.region.vertices, *(tuple(c + step for c in v) for v in reg.region.vertices)]
+            zs += [tuple(F(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(d)) for _ in range(3)]
+            for z in zs:
+                verdict = membership_sample(cloud, level, cone, z, trials=40, seed=i)
+                assert verdict == fraction_membership(cloud, level, cone, z, 40, i)
+                verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 100
+
+
+def fraction_membership(cloud, level, cone, z, trials, seed) -> bool:
+    """The sampled membership rule in Fractions: the same direction draws,
+    each projection w.x counted against w.z."""
+    rng = random.Random(seed)
+    d, k = cloud.dim, level.ceil_np
+    gens = () if cone is None else basis_vertices(make_dual_basis(cone))
+    for _ in range(trials):
+        if cone is None:
+            w = random_direction(rng, d)
+        else:
+            coefs = [rng.randint(0, 9) for _ in gens]
+            while all(c == 0 for c in coefs):
+                coefs = [rng.randint(0, 9) for _ in gens]
+            w = tuple(sum((c * v[j] for c, v in zip(coefs, gens)), F(0)) for j in range(d))
+        wz = sum(a * b for a, b in zip(w, z))
+        if sum(1 for v in project_data(cloud, w) if v <= wz) < k:
+            return False
+    return True
+
 
 def scaled(cloud, alpha):
     return DataCloud(tuple(tuple(alpha * c for c in p) for p in cloud.points))
@@ -274,3 +323,92 @@ class TestCheckRegion:
             check_region(SQUARE, orthant2(), tukey_region(SQUARE, level))
         with pytest.raises(ValueError):
             check_region(SQUARE, None, quantile_region(SQUARE, level, orthant2()))
+
+
+class TestIntegerForm:
+    def test_checks_never_read_the_rational_points(self, monkeypatch):
+        """Every check runs on the cloud's integer rows alone, and gives what
+        it gave before the rational points became unreadable."""
+        cloud = DataCloud.from_rows([[0, 0], [3, 1], [1, 4], [F(5, 2), 2], [3, 1], [-1, 2]])
+        level = QuantileLevel(F(5, 12), 6)
+        cone = validate_cone([[1, 0], [1, 2]])
+        tukey, coned = tukey_region(cloud, level), quantile_region(cloud, level, cone)
+
+        def run():
+            return (
+                critical_directions(cloud, None),
+                oracle_region_2d(cloud, level, cone).defining_entries,
+                [membership_sample(cloud, level, c, z, 200, 3)
+                 for c in (None, cone) for z in ((1, 2), (3, 3))],
+                check_region(cloud, None, tukey),
+                check_region(cloud, cone, coned),
+            )
+
+        expected = run()
+
+        def refuse(self):
+            raise AssertionError("a check read the rational points")
+
+        monkeypatch.setattr(DataCloud, "points", property(refuse))
+        assert run() == expected
+        assert any(expected[2]) and not all(expected[2])
+
+    def test_check_region_builds_no_halfspace(self, monkeypatch):
+        """The halfspace side reads the region's integer rows: with
+        ``Halfspace`` unusable once the regions exist, each check gives what
+        it gives on a second copy of the same region."""
+        rng = random.Random(80)
+        cases = []
+        for cone in (None, random_cone(rng, 3)):
+            cloud = random_cloud(rng, 9, 3, span=10)
+            level = QuantileLevel(F(3, 18), 9)
+            for shift in (0, F(1, 1000)):
+                pair = [
+                    with_offsets(
+                        tukey_region(cloud, level)
+                        if cone is None
+                        else quantile_region(cloud, level, cone),
+                        lambda w, t: t + shift,
+                    )
+                    for _ in range(2)
+                ]
+                cases.append((cloud, cone, pair))
+        expected = [check_region(cloud, cone, twin) for cloud, cone, (_, twin) in cases]
+        assert sum(e.refutation is None for e in expected) == 2
+        assert sum((e.refutation or "").startswith("halfspace (") for e in expected) == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check built a Halfspace")
+
+        monkeypatch.setattr(polyhedra, "Halfspace", refuse)
+        monkeypatch.setattr(oracle, "Halfspace", refuse)
+        got = [check_region(cloud, cone, reg) for cloud, cone, (reg, _) in cases]
+        assert got == expected
+
+
+class TestConeDimension:
+    """A cone whose dimension is not the cloud's is refused by every check."""
+
+    CLOUD3 = DataCloud.from_rows([[0, 0, 0], [1, 0, 2], [0, 1, 1], [2, 2, 0]])
+
+    def test_oracle_region_2d(self):
+        level = QuantileLevel(F(3, 10), 4)
+        with pytest.raises(DimensionMismatch, match="data dimension 2 does not match cone dimension 3"):
+            oracle_region_2d(SQUARE, level, validate_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        with pytest.raises(DimensionMismatch, match="data dimension 2 does not match cone dimension 1"):
+            oracle_region_2d(SQUARE, level, validate_cone([[1]]))
+
+    def test_membership_sample(self):
+        level = QuantileLevel(F(3, 10), 4)
+        with pytest.raises(DimensionMismatch, match="data dimension 3 does not match cone dimension 2"):
+            membership_sample(self.CLOUD3, level, orthant2(), (0, 0, 0), 10, 0)
+        cone3 = validate_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(DimensionMismatch, match="data dimension 2 does not match cone dimension 3"):
+            membership_sample(SQUARE, level, cone3, (F(1, 2), F(1, 2)), 10, 0)
+
+    def test_check_region(self):
+        level = QuantileLevel(F(3, 10), 4)
+        cone3 = validate_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        reg = quantile_region(self.CLOUD3, level, cone3)
+        with pytest.raises(DimensionMismatch, match="data dimension 2 does not match cone dimension 3"):
+            check_region(SQUARE, cone3, reg)
