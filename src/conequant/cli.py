@@ -18,11 +18,11 @@ call parses into a fresh namespace.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 from pathlib import Path
 
 from ._linalg import angle_key
@@ -161,8 +161,8 @@ def region_document(
         "provenance": result.provenance,
         "empty": region.is_empty,
         "halfspaces": [
-            {"w": [format_rational(c) for c in w], "t": format_rational(t)}
-            for w, t in result.defining_entries
+            {"w": [_ratio(v, s) for v in w], "t": _ratio(t, s)}
+            for *w, t, s in result.entry_records
         ],
         "vertices": [[format_rational(c) for c in v] for v in region.vertices],
         "rays": [[format_rational(c) for c in r] for r in region.rays],
@@ -174,8 +174,62 @@ def region_document(
     }
 
 
+def _ratio(n: int, s: int) -> str:
+    """n / s for s > 0, written as ``format_rational`` writes it."""
+    g = gcd(n, s)
+    return str(n // g) if g == s else f"{n // g}/{s // g}"
+
+
 def document_bytes(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The document as ``json.dumps(doc, indent=2)`` writes it, plus a final
+    newline.  The JSON is written directly, with the C string quoting that
+    ``json`` itself uses, since ``json.dumps`` falls back to its pure-Python
+    encoder whenever it indents.  Values are dicts with string keys, lists,
+    strings, ints, bools and None; any other type raises TypeError."""
+    out: list[str] = []
+    _write_json(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, emit) -> None:
+    """Emit ``value`` as indent-2 JSON, nested at the indent in ``newline``."""
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _write_json(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"document keys must be str, not {type(key).__name__}")
+            emit(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"{type(value).__name__} is not a document value")
 
 
 def _write_text(path: str, text: str) -> None:

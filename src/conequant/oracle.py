@@ -30,7 +30,6 @@ from .core import (
     Cone,
     DataCloud,
     QuantileLevel,
-    Vector,
     as_vector,
     format_rational,
     make_dual_basis,
@@ -50,7 +49,11 @@ def critical_directions(cloud: DataCloud, cone: Cone | None) -> tuple[IntDir, ..
     """Directions where a planar projection ordering can change, angularly
     sorted: both normals of every difference of distinct data points, plus
     the extreme rays of the dual cone (cone case) or the axis directions
-    (Tukey case)."""
+    (Tukey case).  Both the cloud and the cone must be planar."""
+    if cloud.dim != 2:
+        raise DimensionMismatch(f"critical directions need 2-dimensional data, got {cloud.dim}")
+    if cone is not None and cone.dim != 2:
+        raise DimensionMismatch(f"critical directions need a 2-dimensional cone, got {cone.dim}")
     dirs: set[IntDir] = set()
     rows, _ = cloud.int_form
     for i, (xi, yi) in enumerate(rows):
@@ -97,16 +100,15 @@ def oracle_region_2d(
     k = level.ceil_np
     rows, den = cloud.int_form
     halfspaces: list[Halfspace] = []
-    entries: list[tuple[Vector, Fraction]] = []
+    records: list[tuple[int, ...]] = []
 
     def keys(w: IntDir) -> list[int]:
         return [w[0] * x + w[1] * y for x, y in rows]
 
     def add(w: IntDir, key: int) -> None:
-        vec = (Fraction(w[0]), Fraction(w[1]))
-        offset = Fraction(key, den)
-        halfspaces.append(Halfspace(vec, offset))
-        entries.append((vec, offset))
+        # the entry (w, key / den) as the record (den w, key, den)
+        halfspaces.append(Halfspace(w, Fraction(key, den)))
+        records.append((w[0] * den, w[1] * den, key, den))
 
     for w in crit:
         add(w, sorted(keys(w))[k - 1])
@@ -129,7 +131,7 @@ def oracle_region_2d(
     region = Polyhedron.from_hrep(halfspaces, dim=2)
     return QuantileRegion(
         region=region,
-        defining_entries=tuple(entries),
+        entry_records=tuple(records),
         level=level,
         provenance=ORACLE_PROVENANCE,
         stats=None,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import _linalg
@@ -90,7 +90,10 @@ class _PointedCone:
     the bootstrap rows.  The bootstrap rows are independent and every row is
     nonnegative on every ray, so e.r > 0 for each ray r: on the slice
     e.x = 1 the cone is a polytope with the rays as vertices and the edges as
-    its edges, and row.r / e.r is a linear function on it.
+    its edges, and row.r / e.r is a linear function on it.  Height is linear,
+    so a ray made from two others as vp r_n - vn r_p has the height
+    vp e.r_n - vn e.r_p, divided by the gcd that makes the ray primitive;
+    only the bootstrap rays take a dot product with e.
 
     A row is located by descending row.r / e.r along edges, which ends at a
     global minimum from any start.  A caller that knows a ray the row cuts
@@ -109,7 +112,6 @@ class _PointedCone:
         self._height: dict[int, int] = {}
         self._heir: dict[int, int] = {}
         self._ids = count()
-        self._e: IntVec = ()
         self._basis: list[IntVec] = []
         self._pending: list[IntVec] = []
         self._initialized = False
@@ -151,14 +153,12 @@ class _PointedCone:
             [(*r, *(int(i == k) for k in range(n))) for i, r in enumerate(self._basis)]
         )
         self.processed = self._basis
-        self._e = tuple(map(sum, zip(*self._basis)))
+        e = tuple(map(sum, zip(*self._basis)))
         full = (1 << n) - 1
-        ids = [
-            self._add_ray(
-                _linalg.primitive([row[n + k] for row in red]), full & ~(1 << k)
-            )
-            for k in range(n)
-        ]
+        ids = []
+        for k in range(n):
+            ray = _linalg.primitive([row[n + k] for row in red])
+            ids.append(self._add_ray(ray, full & ~(1 << k), sum(map(mul, e, ray))))
         for i in ids:
             self._nbrs[i] = set(ids) - {i}
         self._initialized = True
@@ -166,12 +166,12 @@ class _PointedCone:
         for row in rest:
             self._insert(row)
 
-    def _add_ray(self, ray: IntVec, zs: int) -> int:
+    def _add_ray(self, ray: IntVec, zs: int, height: int) -> int:
         i = next(self._ids)
         self._ray[i] = ray
         self._zs[i] = zs
         self._nbrs[i] = set()
-        self._height[i] = sum(map(mul, self._e, ray))
+        self._height[i] = height
         return i
 
     @property
@@ -242,12 +242,17 @@ class _PointedCone:
         fresh = []
         heir = self._heir
         for n in neg:
-            rn, vn, zn = ray[n], vals[n], zs[n]
+            rn, vn, zn, hn = ray[n], vals[n], zs[n], height[n]
             for p in nbrs[n]:
                 vp = vals[p]
                 if vp > 0:
-                    combo = tuple(vp * b - vn * a for a, b in zip(ray[p], rn))
-                    k = self._add_ray(_linalg.primitive(combo), zs[p] & zn | bit)
+                    combo = [vp * b - vn * a for a, b in zip(ray[p], rn)]
+                    h = vp * hn - vn * height[p]
+                    g = gcd(*combo)
+                    if g > 1:
+                        combo = [c // g for c in combo]
+                        h //= g
+                    k = self._add_ray(tuple(combo), zs[p] & zn | bit, h)
                     nbrs[k].add(p)
                     nbrs[p].add(k)
                     fresh.append(k)

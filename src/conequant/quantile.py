@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, sub
@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import DimensionMismatch, InternalInvariantError
 from .polyhedra import Polyhedron
-from .vlp import BensonStats, benson_dual_solve
+from .vlp import BensonStats, benson_dual_solve, entry_pairs, entry_records
 
 TUKEY_PROVENANCE = "tukey-lifted"
 CONE_PROVENANCE = "cone-quantile"
@@ -35,18 +35,39 @@ CONE_PROVENANCE = "cone-quantile"
 class QuantileRegion:
     """A polyhedral quantile region with its defining scalarizations.
 
-    ``defining_entries`` are the (w, t) pairs whose halfspaces w.z >= t cut
-    out the region; the region polyhedron is exactly their intersection.  A
-    solved region is made from the entries' primitive integer rows, and its
-    ``halfspaces`` are those rows: the entries' halfspaces at a positive
-    integer scale, in the order the double description took them.
+    ``entry_records`` hold one integer record (n_1, ..., n_d, m, s) with
+    s > 0 per defining scalarization (w, t) = (n / s, m / s); the halfspaces
+    w.z >= t cut out the region, and the region polyhedron is exactly their
+    intersection.  A record need not be in lowest terms: the document
+    reduces each scalar with one gcd.  ``defining_entries`` reads the
+    records as (w, t) pairs of Fractions, built when first read, and
+    ``from_pairs`` makes a region from such pairs.  A solved region is made
+    from the entries' primitive integer rows, and its ``halfspaces`` are
+    those rows: the entries' halfspaces at a positive integer scale, in the
+    order the double description took them.
     """
 
     region: Polyhedron
-    defining_entries: tuple[tuple[Vector, Fraction], ...]
+    entry_records: tuple[tuple[int, ...], ...]
     level: QuantileLevel
     provenance: str
     stats: BensonStats | None = None
+
+    @classmethod
+    def from_pairs(
+        cls, region: Polyhedron, pairs, level: QuantileLevel, provenance: str
+    ) -> "QuantileRegion":
+        """A region, with no solver stats, whose entries are given as (w, t)
+        pairs of rationals."""
+        records = []
+        for w, t in pairs:
+            nums, den = common_denominator((*w, t))
+            records.append((*nums, den))
+        return cls(region, tuple(records), level, provenance)
+
+    @cached_property
+    def defining_entries(self) -> tuple[tuple[Vector, Fraction], ...]:
+        return entry_pairs(self.entry_records)
 
 
 def quantile_region(
@@ -62,7 +83,8 @@ def quantile_region(
     """
     basis = make_dual_basis(cone, c)
     sol = benson_dual_solve(cloud, level, basis)
-    return _region(cloud, level, sol.rows, sol.entries, CONE_PROVENANCE, sol.stats)
+    records = entry_records(sol.rows, basis.c)
+    return _region(cloud, level, sol.rows, records, CONE_PROVENANCE, sol.stats)
 
 
 def lift_dataset(cloud: DataCloud) -> DataCloud:
@@ -80,7 +102,7 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
     all-ones interior point (its last component is 1, so no permutation is
     ever needed).  Each entry's integer row r over (lifted z, 1) is unlifted
     in integers, to the primitive row of ((r_j - r_d)_{j<d}, r_last); the
-    (lambda, t) pair of ``defining_entries`` is that row over c.r_head.  A
+    entry's record is ((r_j - r_d)_{j<d}, -r_last, c.r_head).  A
     zero unlifted normal with t <= 0 is a vacuous constraint and is dropped.
     One with t > 0 cannot occur: the only weight that unlifts to zero
     projects every lifted point to 0, so its t is 0.  It raises
@@ -91,7 +113,7 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
     orthant = validate_cone(tuple(tuple(int(i == j) for j in range(d1)) for i in range(d1)))
     basis = make_dual_basis(orthant, (1,) * d1)
     sol = benson_dual_solve(lifted, level, basis)
-    entries: list[tuple[Vector, Fraction]] = []
+    records = []
     rows = []
     for *head, last in sol.rows:
         lam = [v - head[-1] for v in head[:-1]]
@@ -101,16 +123,15 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
                     "an entry with a zero unlifted normal has a positive offset"
                 )
             continue
-        s = sum(head)  # c.r_head, with c all ones
-        entries.append((tuple(Fraction(v, s) for v in lam), Fraction(-last, s)))
+        records.append((*lam, -last, sum(head)))  # c.r_head, with c all ones
         rows.append(primitive((*lam, last)))
-    return _region(cloud, level, rows, tuple(entries), TUKEY_PROVENANCE, sol.stats)
+    return _region(cloud, level, rows, tuple(records), TUKEY_PROVENANCE, sol.stats)
 
 
 def _region(
-    cloud: DataCloud, level: QuantileLevel, rows, entries, provenance: str, stats
+    cloud: DataCloud, level: QuantileLevel, rows, records, provenance: str, stats
 ) -> QuantileRegion:
-    """The region {z : r.(z, 1) >= 0 for each row r} of the entries, its
+    """The region {z : r.(z, 1) >= 0 for each row r} of the entry records, its
     rows ordered for the double description: ascending in the signed squared
     distance from the data centroid m to the row's hyperplane, so the rows
     the centroid violates most come first and then the nearest ones, which
@@ -126,8 +147,10 @@ def _region(
         q = s * s // sum(v * v for v in r[:-1])
         return q if s >= 0 else -q
 
+    if any(rec[-1] <= 0 for rec in records):
+        raise InternalInvariantError("an entry's weight has c.w <= 0")
     region = Polyhedron._from_rows(sorted(rows, key=key), dim=cloud.dim)
-    return QuantileRegion(region, entries, level, provenance, stats)
+    return QuantileRegion(region, records, level, provenance, stats)
 
 
 def region_membership(

@@ -59,8 +59,9 @@ class DualSolution:
     reads them as (w, t) pairs, w = r_head / (c.r_head) and
     t = -r_last / (c.r_head): w lies on the dual-cone basis exactly
     (Y w >= 0 and c.w = 1) and t is the direct lower quantile of the
-    projected sample.  The dual image is kept in the solver's homogeneous
-    integers (see the module docstring): ``vertex_rays`` are its vertices as
+    projected sample; ``entry_records(rows, c)`` is the same in integers.
+    The dual image is kept in the solver's homogeneous integers (see the
+    module docstring): ``vertex_rays`` are its vertices as
     rays (a, m, z0), one per entry and in entry order, so the entry's
     solver-frame weight has coords a/z0 and its loss minimum is m/z0;
     ``cut_rows`` are the cuts as rows r, in the order they were made, each
@@ -75,12 +76,25 @@ class DualSolution:
 
     @cached_property
     def entries(self) -> tuple[tuple[Vector, Fraction], ...]:
-        cn, cd = common_denominator(self.basis.c)
-        entries = []
-        for *head, last in self.rows:
-            s = sum(map(mul, cn, head))  # c.r_head times cd, positive
-            entries.append((tuple(Fraction(cd * v, s) for v in head), Fraction(-cd * last, s)))
-        return tuple(entries)
+        return entry_pairs(entry_records(self.rows, self.basis.c))
+
+
+def entry_records(rows, c) -> tuple[IntVec, ...]:
+    """The entries of primitive rows r, w = r_head / (c.r_head) and
+    t = -r_last / (c.r_head), as integer records (n, m, s) with w = n / s,
+    t = m / s and s > 0: with c = cn / cd over one denominator, n = cd r_head,
+    m = -cd r_last and s = cn.r_head."""
+    cn, cd = common_denominator(c)
+    return tuple(
+        (*(cd * v for v in head), -cd * last, sum(map(mul, cn, head))) for *head, last in rows
+    )
+
+
+def entry_pairs(records) -> tuple[tuple[Vector, Fraction], ...]:
+    """Integer entry records (n, m, s) read as (w, t) = (n / s, m / s)."""
+    return tuple(
+        (tuple(Fraction(v, s) for v in head), Fraction(m, s)) for *head, m, s in records
+    )
 
 
 def _support_row(cn: list[int], scd: int, y, value: int) -> IntVec:
@@ -266,11 +280,18 @@ def _vertex_key(ray: IntVec, cache: dict) -> IntVec | None:
 
 def _by_coords(items) -> list[tuple]:
     """Tuples (key, ray, ...) in lexicographic order of the coords a/z0 of
-    their primitive keys (a, z0), compared as integers over the lcm of the
-    z0."""
+    their primitive keys (a, z0), compared as the integers a (L / z0) over
+    the lcm L of the z0.  L grows with every z0, so L / z0 is divided out
+    once per item and not once per coordinate."""
     items = list(items)
     zl = lcm(*(it[0][-1] for it in items))
-    return sorted(items, key=lambda it: tuple(a * (zl // it[0][-1]) for a in it[0][:-1]))
+
+    def scaled(it):
+        *a, z0 = it[0]
+        f = zl // z0
+        return [v * f for v in a]
+
+    return sorted(items, key=scaled)
 
 
 def basis_vertices(basis: DualConeBasis) -> tuple[Vector, ...]:

@@ -13,6 +13,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conequant import (
     DataCloud,
@@ -26,7 +28,7 @@ from conequant import (
     tukey_region,
     validate_cone,
 )
-from conequant.cli import CliInputError, _build_parser, load_points, main
+from conequant.cli import CliInputError, _build_parser, document_bytes, load_points, main
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
@@ -444,6 +446,69 @@ class TestRegionDocuments:
         hs = reg.region.halfspaces
         assert len(hs) == len(reg.defining_entries) and len(made) >= len(hs)
 
+    @pytest.mark.parametrize("cone", [None, 2, 3])
+    def test_documents_read_no_entry_pairs(self, cone, tmp_path, monkeypatch, capsys):
+        """``tukey`` and ``region`` format each entry straight from its
+        integer record; the Fraction pairs of ``defining_entries`` are never
+        built for a document."""
+        reads = []
+        real = QuantileRegion.__dict__["defining_entries"]
+
+        def counted(reg):
+            reads.append(reg)
+            return real.func(reg)
+
+        monkeypatch.setattr(QuantileRegion, "defining_entries", property(counted))
+        dim = cone or 3
+        args = ["tukey", corners(tmp_path, dim), "--p", "3/16"]
+        if cone is not None:
+            args = ["region", *args[1:], "--cone", orthant(tmp_path, dim)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and json.loads(out)["halfspaces"]
+        assert reads == []
+        cloud = DataCloud.from_rows([[0, 0], [1, 0], [0, 1], [1, 1]])
+        reg = tukey_region(cloud, QuantileLevel(Fraction(3, 10), 4))
+        assert reg.defining_entries and len(reads) == 1
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=8),
+    st.sampled_from(['"', "\\", '\\"', "\n\t\r\x00\x1f\x7f", "é\u2028🙂", ""]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDocumentBytes:
+    """``document_bytes`` writes indent-2 JSON itself, byte for byte as
+    ``json.dumps(doc, indent=2)`` does, plus a final newline."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), _VALUES, max_size=5) | _VALUES)
+    def test_matches_json_dumps(self, doc):
+        assert document_bytes(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_empty_containers_and_escapes(self):
+        doc = {
+            "": [],
+            "a": {},
+            "b": [[], {}, [[]], [{}]],
+            '"\\\n': ["\x00", "\x1f", "é", "\u2028", "🙂", True, False, None, -0, 10**40],
+        }
+        assert document_bytes(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [1.5, (1, 2), {"x": [0.5]}, {"x": ("a",)}, {1: "a"}])
+    def test_other_types_raise(self, bad):
+        with pytest.raises(TypeError):
+            document_bytes(bad)
+
 
 class TestInternalInvariant:
     def test_broken_invariant_exits_4(self, square, value_below_vertex, capsys):
@@ -544,7 +609,7 @@ class TestDepthAndVerify:
             reg = real(cloud, level)
             entries = tuple((w, t + Fraction(shift)) for w, t in reg.defining_entries)
             region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=dim)
-            return QuantileRegion(region, entries, reg.level, reg.provenance)
+            return QuantileRegion.from_pairs(region, entries, reg.level, reg.provenance)
 
         monkeypatch.setattr(cli, "tukey_region", moved)
         code, out, err = run_cli(["verify", corners(tmp_path, dim), "--p", "3/16"], capsys)
@@ -562,7 +627,7 @@ class TestDepthAndVerify:
         def with_ray(cloud, level):
             reg = real(cloud, level)
             region = Polyhedron.from_vrep(reg.region.vertices, [(1, 0, 0)], dim=3)
-            return QuantileRegion(region, reg.defining_entries, reg.level, reg.provenance)
+            return QuantileRegion(region, reg.entry_records, reg.level, reg.provenance)
 
         monkeypatch.setattr(cli, "tukey_region", with_ray)
         code, out, err = run_cli(["verify", cube, "--p", "3/16"], capsys)
@@ -580,7 +645,7 @@ class TestDepthAndVerify:
         def emptied(cloud, level):
             reg = real(cloud, level)
             return QuantileRegion(
-                Polyhedron.empty(3), reg.defining_entries, reg.level, reg.provenance
+                Polyhedron.empty(3), reg.entry_records, reg.level, reg.provenance
             )
 
         monkeypatch.setattr(cli, "tukey_region", emptied)
@@ -624,7 +689,7 @@ class TestDepthAndVerify:
             reg = real(cloud, level, cone, c)
             entries = tuple((w, t + Fraction(shift)) for w, t in reg.defining_entries)
             region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=dim)
-            return QuantileRegion(region, entries, reg.level, reg.provenance)
+            return QuantileRegion.from_pairs(region, entries, reg.level, reg.provenance)
 
         monkeypatch.setattr(cli, "quantile_region", moved)
         args = [corners(tmp_path, dim), "--p", "3/16", "--cone", orthant(tmp_path, dim)]

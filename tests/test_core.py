@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import random
 import sys
 from fractions import Fraction
@@ -401,3 +402,27 @@ def test_public_surface_is_pinned():
     assert sorted(names) == PUBLIC
     for name in names:
         assert getattr(conequant, name) is not None
+
+
+# the layer entry points perfbench/tracer.py wraps by name: a rename makes
+# the benchmark's per-layer metric read 0 instead of failing
+TRACED = [
+    ("conequant.cli", "main"),
+    ("conequant.cli", "tukey_region"),
+    ("conequant.cli", "quantile_region"),
+    ("conequant.cli", "tukey_depth"),
+    ("conequant.quantile", "tukey_region"),
+    ("conequant.quantile", "benson_dual_solve"),
+    ("conequant.polyhedra", "_PointedCone.add_row"),
+    ("conequant.polyhedra", "_PointedCone._adjacent"),
+    ("conequant.polyhedra", "Polyhedron._ensure_vrep"),
+    ("conequant._linalg", "int_rank"),
+]
+
+
+@pytest.mark.parametrize("module, path", TRACED)
+def test_traced_entry_points_exist(module, path):
+    owner = importlib.import_module(module)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)

@@ -86,6 +86,22 @@ class TestCriticalDirections:
             assert w[0] >= 0 and w[1] >= 0
         assert (1, 0) in dirs and (0, 1) in dirs  # extreme rays of the dual
 
+    @pytest.mark.parametrize(
+        "points, generators",
+        [
+            ([[0, 0], [1, 0], [0, 1], [1, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ([[0, 0], [1, 0], [0, 1], [1, 1]], [[1]]),
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 1]], None),
+        ],
+        ids=["3d-cone", "1d-cone", "3d-cloud"],
+    )
+    def test_needs_planar_cloud_and_cone(self, points, generators):
+        """A cloud or cone that is not planar is a typed error, not a
+        silent answer, an IndexError or a failed unpacking."""
+        cone = None if generators is None else validate_cone(generators)
+        with pytest.raises(DimensionMismatch, match="2-dimensional"):
+            critical_directions(DataCloud.from_rows(points), cone)
+
     def test_extra_directions_never_shrink(self):
         # completeness: any further direction's halfspace already contains
         # the oracle region
@@ -211,7 +227,7 @@ def with_offsets(reg, move):
     """A copy of a solved region whose every offset t becomes move(w, t)."""
     entries = tuple((w, move(w, t)) for w, t in reg.defining_entries)
     region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=reg.region.dim)
-    return QuantileRegion(region, entries, reg.level, reg.provenance)
+    return QuantileRegion.from_pairs(region, entries, reg.level, reg.provenance)
 
 
 class TestCheckRegion:
@@ -279,7 +295,9 @@ class TestCheckRegion:
         )
         assert entries != reg.defining_entries
         region = Polyhedron.from_hrep([Halfspace(*e) for e in entries], dim=3)
-        check = check_region(cube, cone, QuantileRegion(region, entries, level, reg.provenance))
+        check = check_region(
+            cube, cone, QuantileRegion.from_pairs(region, entries, level, reg.provenance)
+        )
         assert check.vertices == 1
         assert check.refutation == (
             "halfspace (1,-1,0).z >= 1 has a normal outside the dual cone"

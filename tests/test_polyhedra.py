@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -514,6 +515,42 @@ class TestPointedConeEngine:
                 engine = self._check(rows, dim)
             apex = next(i for i, r in engine._ray.items() if r == (6,) * k + (0, 1))
             assert len(engine._nbrs[apex]) == degree
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_new_rays_inherit_their_height(self, dim):
+        """A new ray's height is its parents' heights combined as the ray
+        is: after every insertion each live ray is primitive and its stored
+        height is e.r for the sum e of the bootstrap rows.  The cones are
+        slices a.x >= -6 x_d of random polytopes and of degenerate ones,
+        a in {-1, 0, 1}^(d-1), whose vertices lie on many facets, with
+        duplicate rows and one opposite row; their final rays are the same
+        in another row order."""
+        rng = random.Random(1000 + dim)
+        span = (3, 1)
+        rays_checked = 0
+        for trial in range(8):
+            rows = [(0,) * (dim - 1) + (1,)]
+            while frac_rank(rows) < dim or len(rows) < 2 * dim + 4:
+                a = tuple(rng.randint(-span[trial % 2], span[trial % 2]) for _ in range(dim - 1))
+                if any(a):
+                    rows.append(a + (6,))
+            rows += [rng.choice(rows) for _ in range(2)]
+            rows.append(tuple(-v for v in rng.choice(rows[1:])))
+            rng.shuffle(rows)
+            engine = _PointedCone(dim)
+            for row in rows:
+                engine.add_row(row)
+                if not engine.ready:
+                    continue
+                e = tuple(map(sum, zip(*engine.processed[:dim])))
+                for rid, ray in engine.items():
+                    assert math.gcd(*ray) == 1
+                    assert engine._height[rid] == sum(map(mul, e, ray)) > 0
+                    rays_checked += 1
+            other = _PointedCone(dim)
+            other.add_rows(rng.sample(rows, len(rows)))
+            assert set(other.rays) == set(engine.rays)
+        assert rays_checked >= 250
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

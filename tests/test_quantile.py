@@ -14,6 +14,9 @@ from conequant import (
     InternalInvariantError,
     Polyhedron,
     QuantileLevel,
+    QuantileRegion,
+    benson_dual_solve,
+    format_rational,
     lift_dataset,
     make_dual_basis,
     poly_contains,
@@ -25,6 +28,7 @@ from conequant import (
     tukey_region,
     validate_cone,
 )
+from conequant.cli import region_document
 from conequant.oracle import check_region, oracle_region_2d
 from conftest import (
     assert_depth_brackets,
@@ -222,6 +226,73 @@ class TestIntegerRows:
                 assert sorted(map(Halfspace.key, got.halfspaces)) == sorted(map(Halfspace.key, hs))
                 empty += got.is_empty
         assert 0 < empty < 10
+
+
+def _fan(dim):
+    """The cone of e_1 +- e_j, j >= 2 (the ray e_1 when dim is 1): its
+    generator sum, the default interior point, ends in 0 for dim >= 2, so
+    its dual basis is permuted."""
+    if dim == 1:
+        return validate_cone([[1]])
+    unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return validate_cone(
+        [[a + s * b for a, b in zip(unit[0], unit[j])] for j in range(1, dim) for s in (1, -1)]
+    )
+
+
+class TestEntryRecords:
+    """A solved region keeps each entry as one integer record; its Fraction
+    pairs are built when ``defining_entries`` is first read, and the
+    document formats the records straight to the same strings."""
+
+    def test_lazy_pairs_match_the_dual_rows(self):
+        """On seeded rational clouds in d = 1-4, Tukey regions and cone
+        regions on a permuted basis: the pairs equal w = r_head / (c.r_head)
+        and t = -r_last / (c.r_head) over the dual solve's rows r, computed
+        in Fractions (unlifted as lambda_j = w_j - w_d for Tukey regions),
+        and the document's halfspaces are those pairs as format_rational
+        writes them."""
+        rng = random.Random(92)
+        permuted = entries = 0
+        for dim in (1, 2, 3, 4):
+            for _ in range(3):
+                n = rng.randint(4, 7)
+                points = [
+                    [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)] for _ in range(n)
+                ]
+                cloud = DataCloud.from_rows(points)
+                level = random_valid_level(rng, n, max_den=12)
+                tukey_basis = make_dual_basis(orthant(dim + 1), (1,) * (dim + 1))
+                want_tukey = []
+                for *head, last in benson_dual_solve(lift_dataset(cloud), level, tukey_basis).rows:
+                    s = F(sum(head))
+                    lam = tuple(v / s - head[-1] / s for v in head[:-1])
+                    if any(lam):
+                        want_tukey.append((lam, -last / s))
+                cone = _fan(dim)
+                basis = make_dual_basis(cone)
+                permuted += basis.is_permuted
+                want_cone = []
+                for *head, last in benson_dual_solve(cloud, level, basis).rows:
+                    s = sum(c * v for c, v in zip(basis.c, head))
+                    want_cone.append((tuple(v / s for v in head), -last / s))
+                for reg, want, echo in (
+                    (tukey_region(cloud, level), want_tukey, "tukey"),
+                    (quantile_region(cloud, level, cone), want_cone, None),
+                ):
+                    assert all(rec[-1] > 0 for rec in reg.entry_records)
+                    assert "defining_entries" not in vars(reg)
+                    doc = region_document(reg, cloud, echo, None)
+                    assert "defining_entries" not in vars(reg)
+                    assert reg.defining_entries == tuple(want)
+                    assert doc["halfspaces"] == [
+                        {"w": [format_rational(c) for c in w], "t": format_rational(t)}
+                        for w, t in want
+                    ]
+                    again = QuantileRegion.from_pairs(reg.region, want, level, reg.provenance)
+                    assert again.defining_entries == reg.defining_entries
+                    entries += len(want)
+        assert permuted == 9 and entries >= 100
 
 
 class TestMembership:
