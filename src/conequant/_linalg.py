@@ -101,6 +101,22 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def ratio_sorted(items, key=None) -> list:
+    """``items`` in lexicographic order of v / s, where ``key(item)``, or the
+    item itself when ``key`` is None, is an integer vector (v, s) with s > 0;
+    equal ratios keep their order.
+
+    The ratios are compared as the integer vectors v (L // s) over the lcm L
+    of every s, and L // s is divided out once per item, not once per
+    coordinate."""
+    items = list(items)
+    vecs = items if key is None else list(map(key, items))
+    big = lcm(*(g[-1] for g in vecs))
+    factors = [big // g[-1] for g in vecs]
+    scaled = [[x * f for x in g[:-1]] for g, f in zip(vecs, factors)]
+    return [items[i] for i in sorted(range(len(items)), key=scaled.__getitem__)]
+
+
 def cross(a, b):
     """The planar cross product a[0]*b[1] - a[1]*b[0]."""
     return a[0] * b[1] - a[1] * b[0]
@@ -122,3 +138,7 @@ def angle_cmp(a, b) -> int:
 
 
 angle_key = cmp_to_key(angle_cmp)
+
+# counter-clockwise order of planar vectors that span less than a half turn:
+# a before b iff the cross product a x b is positive
+half_turn_key = cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1])

@@ -22,13 +22,14 @@ import sys
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import lcm
 from pathlib import Path
 
 from ._linalg import angle_key
 from .core import (
     DataCloud,
     QuantileLevel,
+    _ratio,
     format_rational,
     parse_int_row,
     parse_rational,
@@ -155,6 +156,7 @@ def region_document(
         doc_input["p_requested"] = format_rational(requested_p)
         doc_input["nudged"] = True
     region = result.region
+    vertices, rays = region._sorted_gens
     stats = result.stats
     return {
         "input": doc_input,
@@ -164,20 +166,14 @@ def region_document(
             {"w": [_ratio(v, s) for v in w], "t": _ratio(t, s)}
             for *w, t, s in result.entry_records
         ],
-        "vertices": [[format_rational(c) for c in v] for v in region.vertices],
-        "rays": [[format_rational(c) for c in r] for r in region.rays],
+        "vertices": [[_ratio(a, z0) for a in head] for *head, z0 in vertices],
+        "rays": [[str(a) for a in head] for *head, _ in rays],
         "stats": {
             "benson_rounds": stats.rounds if stats else None,
             "cuts_added": stats.cuts_added if stats else None,
             "scalarizations": stats.scalarizations if stats else None,
         },
     }
-
-
-def _ratio(n: int, s: int) -> str:
-    """n / s for s > 0, written as ``format_rational`` writes it."""
-    g = gcd(n, s)
-    return str(n // g) if g == s else f"{n // g}/{s // g}"
 
 
 def document_bytes(doc: dict) -> str:

@@ -85,9 +85,14 @@ def format_rational(q: Fraction) -> str:
     """Render a rational as "a" or "a/b" (lowest terms, positive denominator)."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio(q.numerator, q.denominator)
+
+
+def _ratio(n: int, s: int) -> str:
+    """The rational n / s, for integers n and s > 0, as ``format_rational``
+    writes it: reduced by one gcd."""
+    g = math.gcd(n, s)
+    return str(n // g) if g == s else f"{n // g}/{s // g}"
 
 
 def as_vector(values) -> Vector:

@@ -2,15 +2,17 @@
 
 Every check reads the cloud as integer rows over one denominator, so w.x_i
 for an integer direction w is an integer key over it and q(w) is the k-th
-smallest key; Fractions appear only in what the checks report and in the
-dual basis that membership sampling draws from.
+smallest key.  A region is read as its integer rows and generators, and a
+report writes each scalar from integers; Fractions appear only in the point
+that membership sampling tests and the dual basis it draws from.
 
 The planar oracle rebuilds regions straight from the defining intersection
 over all directions: the direction-indexed quantile is piecewise constant,
 changing only across directions orthogonal to some difference of data
 points, so finitely many critical directions plus one interior direction per
 arc give the exact region.  It deliberately shares nothing with the dual
-solver except the final halfspace intersection.  A Tukey or cone region in
+solver except the final halfspace intersection, to which it hands each entry
+as a primitive integer row.  A Tukey or cone region in
 any dimension is checked exactly on both sides by its definition: each of
 its halfspaces is a quantile halfspace, and each of its vertices has depth
 >= k by the direct count, which solves no region.  Sampled one-sided
@@ -22,20 +24,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
 
-from ._linalg import angle_key, common_denominator, cross, dot, primitive
-from .core import (
-    Cone,
-    DataCloud,
-    QuantileLevel,
-    as_vector,
-    format_rational,
-    make_dual_basis,
-)
+from ._linalg import angle_key, common_denominator, dot, half_turn_key, primitive
+from .core import Cone, DataCloud, QuantileLevel, _ratio, as_vector, make_dual_basis
 from .errors import DimensionMismatch, DimensionNot2, InternalInvariantError
-from .polyhedra import Halfspace, Polyhedron
+from .polyhedra import Polyhedron
 from .quantile import CONE_PROVENANCE, TUKEY_PROVENANCE, QuantileRegion, _check_fit, _depth
 from .univariate import project_keys
 from .vlp import basis_vertices
@@ -78,8 +71,8 @@ def critical_directions(cloud: DataCloud, cone: Cone | None) -> tuple[IntDir, ..
                 boundary.add(cp)
     sector = set(in_dual) | boundary
     # the sector spans less than a half turn, so the cross product is a
-    # total order on it once anchored anywhere inside
-    return tuple(sorted(sector, key=cmp_to_key(lambda a, b: -cross(a, b))))
+    # total order on it
+    return tuple(sorted(sector, key=half_turn_key))
 
 
 def oracle_region_2d(
@@ -99,7 +92,6 @@ def oracle_region_2d(
     crit = critical_directions(cloud, cone)
     k = level.ceil_np
     rows, den = cloud.int_form
-    halfspaces: list[Halfspace] = []
     records: list[tuple[int, ...]] = []
 
     def keys(w: IntDir) -> list[int]:
@@ -107,7 +99,6 @@ def oracle_region_2d(
 
     def add(w: IntDir, key: int) -> None:
         # the entry (w, key / den) as the record (den w, key, den)
-        halfspaces.append(Halfspace(w, Fraction(key, den)))
         records.append((w[0] * den, w[1] * den, key, den))
 
     for w in crit:
@@ -128,7 +119,8 @@ def oracle_region_2d(
         add(a, dot(a, anchor))
         add(b, dot(b, anchor))
 
-    region = Polyhedron.from_hrep(halfspaces, dim=2)
+    # each entry's halfspace as the primitive row (den w, -key)
+    region = Polyhedron(2, tuple(primitive((a, b, -key)) for a, b, key, _ in records))
     return QuantileRegion(
         region=region,
         entry_records=tuple(records),
@@ -228,20 +220,20 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
     _check_fit(cloud, level, cone)
     k = level.ceil_np
     region = result.region
-    verts = region.vertices
-    rays = region.rays
+    verts, rays = region._sorted_gens
 
-    def show(z) -> str:
-        return "(" + ",".join(map(format_rational, z)) + ")"
+    def show(g) -> str:
+        # a vertex (a, z0) as a / z0, a ray (a, 0) as a
+        return "(" + ",".join(_ratio(a, g[-1] or 1) for a in g[:-1]) + ")"
 
-    for v in verts:
-        depth = _depth(cloud, v, generators)
+    for g in verts:
+        depth = _depth(cloud, g, generators)
         if depth < k:
-            return DepthCheck(len(verts), 0, f"vertex {show(v)} has depth {depth} < {k}")
-    for r in rays:
-        if cone is None or any(dot(w, r) < 0 for w in cone.dual_rays[1]):
+            return DepthCheck(len(verts), 0, f"vertex {show(g)} has depth {depth} < {k}")
+    for g in rays:
+        if cone is None or any(dot(w, g[:-1]) < 0 for w in cone.dual_rays[1]):
             return DepthCheck(
-                len(verts), 0, f"ray {show(r)} leaves the recession cone of the region"
+                len(verts), 0, f"ray {show(g)} leaves the recession cone of the region"
             )
     rows, den = cloud.int_form
     cols = list(zip(*rows))
@@ -255,7 +247,7 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
             key = sorted(project_keys(cols, w))[k - 1]
             if t * den == key:
                 continue
-            wrong = f"is not at its quantile {format_rational(Fraction(key, den))}"
-        halfspace = f"halfspace {show(w)}.z >= {t}"
+            wrong = f"is not at its quantile {_ratio(key, den)}"
+        halfspace = f"halfspace {show((*w, 0))}.z >= {t}"
         return DepthCheck(len(verts), checked, f"{halfspace} {wrong}")
     return DepthCheck(len(verts), len(sides), None)

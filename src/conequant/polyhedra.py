@@ -7,7 +7,10 @@ primitive generators g = (a, z0), a vertex a / z0 when z0 > 0 and a ray a
 when z0 = 0.  An equation is two opposite rows, as a line is two opposite
 rays, and the "vertices" of a non-pointed polyhedron are canonical
 representatives of its minimal faces.  g lies in r iff r.g >= 0, so every
-containment test is an integer sign.
+containment test is an integer sign.  The generators are read sorted in the
+same integers, vertices by a / z0 and rays by a, through one exact order
+(``_linalg.ratio_sorted``); tuples of rationals are built only for a caller
+that asks for them.
 
 Each conversion runs the double description method on one side's vectors
 and reads the other side off the extreme rays.  The vectors go to a pointed
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import _linalg
@@ -336,27 +339,25 @@ def _negated(row: IntVec) -> IntVec:
 
 
 def _canonical_order(rows) -> tuple[IntVec, ...]:
-    """Rows with nonzero normals, sorted as the ``key()`` of the constraints
-    they read as: by (normal, offset) / s, where s is the absolute value of
-    the first nonzero normal coordinate.  Every key is scaled by the lcm of
-    all the s, so it stays in integers."""
-    heads = {r: abs(next(v for v in r if v)) for r in rows}
-    scale = lcm(*heads.values())
-
-    def key(r):
-        f = scale // heads[r]
-        return (*(v * f for v in r[:-1]), -r[-1] * f)
-
-    return tuple(sorted(heads, key=key))
+    """Distinct rows with nonzero normals, sorted as the ``key()`` of the
+    constraints they read as: by (normal, offset) / s, where s is the
+    absolute value of the first nonzero normal coordinate."""
+    return tuple(
+        _linalg.ratio_sorted(
+            dict.fromkeys(rows), lambda r: (*r[:-1], -r[-1], abs(next(v for v in r if v)))
+        )
+    )
 
 
 class Polyhedron:
     """A convex polyhedron as primitive integer constraint rows and
     generators, in the form the module describes; a missing side is
     converted from the other when first needed.  The set value is immutable.
-    ``halfspaces`` reads the rows at primitive integer scale in their order,
-    ``vertices`` and ``rays`` the generators as sorted tuples of rationals;
-    each view is built when first read.
+    ``halfspaces`` reads the rows at primitive integer scale in their order.
+    ``_sorted_gens`` splits the generators into vertices, in lexicographic
+    order of a / z0, and rays, in lexicographic order of a; ``vertices`` and
+    ``rays`` read them in that order as tuples of rationals.  Each view is
+    built when first read.
     """
 
     def __init__(self, dim: int, rows=None, gens=None, empty=None, ordered=False):
@@ -414,16 +415,18 @@ class Polyhedron:
         return tuple(Halfspace(r[:-1], -r[-1]) for r in self._rows)
 
     @cached_property
-    def vertices(self) -> tuple[Vector, ...]:
+    def _sorted_gens(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         self._ensure_vrep()
-        return tuple(
-            sorted(tuple(Fraction(a, g[-1]) for a in g[:-1]) for g in self._gens if g[-1])
-        )
+        verts = _linalg.ratio_sorted(g for g in self._gens if g[-1])
+        return tuple(verts), tuple(sorted(g for g in self._gens if not g[-1]))
+
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        return tuple(tuple(Fraction(a, g[-1]) for a in g[:-1]) for g in self._sorted_gens[0])
 
     @cached_property
     def rays(self) -> tuple[Vector, ...]:
-        self._ensure_vrep()
-        return tuple(sorted(tuple(map(Fraction, g[:-1])) for g in self._gens if not g[-1]))
+        return tuple(tuple(map(Fraction, g[:-1])) for g in self._sorted_gens[1])
 
     @property
     def is_empty(self) -> bool:

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, sub
 
-from ._linalg import common_denominator, int_rank, primitive
+from ._linalg import common_denominator, half_turn_key, int_rank, primitive
 from .core import (
     Cone,
     DataCloud,
@@ -163,7 +163,7 @@ def region_membership(
     level.require_valid()
     _check_fit(cloud, level, cone)
     generators = () if cone is None else cone.generators
-    return _depth(cloud, z, generators) >= level.ceil_np
+    return _depth(cloud, _homogeneous(cloud, z), generators) >= level.ceil_np
 
 
 def _check_fit(cloud: DataCloud, level: QuantileLevel, cone: Cone | None) -> None:
@@ -183,11 +183,21 @@ def tukey_depth(cloud: DataCloud, z) -> int:
     with z in the depth-k region, and 0 outside the convex hull.  Counted
     directly in integers; no region is solved.
     """
-    return _depth(cloud, z, ())
+    return _depth(cloud, _homogeneous(cloud, z), ())
 
 
-def _depth(cloud: DataCloud, z, generators) -> int:
-    """Depth of z under the cone C generated by ``generators``: the least
+def _homogeneous(cloud: DataCloud, z) -> tuple[int, ...]:
+    """A point z of the cloud's dimension as integers (a, s), z = a / s, s > 0."""
+    z_vec = as_vector(z)
+    if len(z_vec) != cloud.dim:
+        raise DimensionMismatch("query point dimension does not match the data")
+    nums, den = common_denominator(z_vec)
+    return (*nums, den)
+
+
+def _depth(cloud: DataCloud, point, generators) -> int:
+    """Depth of z = a / s, given as the integer vector ``point`` (a, s) with
+    s > 0, under the cone C generated by ``generators``: the least
     #{i : w.(x_i - z) <= 0} over the nonzero w in the dual cone C+ (Hamel &
     Kostner, 2018).  It is the largest k with z in the lower cone quantile
     region at k; with no generators, C+ is every direction and this is the
@@ -206,11 +216,8 @@ def _depth(cloud: DataCloud, z, generators) -> int:
     a problem of span r - 1 (after Dyckerhoff & Mozharovskyi, 2016), so it
     costs O(N^(r-1) log N).
     """
-    z_vec = as_vector(z)
-    if len(z_vec) != cloud.dim:
-        raise DimensionMismatch("query point dimension does not match the data")
     rows, den = cloud.int_form
-    z_ints, z_den = common_denominator(z_vec)
+    *z_ints, z_den = point
     scale = lcm(den, z_den)
     if scale != den:
         rows = [tuple(a * (scale // den) for a in row) for row in rows]
@@ -285,10 +292,6 @@ def _plane_coords(counts: dict[tuple[int, ...], int]) -> dict[tuple[int, int], i
     return plane
 
 
-# counter-clockwise order within the upper half-plane: u before v iff u x v > 0
-_upper_angle_key = cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1])
-
-
 def _planar_least_count(counts: dict[tuple[int, int], int]) -> int:
     """Least #{y : w.y < 0} over planar w orthogonal to no y, by one
     angular sweep (Rousseeuw & Ruts, AS 307, 1996).  Turning w
@@ -308,7 +311,7 @@ def _planar_least_count(counts: dict[tuple[int, int], int]) -> int:
             events[(-b, a)] = events.get((-b, a), 0) + c
         else:
             events[(b, -a)] = events.get((b, -a), 0) - c
-    order = sorted(events, key=_upper_angle_key)
+    order = sorted(events, key=half_turn_key)
     steps = [events[e] for e in order]
     steps += [-s for s in steps]
     # the count just counter-clockwise of the first event, at g + eps*rot90(g)

@@ -30,11 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
-from ._linalg import common_denominator, dot, primitive
+from ._linalg import common_denominator, dot, primitive, ratio_sorted
 from .core import DataCloud, DualConeBasis, QuantileLevel, Vector
 from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
 from .polyhedra import IntVec, _PointedCone
@@ -55,11 +53,11 @@ class DualSolution:
     """The irredundant optimal solution of the geometric dual, in integers.
 
     ``rows`` hold one primitive row r per entry, in the caller's coordinate
-    frame: the entry's halfspace w.z >= t is r.(z, 1) >= 0.  ``entries``
-    reads them as (w, t) pairs, w = r_head / (c.r_head) and
-    t = -r_last / (c.r_head): w lies on the dual-cone basis exactly
-    (Y w >= 0 and c.w = 1) and t is the direct lower quantile of the
-    projected sample; ``entry_records(rows, c)`` is the same in integers.
+    frame: the entry's halfspace w.z >= t is r.(z, 1) >= 0.
+    ``entry_records(rows, c)`` reads them as integer records of the (w, t)
+    pairs, w = r_head / (c.r_head) and t = -r_last / (c.r_head): w lies on
+    the dual-cone basis exactly (Y w >= 0 and c.w = 1) and t is the direct
+    lower quantile of the projected sample.
     The dual image is kept in the solver's homogeneous integers (see the
     module docstring): ``vertex_rays`` are its vertices as
     rays (a, m, z0), one per entry and in entry order, so the entry's
@@ -73,10 +71,6 @@ class DualSolution:
     stats: BensonStats
     vertex_rays: tuple[IntVec, ...]
     cut_rows: tuple[IntVec, ...]
-
-    @cached_property
-    def entries(self) -> tuple[tuple[Vector, Fraction], ...]:
-        return entry_pairs(entry_records(self.rows, self.basis.c))
 
 
 def entry_records(rows, c) -> tuple[IntVec, ...]:
@@ -201,7 +195,7 @@ def benson_dual_solve(
         # each cut strictly cuts off the vertex it came from, so its
         # insertion starts there
         new_rows: list[tuple[IntVec, int]] = []
-        for key, ray, rid in _by_coords(fresh):
+        for key, ray, rid in ratio_sorted(fresh, itemgetter(0)):
             a, z = key[:-1], key[-1]
             weight = (*(c_last * aj for aj in a), scd * z - sum(map(mul, cn_head, a)))
             keys = project_keys(cols, weight)  # W.x over den: w.x over D den
@@ -239,7 +233,7 @@ def benson_dual_solve(
         raise InternalInvariantError(
             "dual image recession cone is not the upward value ray"
         )
-    final = _by_coords(vertices)
+    final = ratio_sorted(vertices, itemgetter(0))
     # w.z >= t with w = W/D and t = key/(D den) is (den W).z - key >= 0
     entry_rows = []
     for key, _ in final:
@@ -276,22 +270,6 @@ def _vertex_key(ray: IntVec, cache: dict) -> IntVec | None:
         if value < bound:
             raise InternalInvariantError("a cut-off vertex came back")
     return key
-
-
-def _by_coords(items) -> list[tuple]:
-    """Tuples (key, ray, ...) in lexicographic order of the coords a/z0 of
-    their primitive keys (a, z0), compared as the integers a (L / z0) over
-    the lcm L of the z0.  L grows with every z0, so L / z0 is divided out
-    once per item and not once per coordinate."""
-    items = list(items)
-    zl = lcm(*(it[0][-1] for it in items))
-
-    def scaled(it):
-        *a, z0 = it[0]
-        f = zl // z0
-        return [v * f for v in a]
-
-    return sorted(items, key=scaled)
 
 
 def basis_vertices(basis: DualConeBasis) -> tuple[Vector, ...]:

@@ -386,6 +386,14 @@ def lp_remove_redundant(p):
     return Polyhedron.from_hrep(kept, dim=p.dim)
 
 
+def solution_entries(sol):
+    """A dual solution's entries as (w, t) pairs of rationals, read from its
+    integer rows in entry order."""
+    from conequant.vlp import entry_pairs, entry_records
+
+    return entry_pairs(entry_records(sol.rows, sol.basis.c))
+
+
 def solution_cuts(sol):
     """The Benson cuts of a dual solution as halfspaces
     value' >= w(coords').y with value coefficient 1, in the order they were

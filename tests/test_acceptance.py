@@ -55,6 +55,7 @@ from conftest import (
     random_hrep_polyhedron,
     random_valid_level,
     random_vrep_polyhedron,
+    solution_entries,
 )
 
 F = Fraction
@@ -230,9 +231,9 @@ def _entries_under_permutations(rng, cloud, level, cone, c=None):
     both = benson_dual_solve(
         DataCloud(tuple(shuffled_points)), level, row_basis
     )
-    assert data_perm.entries == baseline.entries
-    assert rows_perm.entries == baseline.entries
-    assert both.entries == baseline.entries
+    assert solution_entries(data_perm) == solution_entries(baseline)
+    assert solution_entries(rows_perm) == solution_entries(baseline)
+    assert solution_entries(both) == solution_entries(baseline)
     return baseline, cloud, level
 
 
@@ -280,7 +281,7 @@ def _check_soundness(sol, cloud, level) -> None:
     # minimum of the sample ``cloud`` (the one solved) projected on w,
     # derived afresh
     basis = sol.basis
-    for (w, _), ray in zip(sol.entries, sol.vertex_rays, strict=True):
+    for (w, _), ray in zip(solution_entries(sol), sol.vertex_rays, strict=True):
         a, m, z0 = ray[:-2], ray[-2], ray[-1]
         assert tuple(basis.sigma * x for x in basis.permute(w)[:-1]) == tuple(
             F(x, z0) for x in a

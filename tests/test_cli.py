@@ -470,6 +470,48 @@ class TestRegionDocuments:
         reg = tukey_region(cloud, QuantileLevel(Fraction(3, 10), 4))
         assert reg.defining_entries and len(reads) == 1
 
+    @pytest.mark.parametrize("cone", [None, 2, 3])
+    def test_commands_read_no_fraction_generators(self, cone, tmp_path, monkeypatch, capsys):
+        """``tukey``, ``region`` and ``verify`` read a region's vertices and
+        rays as its integer generators: with the Fraction views ``vertices``
+        and ``rays`` made to raise, every document, verdict and refutation
+        is the same."""
+        import conequant.cli as cli
+
+        dim = cone or 3
+        args = [corners(tmp_path, dim), "--p", "3/16"]
+        if cone is not None:
+            args += ["--cone", orthant(tmp_path, dim)]
+        solve = cli.tukey_region if cone is None else cli.quantile_region
+
+        def moved_out(cloud, level, *rest):
+            # every halfspace moved out, so verify refutes a vertex
+            reg = solve(cloud, level, *rest)
+            entries = tuple((w, t - Fraction(1, 10**6)) for w, t in reg.defining_entries)
+            region = Polyhedron.from_hrep([Halfspace(w, t) for w, t in entries], dim=dim)
+            return QuantileRegion.from_pairs(region, entries, reg.level, reg.provenance)
+
+        def outputs():
+            runs = [run_cli(["tukey" if cone is None else "region", *args], capsys)]
+            runs.append(run_cli(["verify", *args], capsys))
+            with monkeypatch.context() as m:
+                m.setattr(cli, solve.__name__, moved_out)
+                runs.append(run_cli(["verify", *args], capsys))
+            return runs
+
+        before = outputs()
+        (code, doc, _), verified, refuted = before
+        assert code == 0 and json.loads(doc)["vertices"]
+        assert verified[0] == 0 and refuted[0] == 3
+        assert refuted[2].startswith("exact depth check: vertex (")
+
+        def refuse(self):
+            raise AssertionError("a Fraction view of the generators was read")
+
+        monkeypatch.setattr(Polyhedron, "vertices", property(refuse))
+        monkeypatch.setattr(Polyhedron, "rays", property(refuse))
+        assert outputs() == before
+
 
 _SCALARS = st.one_of(
     st.none(),

@@ -25,7 +25,7 @@ from conequant import (
     project_data,
     validate_cone,
 )
-from conequant.core import Cone, _certify_interior
+from conequant.core import Cone, _certify_interior, _ratio
 from conftest import lp_certify_interior, lp_validate_cone, random_cloud, random_direction
 
 F = Fraction
@@ -45,6 +45,17 @@ class TestRational:
         for _ in range(300):
             q = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
             assert parse_rational(format_rational(q)) == q
+
+    def test_format_rational_is_the_ratio_formatter(self):
+        """``format_rational(n / s)`` writes what ``_ratio(n, s)`` writes,
+        for integers, negative values and n / s not in lowest terms."""
+        rng = random.Random(12)
+        pairs = [(0, 1), (0, 7), (6, 3), (-6, 3), (6, 4), (-6, 4), (10**30, 10**10)]
+        pairs += [(rng.randint(-60, 60), rng.randint(1, 24)) for _ in range(300)]
+        for n, s in pairs:
+            assert format_rational(Fraction(n, s)) == _ratio(n, s)
+        assert format_rational(-7) == _ratio(-7, 1) == "-7"
+        assert _ratio(-6, 4) == "-3/2" and _ratio(6, 3) == "2"
 
     def test_always_lowest_terms(self):
         q = parse_rational("6/4")

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conequant import DataCloud, tukey_depth, validate_cone
-from conequant.quantile import _depth
+from conequant.quantile import _depth, _homogeneous
 from conftest import assert_depth_brackets, frac_rank
 
 F = Fraction
@@ -56,7 +56,8 @@ def depth(points, z) -> int:
 
 
 def cone_depth(points, cone, z) -> int:
-    return _depth(DataCloud.from_rows(points), z, cone.generators)
+    cloud = DataCloud.from_rows(points)
+    return _depth(cloud, _homogeneous(cloud, z), cone.generators)
 
 
 @EXAMPLES

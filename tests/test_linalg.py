@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 import pytest
 
-from conequant._linalg import echelon, int_rank, kernel, primitive
+from conequant._linalg import echelon, int_rank, kernel, primitive, ratio_sorted
 from conftest import frac_nullspace, frac_rank, frac_rref
 
 
@@ -98,3 +100,34 @@ def test_identity_block_gives_the_inverse_columns(n):
             column = primitive([row[n + k] for row in red])
             assert column == primitive([row[k] for row in inverse])
         checked += 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_ratio_sorted_is_the_fraction_order(dim):
+    """``ratio_sorted`` orders vectors (v, s) as ``sorted`` orders the
+    Fraction tuples v / s, equal ratios in their given order, on a corpus
+    with negative coordinates, equal leading coordinates, equal ratios at
+    different scales and common denominators past 2**200."""
+    rng = random.Random(950 + dim)
+    odd64 = [rng.getrandbits(64) | 1 for _ in range(8)]
+    widest = 0
+    for case in range(80):
+        huge = case % 2 == 0
+        vecs = []
+        for _ in range(rng.randint(0, 14)):
+            s = rng.choice(odd64) if huge else rng.randint(1, 12)
+            # the leading coordinate is a small integer, shared by many
+            head = rng.randint(-2, 2) * s
+            vecs.append((head, *(rng.randint(-3 * s, 3 * s) for _ in range(dim - 1)), s))
+        for v in list(vecs[:3]):
+            vecs.insert(rng.randint(0, len(vecs)), tuple(2 * x for x in v))
+        rng.shuffle(vecs)
+        want = sorted(vecs, key=lambda g: tuple(Fraction(x, g[-1]) for x in g[:-1]))
+        assert ratio_sorted(vecs) == want
+        tagged = [(v, i) for i, v in enumerate(vecs)]
+        assert ratio_sorted(tagged, itemgetter(0)) == sorted(
+            tagged, key=lambda t: tuple(Fraction(x, t[0][-1]) for x in t[0][:-1])
+        )
+        if vecs:
+            widest = max(widest, lcm(*(v[-1] for v in vecs)))
+    assert widest > 2**200

@@ -399,9 +399,26 @@ class TestIntegerForm:
             raise AssertionError("the check built a Halfspace")
 
         monkeypatch.setattr(polyhedra, "Halfspace", refuse)
-        monkeypatch.setattr(oracle, "Halfspace", refuse)
+        monkeypatch.setattr(oracle, "Halfspace", refuse, raising=False)
         got = [check_region(cloud, cone, reg) for cloud, cone, (reg, _) in cases]
         assert got == expected
+
+    @pytest.mark.parametrize("cone", [None, [[2, 1], [-1, 3]]])
+    def test_planar_oracle_builds_no_halfspace(self, cone, monkeypatch):
+        """The planar oracle hands its entries to ``Polyhedron`` as integer
+        rows: with ``Halfspace`` unusable it makes the same region."""
+        cloud = random_cloud(random.Random(81), 12, 2, span=10)
+        level = QuantileLevel(F(7, 24), 12)
+        cone = None if cone is None else validate_cone(cone)
+        expected = oracle_region_2d(cloud, level, cone).region
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle built a Halfspace")
+
+        monkeypatch.setattr(polyhedra.Halfspace, "__post_init__", refuse)
+        got = oracle_region_2d(cloud, level, cone).region
+        assert got._rows == expected._rows
+        assert got._sorted_gens == expected._sorted_gens and got._sorted_gens[0]
 
 
 class TestConeDimension:
