@@ -335,10 +335,6 @@ def cmd_depth(args) -> int:
         point = tuple(parse_rational(tok) for tok in args.point.split(","))
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    if len(point) != cloud.dim:
-        raise CliInputError(
-            f"point has dimension {len(point)}, data has {cloud.dim}"
-        )
     print(tukey_depth(cloud, point))
     return EXIT_OK
 

@@ -100,6 +100,16 @@ def as_vector(values) -> Vector:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
+def homogeneous_point(point, dim: int) -> tuple[int, ...]:
+    """A rational point of dimension ``dim`` as integers (a, s), point = a / s
+    with s > 0."""
+    z = as_vector(point)
+    if len(z) != dim:
+        raise DimensionMismatch(f"point has dimension {len(z)}, expected {dim}")
+    nums, den = _linalg.common_denominator(z)
+    return (*nums, den)
+
+
 @dataclass(frozen=True, init=False)
 class DataCloud:
     """A finite collection of N points in d dimensions, duplicates allowed.

@@ -17,7 +17,7 @@ any dimension is checked exactly on both sides by its definition: each of
 its halfspaces is a quantile halfspace, and each of its vertices has depth
 >= k by the direct count, which solves no region.  Sampled one-sided
 membership is kept as a further check that shares neither; like the exact
-check, it projects the cloud with the solver's column-wise projection.
+check, it projects the cloud with the solver's packed projector.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import random
 from dataclasses import dataclass
 
 from ._linalg import angle_key, common_denominator, dot, half_turn_key, primitive
-from .core import Cone, DataCloud, QuantileLevel, _ratio, as_vector, make_dual_basis
+from .core import Cone, DataCloud, QuantileLevel, _ratio, homogeneous_point, make_dual_basis
 from .errors import DimensionMismatch, DimensionNot2, InternalInvariantError
 from .polyhedra import Polyhedron
 from .quantile import CONE_PROVENANCE, TUKEY_PROVENANCE, QuantileRegion, _check_fit, _depth
-from .univariate import project_keys
+from .univariate import Projector
 from .vlp import basis_vertices
 
 ORACLE_PROVENANCE = "oracle-2d"
@@ -148,17 +148,14 @@ def membership_sample(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    z_vec = as_vector(z)
-    if len(z_vec) != cloud.dim:
-        raise DimensionMismatch("query point dimension does not match the data")
+    *zn, zd = homogeneous_point(z, cloud.dim)
     level.require_valid()
     _check_fit(cloud, level, cone)
     rng = random.Random(seed)
     d = cloud.dim
     k = level.ceil_np
     rows, den = cloud.int_form
-    cols = list(zip(*rows))
-    zn, zd = common_denominator(z_vec)
+    projector = Projector(rows)
     gens: list[list[int]] = []
     if cone is not None:
         # one integer scale for all basis vertices scales each w by s > 0
@@ -175,8 +172,9 @@ def membership_sample(
                 coefs = [rng.randint(0, 9) for _ in gens]
             w = [sum(c * v[j] for c, v in zip(coefs, gens)) for j in range(d)]
         w = primitive(w)
-        bound = den * dot(w, zn) // zd
-        if sum(1 for key in project_keys(cols, w) if key <= bound) < k:
+        keys, shift = projector.keys(w)
+        bound = den * dot(w, zn) // zd + shift
+        if sum(1 for key in keys if key <= bound) < k:
             return False
     return True
 
@@ -236,7 +234,7 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
                 len(verts), 0, f"ray {show(g)} leaves the recession cone of the region"
             )
     rows, den = cloud.int_form
-    cols = list(zip(*rows))
+    projector = Projector(rows)
     region._ensure_hrep()
     sides = region._rows
     for checked, row in enumerate(sides):
@@ -244,7 +242,8 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
         if cone is not None and not cone.dual_contains(w):
             wrong = "has a normal outside the dual cone"
         else:
-            key = sorted(project_keys(cols, w))[k - 1]
+            keys, shift = projector.keys(w)
+            key = sorted(keys)[k - 1] - shift
             if t * den == key:
                 continue
             wrong = f"is not at its quantile {_ratio(key, den)}"

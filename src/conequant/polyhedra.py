@@ -41,7 +41,7 @@ from math import gcd
 from operator import mul
 
 from . import _linalg
-from .core import Vector, as_vector
+from .core import Vector, as_vector, homogeneous_point
 from .errors import DimensionMismatch, InternalInvariantError
 
 IntVec = tuple[int, ...]
@@ -445,12 +445,8 @@ class Polyhedron:
     def contains(self, point) -> bool:
         """Whether the point satisfies the H-representation (an empty
         polyhedron's rows hold nowhere); no V-representation is built."""
-        z = as_vector(point)
-        if len(z) != self._dim:
-            raise DimensionMismatch("point dimension mismatch")
+        g = homogeneous_point(point, self._dim)
         self._ensure_hrep()
-        nums, den = _linalg.common_denominator(z)
-        g = (*nums, den)
         return all(_linalg.dot(r, g) >= 0 for r in self._rows)
 
     # -- conversions -------------------------------------------------------

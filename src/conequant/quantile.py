@@ -19,7 +19,7 @@ from .core import (
     DataCloud,
     QuantileLevel,
     Vector,
-    as_vector,
+    homogeneous_point,
     make_dual_basis,
     validate_cone,
 )
@@ -163,7 +163,7 @@ def region_membership(
     level.require_valid()
     _check_fit(cloud, level, cone)
     generators = () if cone is None else cone.generators
-    return _depth(cloud, _homogeneous(cloud, z), generators) >= level.ceil_np
+    return _depth(cloud, homogeneous_point(z, cloud.dim), generators) >= level.ceil_np
 
 
 def _check_fit(cloud: DataCloud, level: QuantileLevel, cone: Cone | None) -> None:
@@ -183,16 +183,7 @@ def tukey_depth(cloud: DataCloud, z) -> int:
     with z in the depth-k region, and 0 outside the convex hull.  Counted
     directly in integers; no region is solved.
     """
-    return _depth(cloud, _homogeneous(cloud, z), ())
-
-
-def _homogeneous(cloud: DataCloud, z) -> tuple[int, ...]:
-    """A point z of the cloud's dimension as integers (a, s), z = a / s, s > 0."""
-    z_vec = as_vector(z)
-    if len(z_vec) != cloud.dim:
-        raise DimensionMismatch("query point dimension does not match the data")
-    nums, den = common_denominator(z_vec)
-    return (*nums, den)
+    return _depth(cloud, homogeneous_point(z, cloud.dim), ())
 
 
 def _depth(cloud: DataCloud, point, generators) -> int:

@@ -5,12 +5,20 @@ The greedy solver is the scalarization oracle of the Benson loop; its value
 always equals the pinball-loss minimum (strong duality, asserted exactly in
 the test suite against the simplex).
 
-A Benson vertex costs one projection, one sort and a few slice sums.  The
-cloud is projected column by column onto an integer weight, and the keys are
-sorted once: ``asc`` is the index order, ties lower index first, and ``ka``
-the keys in that order.  The quantile is ``ka[ceil(N p) - 1]``, and the
-pinball loss at a key t is two slice sums either side of
-``bisect_left(ka, t)``.
+A Benson vertex costs one projection, one sort and a few slice sums.  A
+:class:`Projector`, built once per cloud, packs each integer column into the
+64-bit slots of one Python int, P_j = sum_i x_ij 2^(64 i) (Kronecker
+substitution).  The keys W.x_i of an integer weight W are then the slots of
+B R + sum_j W_j P_j, with R = sum_i 2^(64 i) and the exact bound
+B = sum_j |W_j| max_i |x_ij|: every slot holds W.x_i + B in [0, 2B], so
+when 2B < 2^64 no slot carries into the next and a few big-int products and
+one byte conversion give all N keys.  Order, ties, bisection and the
+pinball loss are unchanged by the common shift B, so only a quantile key
+needs it subtracted.  A wider weight takes the direct column-wise products
+with shift 0.  Sorted once, the keys give the quantile,
+``ka[ceil(N p) - 1]``, and the pinball loss at a key t, two slice sums either
+side of ``bisect_left(ka, t)``; ``asc`` is the index order, ties lower index
+first, needed only for a cut.
 
 The greedy transport solution is in closed form.  In units of
 1/p.denominator, u-mass (cu = p.numerator per point) goes to the largest
@@ -24,17 +32,24 @@ least such M.  The receivers are then two index prefixes of the one sort:
 the first M // cv entries of ``asc``, and the first M // cu entries of the
 descending order, which are the keys above the boundary key plus the lowest
 indices of its tie group.  At most one receiver on each side takes a
-remainder.
+remainder.  The cut's support sum packs each row x_i into one int the same
+way, sum_j x_ij 2^(s j), in signed slots of s bits wide enough for the exact
+bound N pden max|x_ij| of every coordinate of the sum, so that a group's
+rows add up in one C-level ``sum`` and the d coordinates are read off the
+total as signed digits.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from ._linalg import common_denominator
 from .core import QuantileLevel
@@ -71,9 +86,57 @@ class ScalarSample:
 # those keys, and Fractions appear only in results.
 
 
-def project_keys(cols: list[tuple[int, ...]], weight: tuple[int, ...]) -> list[int]:
-    """The integer keys weight.x_i, for a cloud given by the columns of its
-    ``int_form`` rows and an integer weight."""
+# One unsigned machine word per key: the slot of the packed projection.
+_WORD = array("Q").itemsize
+_LIMIT = 1 << (8 * _WORD)
+
+
+def _words(values) -> array:
+    """Unsigned machine words in little-endian byte order on every machine:
+    ``values`` are either the words or their little-endian bytes."""
+    words = array("Q", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+class Projector:
+    """The integer keys W.x_i of a cloud's integer rows x_i for integer
+    weights W, all N from one packed big-int combination when they fit a
+    machine word (see the module docstring).  Built once per cloud."""
+
+    def __init__(self, rows) -> None:
+        n = len(rows)
+        self._cols = list(zip(*rows))
+        self._bounds = [max(map(abs, col)) for col in self._cols]
+        self._bytes = n * _WORD
+        self._ones = ones = int.from_bytes(_words(repeat(1, n)), "little")
+        # P_j from the offset slots x_ij + m_j in [0, 2 m_j]; a column with
+        # 2 m_j >= 2^64 is never packed, since any weight that uses it has
+        # 2B >= 2^64 and takes the direct products
+        self._packed = [
+            int.from_bytes(_words([x + m for x in col]), "little") - m * ones
+            if 2 * m < _LIMIT
+            else None
+            for col, m in zip(self._cols, self._bounds)
+        ]
+
+    def keys(self, weight) -> tuple[list[int], int]:
+        """(keys, shift): keys[i] - shift = weight.x_i, with shift >= 0 the
+        same for every i."""
+        shift = sum(map(mul, map(abs, weight), self._bounds))
+        if 2 * shift >= _LIMIT:
+            return _direct_keys(self._cols, weight), 0
+        total = shift * self._ones
+        for wj, pj in zip(weight, self._packed):
+            if wj:
+                total += wj * pj
+        return _words(total.to_bytes(self._bytes, "little")).tolist(), shift
+
+
+def _direct_keys(cols: list[tuple[int, ...]], weight) -> list[int]:
+    """The keys weight.x_i by column-wise products, for weights too wide for
+    a machine word."""
     keys = None
     for col, wj in zip(cols, weight):
         if wj:
@@ -158,19 +221,34 @@ def _top(ka: list[int], asc: list[int], m: int) -> list[int]:
     return asc[right:] + asc[left : left + m - (n - right)]
 
 
-def support_sum(
-    cols: list[tuple[int, ...]], groups: list[tuple[list[int], int]]
-) -> tuple[int, ...]:
-    """sum_i x_i (u_i - v_i) in integers: the support point times
-    den * pden, for a cloud's ``int_form`` columns and the groups of
-    :func:`greedy_cut`."""
-    y = [0] * len(cols)
-    for idx, mass in groups:
-        # itemgetter returns a tuple only for two or more indices
-        pick = itemgetter(*idx) if len(idx) > 1 else lambda col: [col[i] for i in idx]
-        for j, col in enumerate(cols):
-            y[j] += mass * sum(pick(col))
-    return tuple(y)
+def support_summer(
+    rows, pden: int
+) -> Callable[[list[tuple[list[int], int]]], tuple[int, ...]]:
+    """The support sum of :func:`greedy_cut`'s groups, sum_i x_i (u_i - v_i)
+    in integers, for a cloud's integer rows and masses in units of 1/pden:
+    the support point times den * pden.
+
+    Every |u_i - v_i| is below pden, so no coordinate of a sum exceeds
+    N pden max|x_ij| in magnitude, and each row is packed once into signed
+    slots wide enough for that bound (see the module docstring).
+    """
+    d = len(rows[0])
+    bound = len(rows) * pden * max(abs(x) for row in rows for x in row)
+    width = bound.bit_length() + 1
+    packed = [sum(x << (width * j) for j, x in enumerate(row)) for row in rows]
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+
+    def support_sum(groups: list[tuple[list[int], int]]) -> tuple[int, ...]:
+        total = sum(mass * sum(map(packed.__getitem__, idx)) for idx, mass in groups)
+        y = []
+        for _ in range(d):
+            # the lowest slot as a signed digit in [-half, half)
+            digit = ((total + half) & mask) - half
+            y.append(digit)
+            total = (total - digit) >> width
+        return tuple(y)
+
+    return support_sum
 
 
 def _check_count(sample: ScalarSample, level: QuantileLevel) -> None:

@@ -36,7 +36,7 @@ from ._linalg import common_denominator, dot, primitive, ratio_sorted
 from .core import DataCloud, DualConeBasis, QuantileLevel, Vector
 from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
 from .polyhedra import IntVec, _PointedCone
-from .univariate import ascending, greedy_cut, key_quantile_and_loss, project_keys, support_sum
+from .univariate import Projector, ascending, greedy_cut, key_quantile_and_loss, support_summer
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,8 @@ def benson_dual_solve(
     rows, den = cloud.int_form
     if basis.is_permuted:
         rows = [basis.permute(row) for row in rows]
-    cols = list(zip(*rows))
+    projector = Projector(rows)
+    support_sum = support_summer(rows, level.p.denominator)
     cn, cd = common_denominator(basis.solver_c)
     cn_head, c_last = cn[:-1], cn[-1]
     scd = basis.sigma * cd
@@ -198,19 +199,19 @@ def benson_dual_solve(
         for key, ray, rid in ratio_sorted(fresh, itemgetter(0)):
             a, z = key[:-1], key[-1]
             weight = (*(c_last * aj for aj in a), scd * z - sum(map(mul, cn_head, a)))
-            keys = project_keys(cols, weight)  # W.x over den: w.x over D den
-            asc = ascending(keys)
-            ka = list(map(keys.__getitem__, asc))
+            # W.x_i + shift: w.x_i over D den, all shifted alike
+            keys, shift = projector.keys(weight)
+            ka = sorted(keys)
             t, loss = key_quantile_and_loss(ka, level)
             loss_den = abs(c_last) * z * den * level.p.denominator
-            cache[key] = (weight, t, loss, loss_den)
+            cache[key] = (weight, t - shift, loss, loss_den)
             scalarizations += 1
             value, bound = ray[-2] * loss_den, loss * ray[-1]
             if value == bound:
                 continue
             if value > bound:
                 raise InternalInvariantError("outer vertex ended up above the dual image")
-            y = support_sum(cols, greedy_cut(ka, asc, level.p))
+            y = support_sum(greedy_cut(ka, ascending(keys), level.p))
             scalarizations += 1
             row = _support_row(cn, scd, y, cut_scale)
             if row not in seen_rows:

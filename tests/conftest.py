@@ -25,7 +25,7 @@ from conequant import (
     validate_cone,
 )
 from conequant._linalg import common_denominator
-from conequant.univariate import ascending, greedy_cut, project_keys
+from conequant.univariate import Projector, ascending, greedy_cut
 
 # property tests replay the same examples on every run and write no
 # example database, so the suite stays deterministic
@@ -184,7 +184,7 @@ def value_below_vertex(monkeypatch):
 def greedy_uv(cloud: DataCloud, level: QuantileLevel, w) -> tuple[list, list]:
     """``greedy_cut`` for direction w as dense masses (u, v) over Fractions."""
     rows, den = cloud.int_form
-    keys = project_keys(list(zip(*rows)), common_denominator(w)[0])
+    keys, _ = Projector(rows).keys(common_denominator(w)[0])
     asc = ascending(keys)
     u, v = [Fraction(0)] * cloud.n, [Fraction(0)] * cloud.n
     for idx, mass in greedy_cut(list(map(keys.__getitem__, asc)), asc, level.p):

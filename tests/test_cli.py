@@ -615,8 +615,8 @@ class TestDepthAndVerify:
         assert run_cli(["depth", square, "--", point], capsys) == (0, want + "\n", "")
 
     def test_depth_dimension_mismatch(self, square, capsys):
-        code, _, _ = run_cli(["depth", square, "1,2,3"], capsys)
-        assert code == 1
+        code, out, err = run_cli(["depth", square, "1,2,3"], capsys)
+        assert (code, out, err) == (1, "", "error: point has dimension 3, expected 2\n")
 
     def test_verify_2d(self, square, capsys):
         code, out, _ = run_cli(["verify", square, "--p", "3/10"], capsys)

@@ -18,6 +18,7 @@ from conequant import (
     IntegralNp,
     NotFullDimensional,
     NotInterior,
+    Polyhedron,
     QuantileLevel,
     format_rational,
     make_dual_basis,
@@ -405,6 +406,24 @@ PUBLIC = [
     "region_membership", "remove_redundant", "simplex_solve", "tukey_depth",
     "tukey_region", "validate_cone",
 ]
+
+
+@pytest.mark.parametrize(
+    "caller", ["contains", "membership_sample", "tukey_depth", "region_membership"]
+)
+def test_point_dimension_has_one_text(caller):
+    """Every conversion of a rational point to integers checks its dimension
+    with the same message."""
+    cloud = DataCloud.from_rows([[0, 0], [1, 0], [0, 1]])
+    level = QuantileLevel(Fraction(1, 6), 3)
+    calls = {
+        "contains": lambda z: Polyhedron.empty(2).contains(z),
+        "membership_sample": lambda z: conequant.membership_sample(cloud, level, None, z),
+        "tukey_depth": lambda z: conequant.tukey_depth(cloud, z),
+        "region_membership": lambda z: conequant.region_membership(cloud, level, None, z),
+    }
+    with pytest.raises(DimensionMismatch, match=r"^point has dimension 3, expected 2$"):
+        calls[caller]((0, 0, 0))
 
 
 def test_public_surface_is_pinned():

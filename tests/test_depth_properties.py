@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conequant import DataCloud, tukey_depth, validate_cone
-from conequant.quantile import _depth, _homogeneous
+from conequant.core import homogeneous_point
+from conequant.quantile import _depth
 from conftest import assert_depth_brackets, frac_rank
 
 F = Fraction
@@ -57,7 +58,7 @@ def depth(points, z) -> int:
 
 def cone_depth(points, cone, z) -> int:
     cloud = DataCloud.from_rows(points)
-    return _depth(cloud, _homogeneous(cloud, z), cone.generators)
+    return _depth(cloud, homogeneous_point(z, cloud.dim), cone.generators)
 
 
 @EXAMPLES

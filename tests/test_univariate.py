@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conequant import (
@@ -18,16 +18,20 @@ from conequant import (
     pinball_loss,
     project_data,
     quantile_direct,
+    quantile_region,
     simplex_solve,
+    tukey_region,
+    validate_cone,
 )
+import conequant.univariate as univariate
 from conequant._linalg import common_denominator
 from conequant.univariate import (
+    Projector,
     ascending,
     greedy_cut,
     key_quantile_and_loss,
-    project_keys,
     quantile_and_loss,
-    support_sum,
+    support_summer,
 )
 from conftest import (
     build_lp,
@@ -287,9 +291,100 @@ def test_proj_pairs_matches_fraction_dot(span):
         w = tuple(Fraction(rng.randint(-span, span), rng.randint(1, 7)) for _ in range(d))
         rows, den = DataCloud.from_rows(points).int_form
         wn, wden = common_denominator(w)
-        keys, kden = project_keys(list(zip(*rows)), wn), wden * den
+        keys, shift = Projector(rows).keys(wn)
+        kden = wden * den
         expected = [sum(a * b for a, b in zip(row, w)) for row in points]
-        assert [Fraction(x, kden) for x in keys] == expected
+        assert [Fraction(x - shift, kden) for x in keys] == expected
+
+
+# The packed projection's slot is a 64-bit word: 2B < 2^64 packs, and 2B is
+# even, so B = 2^63 - 1 is the widest packed bound and B = 2^63 the narrowest
+# direct one.
+EDGE_BOUNDS = (2**63 - 1, 2**63)
+
+
+@st.composite
+def projector_case(draw):
+    """An integer cloud of N = 1 to 8 rows in d = 1 to 4, drawn from a pool of
+    rows so that duplicates occur, and a weight with some zero components,
+    with every entry within a span of 9 or 10^11 and often at one of its
+    ends.  With ``edge`` drawn, the weight is at most 10^6 in magnitude, and
+    a column of units (max |x| = 1) is added with its weight set so that the
+    bound B = sum_j |W_j| max_i |x_ij| is exactly that edge."""
+
+    def entry(span):
+        return st.integers(-span, span) | st.sampled_from([-span, span])
+
+    span = draw(st.sampled_from([9, 10**11]))
+    d = draw(st.integers(1, 4))
+    row = st.tuples(*[entry(span)] * d)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    edge = draw(st.sampled_from((None,) + EDGE_BOUNDS))
+    w_span = span if edge is None else min(span, 10**6)
+    weight = draw(st.lists(entry(w_span) | st.just(0), min_size=d, max_size=d))
+    if edge is not None:
+        units = draw(st.lists(st.integers(-1, 1), min_size=len(rows), max_size=len(rows)))
+        units[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from([-1, 1]))
+        rows = [(*r, u) for r, u in zip(rows, units)]
+        rest = sum(abs(w) * max(abs(r[j]) for r in rows) for j, w in enumerate(weight))
+        weight.append(draw(st.sampled_from([-1, 1])) * (edge - rest))
+    return rows, tuple(weight)
+
+
+def test_projector_keys_are_the_dot_products():
+    """The packed keys minus their shift are the integer dot products, the
+    shift is the bound B when 2B < 2^64 and 0 otherwise, and both branches
+    are reached, at the edge bounds too."""
+    bounds = set()
+
+    @settings(max_examples=300)
+    @given(projector_case())
+    @example(([(1,), (-1,), (0,)], (EDGE_BOUNDS[0],)))
+    @example(([(1,), (-1,), (0,)], (-EDGE_BOUNDS[1],)))
+    @example(([(5, -7)], (0, 0)))
+    def check(case):
+        rows, weight = case
+        bound = sum(abs(w) * max(abs(r[j]) for r in rows) for j, w in enumerate(weight))
+        keys, shift = Projector(rows).keys(weight)
+        assert shift == (bound if 2 * bound < 2**64 else 0)
+        assert [k - shift for k in keys] == [
+            sum(a * b for a, b in zip(r, weight)) for r in rows
+        ]
+        bounds.add(bound)
+
+    check()
+    assert set(EDGE_BOUNDS) <= bounds
+    assert any(2 * b < 2**64 for b in bounds - set(EDGE_BOUNDS))
+    assert any(2 * b >= 2**64 for b in bounds - set(EDGE_BOUNDS))
+
+
+def _refuse_direct(*args):
+    raise AssertionError("the projection fell back to the direct products")
+
+
+# (N, d, k, cone generators or None for a Tukey region)
+PACKED_SOLVES = {
+    "planar-tukey": (150, 2, 30, None),
+    "planar-cone": (150, 2, 40, [[2, 1], [-1, 3]]),
+    "tukey-d4": (12, 4, 2, None),
+}
+
+
+@pytest.mark.parametrize("case", PACKED_SOLVES)
+def test_benchmark_sized_solves_project_packed(monkeypatch, case):
+    """Every vertex of a planar N = 150 solve and of a d = 4 Tukey solve over
+    coordinates in [-20, 20] projects through the packed branch."""
+    rng = random.Random(0)
+    n, d, k, cone = PACKED_SOLVES[case]
+    cloud = DataCloud.from_rows([[rng.randint(-20, 20) for _ in range(d)] for _ in range(n)])
+    lvl = QuantileLevel(Fraction(2 * k - 1, 2 * n), n)
+    monkeypatch.setattr(univariate, "_direct_keys", _refuse_direct)
+    if cone is None:
+        result = tukey_region(cloud, lvl)
+    else:
+        result = quantile_region(cloud, lvl, validate_cone(cone))
+    assert result.stats.scalarizations > 0
 
 
 @pytest.mark.parametrize(
@@ -336,7 +431,6 @@ def test_greedy_cut_matches_the_loop(case):
     n = len(keys)
     asc = ascending(keys)
     ka = list(map(keys.__getitem__, asc))
-    cols = list(zip(*rows))
     line = DataCloud.from_rows([[k] for k in keys])
     for p in SMALL_LEVELS:
         level = QuantileLevel(p, n)
@@ -346,5 +440,5 @@ def test_greedy_cut_matches_the_loop(case):
         assert greedy_uv(line, level, (1,)) == (
             [Fraction(a, pd) for a in u], [Fraction(b, pd) for b in v]
         ), (keys, p)
-        assert support_sum(cols, groups) == dense_support_sum(rows, u, v)
+        assert support_summer(rows, pd)(groups) == dense_support_sum(rows, u, v)
         assert key_quantile_and_loss(ka, level) == loop_quantile_and_loss(keys, asc, level)

@@ -240,6 +240,33 @@ class TestBensonSolve:
             sol3 = benson_dual_solve(DataCloud(tuple(shuffled)), level, basis)
             assert solution_entries(sol3) == solution_entries(sol1)
 
+    def test_wide_keys_give_the_scaled_region(self, monkeypatch):
+        """A cloud scaled by 10^12, so that its keys overflow a 64-bit slot and
+        the projector takes the direct products, gives the scaled region of
+        the unscaled cloud, with the same stats."""
+        import conequant.univariate as univariate
+
+        direct = []
+        real = univariate._direct_keys
+
+        def counted(*args):
+            direct.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(univariate, "_direct_keys", counted)
+        rng = random.Random(1)
+        points = [[rng.randint(-10**7, 10**7) for _ in range(2)] for _ in range(12)]
+        level = QuantileLevel(F(5, 24), 12)
+        small = tukey_region(DataCloud.from_rows(points), level)
+        assert not direct
+        scale = 10**12
+        big = tukey_region(DataCloud.from_rows([[scale * x for x in p] for p in points]), level)
+        assert len(direct) > small.stats.rounds
+        assert big.stats == small.stats
+        assert big.region.vertices == tuple(
+            tuple(scale * x for x in v) for v in small.region.vertices
+        )
+
 
 class TestInternalInvariants:
     """A broken solver invariant raises a typed error, also under python -O."""
