@@ -106,15 +106,18 @@ def ratio_sorted(items, key=None) -> list:
     item itself when ``key`` is None, is an integer vector (v, s) with s > 0;
     equal ratios keep their order.
 
-    The ratios are compared as the integer vectors v (L // s) over the lcm L
-    of every s, and L // s is divided out once per item, not once per
-    coordinate."""
+    Each coordinate v_j / s is keyed by the integer floor(v_j 2^K / s), with
+    K = 2 bit_length(S) for the largest s = S.  Two distinct ratios a / s and
+    b / t differ by at least 1 / (s t) > 2^-K, since s t <= S^2 < 2^K, so the
+    larger times 2^K exceeds the smaller times 2^K by more than 1 and its
+    floor is the larger; equal ratios have equal floors.  So the key vectors
+    compare exactly as the ratio vectors do, and ``sorted`` keeps equal ones
+    in their order."""
     items = list(items)
     vecs = items if key is None else list(map(key, items))
-    big = lcm(*(g[-1] for g in vecs))
-    factors = [big // g[-1] for g in vecs]
-    scaled = [[x * f for x in g[:-1]] for g, f in zip(vecs, factors)]
-    return [items[i] for i in sorted(range(len(items)), key=scaled.__getitem__)]
+    k = 2 * max((g[-1] for g in vecs), default=0).bit_length()
+    keys = [[(x << k) // g[-1] for x in g[:-1]] for g in vecs]
+    return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
 
 
 def cross(a, b):

@@ -172,9 +172,11 @@ def membership_sample(
                 coefs = [rng.randint(0, 9) for _ in gens]
             w = [sum(c * v[j] for c, v in zip(coefs, gens)) for j in range(d)]
         w = primitive(w)
-        keys, shift = projector.keys(w)
-        bound = den * dot(w, zn) // zd + shift
-        if sum(1 for key in keys if key <= bound) < k:
+        slots, shift = projector.keys(w)
+        # a key is at most the bound exactly when its tagged slot is below
+        # the next key's untagged slot
+        limit = (den * dot(w, zn) // zd + shift + 1) << projector.tau
+        if sum(1 for slot in slots if slot < limit) < k:
             return False
     return True
 
@@ -242,8 +244,8 @@ def check_region(cloud: DataCloud, cone: Cone | None, result: QuantileRegion) ->
         if cone is not None and not cone.dual_contains(w):
             wrong = "has a normal outside the dual cone"
         else:
-            keys, shift = projector.keys(w)
-            key = sorted(keys)[k - 1] - shift
+            slots, shift = projector.keys(w)
+            key = (sorted(slots)[k - 1] >> projector.tau) - shift
             if t * den == key:
                 continue
             wrong = f"is not at its quantile {_ratio(key, den)}"

@@ -83,10 +83,15 @@ class _PointedCone:
     incremental row insertion.  Rows and rays are primitive integer vectors.
 
     A ray's zero set has bit k set exactly when ``processed[k]`` is zero on
-    it.  The first ``dim`` linearly independent rows, taken greedily
-    in input order, bootstrap a simplicial cone; every later row is inserted
-    locally on the cone's edge graph (rays joined when they span a 2-face),
-    in the dual form of the beneath-beyond method.
+    it, over the rows kept.  The first ``dim`` linearly independent rows,
+    taken greedily in input order, bootstrap a simplicial cone; every later
+    row is inserted locally on the cone's edge graph (rays joined when they
+    span a 2-face), in the dual form of the beneath-beyond method.  A later
+    row that cuts off no ray leaves no trace: it is not kept, takes no bit
+    and marks no face.  The cone does not change, so the rows kept still
+    describe it, and the combinatorial adjacency test holds for any
+    H-description of a pointed cone, full-dimensional or not.  Only the
+    cone {0} keeps every row.
 
     Rays carry ids; ``_ray``, ``_zs`` and ``_nbrs`` map an id to its vector,
     zero set and neighbour ids, and ``_height`` to its value on the sum e of
@@ -182,10 +187,9 @@ class _PointedCone:
         return self._initialized
 
     def _insert(self, row: IntVec, start: int | None = None) -> None:
-        bit = 1 << len(self.processed)
-        self.processed.append(row)
         ray, zs, nbrs, height = self._ray, self._zs, self._nbrs, self._height
         if not ray:
+            self.processed.append(row)
             return  # the cone is {0}
         cur = start
         while cur is not None and cur not in ray:
@@ -208,24 +212,10 @@ class _PointedCone:
                     break
             else:
                 break
-        if v > 0:
-            return  # strictly redundant
-        if v == 0:
-            # nothing is cut off, so the cone and its edges stay; the rays
-            # on the row form a face, which is connected
-            zs[cur] |= bit
-            todo = [cur]
-            while todo:
-                for j in nbrs[todo.pop()]:
-                    if zs[j] & bit:
-                        continue
-                    vj = vals.get(j)
-                    if vj is None:
-                        vj = vals[j] = sum(map(mul, row, ray[j]))
-                    if vj == 0:
-                        zs[j] |= bit
-                        todo.append(j)
-            return
+        if v >= 0:
+            return  # nothing is cut off, so the row is not kept
+        bit = 1 << len(self.processed)
+        self.processed.append(row)
         # the cut-off rays are connected, and every ray on the row has a
         # neighbour that is cut off, so scoring their neighbours finds all
         neg = {cur}

@@ -8,17 +8,25 @@ the test suite against the simplex).
 A Benson vertex costs one projection, one sort and a few slice sums.  A
 :class:`Projector`, built once per cloud, packs each integer column into the
 64-bit slots of one Python int, P_j = sum_i x_ij 2^(64 i) (Kronecker
-substitution).  The keys W.x_i of an integer weight W are then the slots of
-B R + sum_j W_j P_j, with R = sum_i 2^(64 i) and the exact bound
-B = sum_j |W_j| max_i |x_ij|: every slot holds W.x_i + B in [0, 2B], so
-when 2B < 2^64 no slot carries into the next and a few big-int products and
-one byte conversion give all N keys.  Order, ties, bisection and the
+substitution).  Each key W.x_i of an integer weight W goes into its slot
+tagged with its index i in the low tau bits, tau = bit_length(N(N-1)/2):
+the slots of B R 2^tau + I + sum_j W_j P_j 2^tau, with R = sum_i 2^(64 i),
+I = sum_i i 2^(64 i) and the exact bound B = sum_j |W_j| max_i |x_ij|, are
+(W.x_i + B) 2^tau + i.  Each lies in [0, 2B 2^tau + N - 1], so when that is
+below 2^64, which is B < 2^(63 - tau) since N - 1 < 2^tau, no slot carries
+into the next and a few big-int products and one byte conversion give all N
+tagged keys.  A wider weight takes the direct
+column-wise products with shift 0, tagged as (k << tau) | i, which floors
+back to k for a negative k too.  The tagged keys are distinct, so one sort
+gives both orders: the keys ascending (v >> tau), and the indices in key
+order with equal keys lower index first (v & (2^tau - 1)).  The indices of
+any subset sum to at most N(N-1)/2 < 2^tau, so the key sum of any run of the
+sorted list is its sum >> tau, exactly.  Order, ties, bisection and the
 pinball loss are unchanged by the common shift B, so only a quantile key
-needs it subtracted.  A wider weight takes the direct column-wise products
-with shift 0.  Sorted once, the keys give the quantile,
-``ka[ceil(N p) - 1]``, and the pinball loss at a key t, two slice sums either
-side of ``bisect_left(ka, t)``; ``asc`` is the index order, ties lower index
-first, needed only for a cut.
+needs it subtracted.  Sorted once, the tagged keys give the quantile, the
+key of ``ka[ceil(N p) - 1]``, and the pinball loss at a key t, two slice
+sums either side of ``bisect_left(ka, t << tau)``.  Plain sorted keys are
+the same form with tau = 0, as far as the quantile and the loss go.
 
 The greedy transport solution is in closed form.  In units of
 1/p.denominator, u-mass (cu = p.numerator per point) goes to the largest
@@ -26,24 +34,24 @@ keys and v-mass (cv = p.denominator - cu per point) to the smallest, equal
 keys lower index first on both sides, for as long as the next u-receiver's
 key exceeds the next v-receiver's.  After a transferred mass M the next
 receivers are at descending position M // cu and ascending position M // cv,
-so the stop condition -- a position passes N or
-``ka[N-1-M//cu] <= ka[M//cv]`` -- is monotone in M and a bisection finds the
-least such M.  The receivers are then two index prefixes of the one sort:
-the first M // cv entries of ``asc``, and the first M // cu entries of the
-descending order, which are the keys above the boundary key plus the lowest
-indices of its tie group.  At most one receiver on each side takes a
-remainder.  The cut's support sum packs each row x_i into one int the same
-way, sum_j x_ij 2^(s j), in signed slots of s bits wide enough for the exact
-bound N pden max|x_ij| of every coordinate of the sum, so that a group's
-rows add up in one C-level ``sum`` and the d coordinates are read off the
-total as signed digits.
+so the stop condition -- a position passes N or the key of
+``ka[N-1-M//cu]`` is at most the key of ``ka[M//cv]`` -- is monotone in M and
+a bisection finds the least such M.  The receivers are then two prefixes of
+the same sorted list, read as indices: the first M // cv entries, and the
+first M // cu entries of the descending order, which are the keys above the
+boundary key plus the lowest indices of its tie group.  At most one receiver
+on each side takes a remainder.  The cut's support sum packs each row x_i
+into one int the same way, sum_j x_ij 2^(s j), in signed slots of s bits
+wide enough for the exact bound N pden max|x_ij| of every coordinate of the
+sum, so that a group's rows add up in one C-level ``sum`` and the d
+coordinates are read off the total as signed digits.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,68 +110,70 @@ def _words(values) -> array:
 
 class Projector:
     """The integer keys W.x_i of a cloud's integer rows x_i for integer
-    weights W, all N from one packed big-int combination when they fit a
-    machine word (see the module docstring).  Built once per cloud."""
+    weights W, each tagged with its index i in the low ``tau`` bits, all N
+    from one packed big-int combination when they fit a machine word (see
+    the module docstring).  Built once per cloud."""
 
     def __init__(self, rows) -> None:
         n = len(rows)
+        self.tau = tau = (n * (n - 1) // 2).bit_length()
+        # B < 2^(63 - tau) exactly when every slot, at most 2B 2^tau + N - 1
+        # with N - 1 < 2^tau, is below 2^64
+        self._wide = _LIMIT >> (tau + 1)
         self._cols = list(zip(*rows))
         self._bounds = [max(map(abs, col)) for col in self._cols]
         self._bytes = n * _WORD
-        self._ones = ones = int.from_bytes(_words(repeat(1, n)), "little")
-        # P_j from the offset slots x_ij + m_j in [0, 2 m_j]; a column with
-        # 2 m_j >= 2^64 is never packed, since any weight that uses it has
-        # 2B >= 2^64 and takes the direct products
+        ones = int.from_bytes(_words(repeat(1, n)), "little")
+        self._ones = ones << tau
+        self._index = int.from_bytes(_words(range(n)), "little")
+        # P_j 2^tau from the offset slots x_ij + m_j in [0, 2 m_j]; a column
+        # with m_j >= 2^(63 - tau) is never packed, since any weight that
+        # uses it has B >= m_j and takes the direct products
         self._packed = [
-            int.from_bytes(_words([x + m for x in col]), "little") - m * ones
-            if 2 * m < _LIMIT
+            (int.from_bytes(_words([x + m for x in col]), "little") - m * ones) << tau
+            if m < self._wide
             else None
             for col, m in zip(self._cols, self._bounds)
         ]
 
     def keys(self, weight) -> tuple[list[int], int]:
-        """(keys, shift): keys[i] - shift = weight.x_i, with shift >= 0 the
-        same for every i."""
+        """(slots, shift): slots[i] = (weight.x_i + shift) 2^tau + i, with
+        shift >= 0 the same for every i."""
         shift = sum(map(mul, map(abs, weight), self._bounds))
-        if 2 * shift >= _LIMIT:
-            return _direct_keys(self._cols, weight), 0
-        total = shift * self._ones
+        if shift >= self._wide:
+            return _direct_keys(self._cols, weight, self.tau), 0
+        total = shift * self._ones + self._index
         for wj, pj in zip(weight, self._packed):
             if wj:
                 total += wj * pj
         return _words(total.to_bytes(self._bytes, "little")).tolist(), shift
 
 
-def _direct_keys(cols: list[tuple[int, ...]], weight) -> list[int]:
-    """The keys weight.x_i by column-wise products, for weights too wide for
-    a machine word."""
-    keys = None
+def _direct_keys(cols: list[tuple[int, ...]], weight, tau: int) -> list[int]:
+    """The keys weight.x_i by column-wise products, tagged as
+    (key << tau) | i, for weights too wide for a machine word."""
+    keys = repeat(0, len(cols[0]))
     for col, wj in zip(cols, weight):
         if wj:
-            term = map(mul, col, repeat(wj))
-            keys = term if keys is None else map(add, keys, term)
-    return [0] * len(cols[0]) if keys is None else list(keys)
+            keys = map(add, keys, map(mul, col, repeat(wj)))
+    return [(k << tau) | i for i, k in enumerate(keys)]
 
 
-def ascending(keys: list[int]) -> list[int]:
-    """Indices in ascending key order; equal keys keep the lower index first."""
-    return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def _loss_num(ka: list[int], t: int, p: Fraction) -> int:
-    """Pinball loss at the key t of the sorted keys ka, in units of
-    1/p.denominator of a key."""
-    i = bisect_left(ka, t)
-    below = t * i - sum(ka[:i])
-    above = sum(ka[i:]) - t * (len(ka) - i)
+def _loss_num(ka: list[int], tau: int, t: int, p: Fraction) -> int:
+    """Pinball loss at the key t of the sorted keys ka, tagged in tau bits,
+    in units of 1/p.denominator of a key."""
+    i = bisect_left(ka, t << tau)
+    below = t * i - (sum(ka[:i]) >> tau)
+    above = (sum(ka[i:]) >> tau) - t * (len(ka) - i)
     return p.numerator * above + (p.denominator - p.numerator) * below
 
 
-def key_quantile_and_loss(ka: list[int], level: QuantileLevel) -> tuple[int, int]:
-    """The ceil(N p)-th smallest of the sorted keys ka and the pinball loss
-    there, in units of 1/p.denominator of a key."""
-    t = ka[level.ceil_np - 1]
-    return t, _loss_num(ka, t, level.p)
+def key_quantile_and_loss(ka: list[int], tau: int, level: QuantileLevel) -> tuple[int, int]:
+    """The key of the ceil(N p)-th smallest of the sorted keys ka, tagged in
+    tau bits, and the pinball loss there, in units of 1/p.denominator of a
+    key."""
+    t = ka[level.ceil_np - 1] >> tau
+    return t, _loss_num(ka, tau, t, level.p)
 
 
 def quantile_and_loss(
@@ -171,18 +181,19 @@ def quantile_and_loss(
 ) -> tuple[Fraction, Fraction]:
     """The ceil(N p)-th smallest value and the pinball loss there, for sorted
     keys over den."""
-    t, loss = key_quantile_and_loss(ka, level)
+    t, loss = key_quantile_and_loss(ka, 0, level)
     return Fraction(t, den), Fraction(loss, den * level.p.denominator)
 
 
-def greedy_cut(ka: list[int], asc: list[int], p: Fraction) -> list[tuple[list[int], int]]:
+def greedy_cut(ka: list[int], tau: int, p: Fraction) -> list[tuple[list[int], int]]:
     """The greedy optimum of the scalarized transport program as groups
     (indices, mass): every index of a group has u_i - v_i = mass, in integer
     units of 1/p.denominator, and an index in no group has u_i = v_i = 0.
 
-    ``asc`` is ``ascending(keys)`` and ``ka`` the keys in that order.  The
-    transferred mass is the least M at which a position passes n or
-    ``ka[n-1-M//cu] <= ka[M//cv]``; see the module docstring.
+    ``ka`` is the sorted keys, tagged with their indices in tau bits.  The
+    transferred mass is the least M at which a position passes n or the key
+    of ``ka[n-1-M//cu]`` is at most that of ``ka[M//cv]``; see the module
+    docstring.
     """
     n = len(ka)
     cu = p.numerator
@@ -191,14 +202,15 @@ def greedy_cut(ka: list[int], asc: list[int], p: Fraction) -> list[tuple[list[in
     while lo < hi:
         m = (lo + hi) // 2
         a, b = m // cu, m // cv
-        if a >= n or b >= n or ka[n - 1 - a] <= ka[b]:
+        if a >= n or b >= n or ka[n - 1 - a] >> tau <= ka[b] >> tau:
             hi = m
         else:
             lo = m + 1
     full_u, rem_u = divmod(lo, cu)
     full_v, rem_v = divmod(lo, cv)
-    top = _top(ka, asc, full_u + (rem_u > 0))
-    bottom = asc[: full_v + (rem_v > 0)]
+    mask = (1 << tau) - 1
+    top = [v & mask for v in _top(ka, tau, full_u + (rem_u > 0))]
+    bottom = [v & mask for v in ka[: full_v + (rem_v > 0)]]
     groups = []
     if rem_u:
         groups.append(([top.pop()], rem_u))
@@ -208,17 +220,17 @@ def greedy_cut(ka: list[int], asc: list[int], p: Fraction) -> list[tuple[list[in
     return groups
 
 
-def _top(ka: list[int], asc: list[int], m: int) -> list[int]:
-    """The first m indices in descending key order, equal keys lower index
-    first: the keys above the m-th largest key, then the lowest indices of
-    its tie group, so that the m-th index comes last."""
+def _top(ka: list[int], tau: int, m: int) -> list[int]:
+    """The first m tagged keys in descending key order, equal keys lower
+    index first: the keys above the m-th largest key, then the lowest
+    indices of its tie group, so that the m-th comes last."""
     if not m:
         return []
     n = len(ka)
-    x = ka[n - m]
-    right = bisect_right(ka, x, n - m)
-    left = bisect_left(ka, x, 0, n - m)
-    return asc[right:] + asc[left : left + m - (n - right)]
+    x = ka[n - m] >> tau
+    right = bisect_left(ka, (x + 1) << tau, n - m)
+    left = bisect_left(ka, x << tau, 0, n - m)
+    return ka[right:] + ka[left : left + m - (n - right)]
 
 
 def support_summer(
@@ -276,7 +288,7 @@ def pinball_loss(sample: ScalarSample, level: QuantileLevel, t) -> Fraction:
     keys, den = sample.keys
     # over the denominator den * t.denominator both t and every value are keys
     scaled = [x * t.denominator for x in sorted(keys)]
-    num = _loss_num(scaled, t.numerator * den, level.p)
+    num = _loss_num(scaled, 0, t.numerator * den, level.p)
     return Fraction(num, den * t.denominator * level.p.denominator)
 
 

@@ -36,7 +36,7 @@ from ._linalg import common_denominator, dot, primitive, ratio_sorted
 from .core import DataCloud, DualConeBasis, QuantileLevel, Vector
 from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
 from .polyhedra import IntVec, _PointedCone
-from .univariate import Projector, ascending, greedy_cut, key_quantile_and_loss, support_summer
+from .univariate import Projector, greedy_cut, key_quantile_and_loss, support_summer
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,7 @@ def benson_dual_solve(
     if basis.is_permuted:
         rows = [basis.permute(row) for row in rows]
     projector = Projector(rows)
+    tau = projector.tau
     support_sum = support_summer(rows, level.p.denominator)
     cn, cd = common_denominator(basis.solver_c)
     cn_head, c_last = cn[:-1], cn[-1]
@@ -199,10 +200,11 @@ def benson_dual_solve(
         for key, ray, rid in ratio_sorted(fresh, itemgetter(0)):
             a, z = key[:-1], key[-1]
             weight = (*(c_last * aj for aj in a), scd * z - sum(map(mul, cn_head, a)))
-            # W.x_i + shift: w.x_i over D den, all shifted alike
-            keys, shift = projector.keys(weight)
-            ka = sorted(keys)
-            t, loss = key_quantile_and_loss(ka, level)
+            # W.x_i + shift, tagged with i: w.x_i over D den, all shifted
+            # alike; one sort serves the quantile, the loss and the cut
+            slots, shift = projector.keys(weight)
+            ka = sorted(slots)
+            t, loss = key_quantile_and_loss(ka, tau, level)
             loss_den = abs(c_last) * z * den * level.p.denominator
             cache[key] = (weight, t - shift, loss, loss_den)
             scalarizations += 1
@@ -211,7 +213,7 @@ def benson_dual_solve(
                 continue
             if value > bound:
                 raise InternalInvariantError("outer vertex ended up above the dual image")
-            y = support_sum(greedy_cut(ka, ascending(keys), level.p))
+            y = support_sum(greedy_cut(ka, tau, level.p))
             scalarizations += 1
             row = _support_row(cn, scd, y, cut_scale)
             if row not in seen_rows:

@@ -25,7 +25,7 @@ from conequant import (
     validate_cone,
 )
 from conequant._linalg import common_denominator
-from conequant.univariate import Projector, ascending, greedy_cut
+from conequant.univariate import Projector, greedy_cut
 
 # property tests replay the same examples on every run and write no
 # example database, so the suite stays deterministic
@@ -184,10 +184,10 @@ def value_below_vertex(monkeypatch):
 def greedy_uv(cloud: DataCloud, level: QuantileLevel, w) -> tuple[list, list]:
     """``greedy_cut`` for direction w as dense masses (u, v) over Fractions."""
     rows, den = cloud.int_form
-    keys, _ = Projector(rows).keys(common_denominator(w)[0])
-    asc = ascending(keys)
+    projector = Projector(rows)
+    slots, _ = projector.keys(common_denominator(w)[0])
     u, v = [Fraction(0)] * cloud.n, [Fraction(0)] * cloud.n
-    for idx, mass in greedy_cut(list(map(keys.__getitem__, asc)), asc, level.p):
+    for idx, mass in greedy_cut(sorted(slots), projector.tau, level.p):
         for i in idx:
             (u if mass > 0 else v)[i] = Fraction(abs(mass), level.p.denominator)
     return u, v
@@ -208,7 +208,8 @@ def greedy_masses(
     (capacity 1-p per point) to the smallest, growing the common budget while
     the marginal gain is positive and splitting at the stop.  Among equal keys
     the lower index is served first on both sides, which makes the solution
-    reproducible.  ``asc`` is ``ascending(keys)``.
+    reproducible.  ``asc`` is the index order of the keys, equal keys lower
+    index first.
     """
     n = len(keys)
     # reverse=True keeps equal keys in index order

@@ -9,6 +9,8 @@ from math import lcm
 from operator import itemgetter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conequant._linalg import echelon, int_rank, kernel, primitive, ratio_sorted
 from conftest import frac_nullspace, frac_rank, frac_rref
@@ -131,3 +133,40 @@ def test_ratio_sorted_is_the_fraction_order(dim):
         if vecs:
             widest = max(widest, lcm(*(v[-1] for v in vecs)))
     assert widest > 2**200
+
+
+@st.composite
+def wide_ratio_vectors(draw):
+    """0 to 10 vectors (v, s) in d = 1 to 3 over the pairwise coprime
+    denominators m, m + 1 and m + 2 for an odd m of about 200 bits, or a
+    small s.  Numerators are near multiples c s of a small signed c, so that
+    distinct ratios differ by as little as 1 / (s t), and some vectors are
+    repeated at another scale, an equal ratio."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(2**199, 2**200)) | 1
+    dens = st.sampled_from([m, m + 1, m + 2]) | st.integers(1, 12)
+    vecs = []
+    for _ in range(draw(st.integers(0, 10))):
+        s = draw(dens)
+        head = [draw(st.integers(-3, 3)) * s + draw(st.integers(-2, 2)) for _ in range(dim)]
+        vecs.append((*head, s))
+    for v in draw(st.lists(st.sampled_from(vecs), max_size=3)) if vecs else []:
+        c = draw(st.integers(2, 5))
+        vecs.insert(draw(st.integers(0, len(vecs))), tuple(c * x for x in v))
+    return vecs
+
+
+@settings(max_examples=300)
+@given(wide_ratio_vectors())
+@example([])
+@example([(-7, 3)])
+@example([(2**200 + 1, -(2**200), 2**200 + 2), (1, -1, 1), (2, -2, 2)])
+def test_ratio_sorted_floor_keys_match_fractions(vecs):
+    """``ratio_sorted``'s floor keys give ``sorted``'s order of the Fraction
+    tuples v / s, equal ratios in their given order."""
+    def fractions(g):
+        return tuple(Fraction(x, g[-1]) for x in g[:-1])
+
+    assert ratio_sorted(vecs) == sorted(vecs, key=fractions)
+    tagged = [(v, i) for i, v in enumerate(vecs)]
+    assert ratio_sorted(tagged, itemgetter(0)) == sorted(tagged, key=lambda t: fractions(t[0]))

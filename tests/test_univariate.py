@@ -27,7 +27,6 @@ import conequant.univariate as univariate
 from conequant._linalg import common_denominator
 from conequant.univariate import (
     Projector,
-    ascending,
     greedy_cut,
     key_quantile_and_loss,
     quantile_and_loss,
@@ -256,7 +255,12 @@ def test_sort_perm_matches_brute_force(span):
         keys, den = ScalarSample(tuple(vals)).keys
         assert [Fraction(x, den) for x in keys] == vals
         expected = sorted(range(len(vals)), key=lambda i: (vals[i], i))
-        assert ascending(keys) == expected
+        projector = Projector([(x,) for x in keys])
+        slots, shift = projector.keys((1,))
+        ka = sorted(slots)
+        tau = projector.tau
+        assert [v & ((1 << tau) - 1) for v in ka] == expected
+        assert [(v >> tau) - shift for v in ka] == sorted(keys)
 
 
 @pytest.mark.parametrize("span", [9, 10**12])
@@ -291,16 +295,23 @@ def test_proj_pairs_matches_fraction_dot(span):
         w = tuple(Fraction(rng.randint(-span, span), rng.randint(1, 7)) for _ in range(d))
         rows, den = DataCloud.from_rows(points).int_form
         wn, wden = common_denominator(w)
-        keys, shift = Projector(rows).keys(wn)
+        projector = Projector(rows)
+        slots, shift = projector.keys(wn)
         kden = wden * den
         expected = [sum(a * b for a, b in zip(row, w)) for row in points]
-        assert [Fraction(x - shift, kden) for x in keys] == expected
+        assert [Fraction((x >> projector.tau) - shift, kden) for x in slots] == expected
 
 
-# The packed projection's slot is a 64-bit word: 2B < 2^64 packs, and 2B is
-# even, so B = 2^63 - 1 is the widest packed bound and B = 2^63 the narrowest
-# direct one.
-EDGE_BOUNDS = (2**63 - 1, 2**63)
+# The packed projection's slot is a 64-bit word holding (W.x_i + B) 2^tau + i,
+# tau = bit_length(N(N-1)/2): B = 2^(63 - tau) - 1 is the widest packed
+# bound, whose largest slot is 2^64 - 2^(tau+1) + N - 1, and B = 2^(63 - tau)
+# the narrowest direct one.
+EDGES = ("packed", "direct")
+
+
+def edge_bound(n: int, edge: str) -> int:
+    tau = (n * (n - 1) // 2).bit_length()
+    return 2 ** (63 - tau) - (edge == "packed")
 
 
 @st.composite
@@ -310,7 +321,8 @@ def projector_case(draw):
     with every entry within a span of 9 or 10^11 and often at one of its
     ends.  With ``edge`` drawn, the weight is at most 10^6 in magnitude, and
     a column of units (max |x| = 1) is added with its weight set so that the
-    bound B = sum_j |W_j| max_i |x_ij| is exactly that edge."""
+    bound B = sum_j |W_j| max_i |x_ij| is exactly the widest packed or the
+    narrowest direct bound for N rows."""
 
     def entry(span):
         return st.integers(-span, span) | st.sampled_from([-span, span])
@@ -320,7 +332,7 @@ def projector_case(draw):
     row = st.tuples(*[entry(span)] * d)
     pool = draw(st.lists(row, min_size=1, max_size=4))
     rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-    edge = draw(st.sampled_from((None,) + EDGE_BOUNDS))
+    edge = draw(st.sampled_from((None,) + EDGES))
     w_span = span if edge is None else min(span, 10**6)
     weight = draw(st.lists(entry(w_span) | st.just(0), min_size=d, max_size=d))
     if edge is not None:
@@ -328,35 +340,49 @@ def projector_case(draw):
         units[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from([-1, 1]))
         rows = [(*r, u) for r, u in zip(rows, units)]
         rest = sum(abs(w) * max(abs(r[j]) for r in rows) for j, w in enumerate(weight))
-        weight.append(draw(st.sampled_from([-1, 1])) * (edge - rest))
+        weight.append(draw(st.sampled_from([-1, 1])) * (edge_bound(len(rows), edge) - rest))
     return rows, tuple(weight)
 
 
 def test_projector_keys_are_the_dot_products():
-    """The packed keys minus their shift are the integer dot products, the
-    shift is the bound B when 2B < 2^64 and 0 otherwise, and both branches
-    are reached, at the edge bounds too."""
-    bounds = set()
+    """The tagged slots hold the integer dot products plus the shift in
+    their high bits and their index in the low tau bits, below 2^64 on the
+    packed branch; sorted, they hold ``sorted(keys)`` above and the stable
+    index order below, and the sum of any subset, shifted down by tau, is
+    its key sum.  The shift is the bound B on the packed branch and 0 on the
+    direct one, and both branches are reached, at the edge bounds too."""
+    reached = set()
 
     @settings(max_examples=300)
-    @given(projector_case())
-    @example(([(1,), (-1,), (0,)], (EDGE_BOUNDS[0],)))
-    @example(([(1,), (-1,), (0,)], (-EDGE_BOUNDS[1],)))
-    @example(([(5, -7)], (0, 0)))
-    def check(case):
+    @given(projector_case(), st.randoms(use_true_random=False))
+    @example(([(1,), (-1,), (0,)], (edge_bound(3, "packed"),)), random.Random(0))
+    @example(([(1,), (-1,), (0,)], (-edge_bound(3, "direct"),)), random.Random(0))
+    @example(([(5, -7)], (0, 0)), random.Random(0))
+    def check(case, rng):
         rows, weight = case
+        n = len(rows)
         bound = sum(abs(w) * max(abs(r[j]) for r in rows) for j, w in enumerate(weight))
-        keys, shift = Projector(rows).keys(weight)
-        assert shift == (bound if 2 * bound < 2**64 else 0)
-        assert [k - shift for k in keys] == [
-            sum(a * b for a, b in zip(r, weight)) for r in rows
-        ]
-        bounds.add(bound)
+        keys = [sum(a * b for a, b in zip(r, weight)) for r in rows]
+        projector = Projector(rows)
+        tau = projector.tau
+        assert tau == (n * (n - 1) // 2).bit_length()
+        slots, shift = projector.keys(weight)
+        packed = bound < 2 ** (63 - tau)
+        assert shift == (bound if packed else 0)
+        if packed:
+            assert all(0 <= v < 2**64 for v in slots)
+        assert slots == [((k + shift) << tau) + i for i, k in enumerate(keys)]
+        ka = sorted(slots)
+        assert [(v >> tau) - shift for v in ka] == sorted(keys)
+        assert [v & ((1 << tau) - 1) for v in ka] == sorted(range(n), key=keys.__getitem__)
+        for _ in range(4):
+            subset = rng.sample(ka, rng.randint(0, n))
+            assert sum(subset) >> tau == sum(v >> tau for v in subset)
+        edge = next((e for e in EDGES if bound == edge_bound(n, e)), None)
+        reached.add((packed, edge))
 
     check()
-    assert set(EDGE_BOUNDS) <= bounds
-    assert any(2 * b < 2**64 for b in bounds - set(EDGE_BOUNDS))
-    assert any(2 * b >= 2**64 for b in bounds - set(EDGE_BOUNDS))
+    assert {(True, "packed"), (False, "direct"), (True, None), (False, None)} <= reached
 
 
 def _refuse_direct(*args):
@@ -374,17 +400,59 @@ PACKED_SOLVES = {
 @pytest.mark.parametrize("case", PACKED_SOLVES)
 def test_benchmark_sized_solves_project_packed(monkeypatch, case):
     """Every vertex of a planar N = 150 solve and of a d = 4 Tukey solve over
-    coordinates in [-20, 20] projects through the packed branch."""
+    coordinates in [-20, 20] projects through the packed branch, into
+    64-bit slots tagged with their indices."""
     rng = random.Random(0)
     n, d, k, cone = PACKED_SOLVES[case]
     cloud = DataCloud.from_rows([[rng.randint(-20, 20) for _ in range(d)] for _ in range(n)])
     lvl = QuantileLevel(Fraction(2 * k - 1, 2 * n), n)
     monkeypatch.setattr(univariate, "_direct_keys", _refuse_direct)
+    real = Projector.keys
+    projected = []
+
+    def checked(self, weight):
+        slots, shift = real(self, weight)
+        assert self.tau > 0
+        assert [v & ((1 << self.tau) - 1) for v in slots] == list(range(n))
+        assert max(slots) < 2**64
+        projected.append(shift)
+        return slots, shift
+
+    monkeypatch.setattr(Projector, "keys", checked)
     if cone is None:
         result = tukey_region(cloud, lvl)
     else:
         result = quantile_region(cloud, lvl, validate_cone(cone))
     assert result.stats.scalarizations > 0
+    assert projected
+
+
+def test_one_sort_per_scalarized_vertex(monkeypatch):
+    """A planar N = 150 solve sorts once per scalarized vertex: the Benson
+    loop and the scalar layer together call ``sorted`` as often as
+    ``key_quantile_and_loss``, also at the vertices that need a cut."""
+    import conequant.vlp as vlp
+
+    calls = {"sorted": 0, "loss": 0, "cut": 0}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for module in (vlp, univariate):
+        monkeypatch.setattr(module, "sorted", counting("sorted", sorted), raising=False)
+    monkeypatch.setattr(vlp, "key_quantile_and_loss", counting("loss", vlp.key_quantile_and_loss))
+    monkeypatch.setattr(vlp, "greedy_cut", counting("cut", vlp.greedy_cut))
+    rng = random.Random(0)
+    n = 150
+    cloud = DataCloud.from_rows([[rng.randint(-20, 20) for _ in range(2)] for _ in range(n)])
+    result = tukey_region(cloud, QuantileLevel(Fraction(59, 2 * n), n))
+    assert calls["cut"] > 0
+    assert calls["sorted"] == calls["loss"]
+    assert calls["loss"] + calls["cut"] == result.stats.scalarizations
 
 
 @pytest.mark.parametrize(
@@ -429,16 +497,25 @@ def test_greedy_cut_matches_the_loop(case):
     quantile key and loss numerator at every level with denominator <= 20."""
     keys, rows = case
     n = len(keys)
-    asc = ascending(keys)
-    ka = list(map(keys.__getitem__, asc))
+    asc = sorted(range(n), key=lambda i: (keys[i], i))
     line = DataCloud.from_rows([[k] for k in keys])
+    projector = Projector([(k,) for k in keys])
+    tau = projector.tau
+    slots, shift = projector.keys((1,))
+    # the packed slots, shifted, and the direct form, signed
+    tagged = [
+        (sorted(slots), shift),
+        (sorted(univariate._direct_keys([tuple(keys)], (1,), tau)), 0),
+    ]
     for p in SMALL_LEVELS:
         level = QuantileLevel(p, n)
         u, v = greedy_masses(keys, asc, p)
-        groups = greedy_cut(ka, asc, p)
         pd = p.denominator
         assert greedy_uv(line, level, (1,)) == (
             [Fraction(a, pd) for a in u], [Fraction(b, pd) for b in v]
         ), (keys, p)
-        assert support_summer(rows, pd)(groups) == dense_support_sum(rows, u, v)
-        assert key_quantile_and_loss(ka, level) == loop_quantile_and_loss(keys, asc, level)
+        for ka, ka_shift in tagged:
+            groups = greedy_cut(ka, tau, p)
+            assert support_summer(rows, pd)(groups) == dense_support_sum(rows, u, v)
+            t, loss = key_quantile_and_loss(ka, tau, level)
+            assert (t - ka_shift, loss) == loop_quantile_and_loss(keys, asc, level)
