@@ -275,6 +275,17 @@ def validate_cone(generators) -> Cone:
     return cone
 
 
+def _check_fit(cloud: DataCloud, level: QuantileLevel, cone: Cone | None) -> None:
+    """Raise DimensionMismatch unless the level is for the cloud's N and the
+    cone, if any, has the cloud's dimension."""
+    if level.n != cloud.n:
+        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
+    if cone is not None and cone.dim != cloud.dim:
+        raise DimensionMismatch(
+            f"data dimension {cloud.dim} does not match cone dimension {cone.dim}"
+        )
+
+
 @dataclass(frozen=True)
 class DualConeBasis:
     """A bounded slice {w : Yw >= 0, c.w = 1} of the dual cone.

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DataCloud, QuantileLevel, as_vector, project_data
-from .errors import DimensionMismatch, InternalInvariantError, MalformedProgram
+from .core import DataCloud, QuantileLevel, _check_fit, as_vector, project_data
+from .errors import InternalInvariantError, MalformedProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -347,9 +347,8 @@ def build_lp_dual(cloud: DataCloud, level: QuantileLevel, w) -> LinearProgram:
     the pinball loss and the optimal t is its minimizer.
     """
     z = project_data(cloud, w)
+    _check_fit(cloud, level, None)
     n = cloud.n
-    if level.n != n:
-        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {n}")
     zero, one = Fraction(0), Fraction(1)
     rows = []
     for i in range(n):

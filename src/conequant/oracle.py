@@ -26,10 +26,12 @@ import random
 from dataclasses import dataclass
 
 from ._linalg import angle_key, common_denominator, dot, half_turn_key, primitive
-from .core import Cone, DataCloud, QuantileLevel, _ratio, homogeneous_point, make_dual_basis
+from .core import (
+    Cone, DataCloud, QuantileLevel, _check_fit, _ratio, homogeneous_point, make_dual_basis
+)
 from .errors import DimensionMismatch, DimensionNot2, InternalInvariantError
 from .polyhedra import Polyhedron
-from .quantile import CONE_PROVENANCE, TUKEY_PROVENANCE, QuantileRegion, _check_fit, _depth
+from .quantile import CONE_PROVENANCE, TUKEY_PROVENANCE, QuantileRegion, _depth
 from .univariate import Projector
 from .vlp import basis_vertices
 

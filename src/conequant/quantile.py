@@ -13,17 +13,18 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, sub
 
-from ._linalg import common_denominator, half_turn_key, int_rank, primitive
+from ._linalg import common_denominator, echelon, half_turn_key, primitive
 from .core import (
     Cone,
     DataCloud,
     QuantileLevel,
     Vector,
+    _check_fit,
     homogeneous_point,
     make_dual_basis,
     validate_cone,
 )
-from .errors import DimensionMismatch, InternalInvariantError
+from .errors import InternalInvariantError
 from .polyhedra import Polyhedron
 from .vlp import BensonStats, benson_dual_solve, entry_pairs, entry_records
 
@@ -166,17 +167,6 @@ def region_membership(
     return _depth(cloud, homogeneous_point(z, cloud.dim), generators) >= level.ceil_np
 
 
-def _check_fit(cloud: DataCloud, level: QuantileLevel, cone: Cone | None) -> None:
-    """Raise DimensionMismatch unless the level is for the cloud's N and the
-    cone, if any, has the cloud's dimension."""
-    if level.n != cloud.n:
-        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
-    if cone is not None and cone.dim != cloud.dim:
-        raise DimensionMismatch(
-            f"data dimension {cloud.dim} does not match cone dimension {cone.dim}"
-        )
-
-
 def tukey_depth(cloud: DataCloud, z) -> int:
     """Tukey (halfspace) depth of z: the least number of data points in a
     closed halfspace whose boundary passes through z.  It is the largest k
@@ -201,11 +191,20 @@ def _depth(cloud: DataCloud, point, generators) -> int:
     nonzero generator g enters the arrangement too, with multiplicity N + 1,
     so every cell outside C+ counts more than N.  C+ is full-dimensional, so
     every w in it borders a cell inside it, and the least over all cells is
-    the least over C+.  When the vectors span at most a plane, one angular
-    sweep over their normals finds it in O(N log N) (Rousseeuw & Ruts, AS
-    307, 1996).  A span r >= 3 is reduced to the hyperplanes y_i^perp, each
-    a problem of span r - 1 (after Dyckerhoff & Mozharovskyi, 2016), so it
-    costs O(N^(r-1) log N).
+    the least over C+.
+
+    A linear bijection A of the vectors' span S onto R^r keeps every count:
+    w.y = (A^-T w).(A y) for y in S, and the counts at w depend only on w
+    restricted to S, so each cell maps onto a cell.  So the vectors are put
+    in r integer coordinates of S, their pivot coordinates: the rows of
+    ``echelon`` are D times the reduced row echelon form, so a vector of S
+    is the sum of y_p / D times pivot row p, and its pivot entries y_p
+    determine it.  A line is padded to the plane, and d = 1 is a line with
+    no elimination.  In the plane one angular sweep over the normals finds
+    the least count in O(N log N) (Rousseeuw & Ruts, AS 307, 1996).  A span
+    r >= 3 is reduced to the hyperplanes y_i^perp, each a problem of span
+    r - 1 (after Dyckerhoff & Mozharovskyi, 2016), so it costs
+    O(N^(r-1) log N).
     """
     rows, den = cloud.int_form
     *z_ints, z_den = point
@@ -230,24 +229,30 @@ def _depth(cloud: DataCloud, point, generators) -> int:
             counts[g] = counts.get(g, 0) + cloud.n + 1
     if not counts:
         return at_z
-    # in the plane the rank is at most 2, and every rank <= 2 takes the sweep
-    rank = cloud.dim if cloud.dim <= 2 else int_rank(list(counts))
-    return at_z + _least_count(counts, rank)
+    if cloud.dim != 2:
+        pivots = echelon(list(counts))[1] if cloud.dim > 2 else [0]
+        pad = (0,) * (len(pivots) == 1)
+        counts = {primitive((*(y[p] for p in pivots), *pad)): c for y, c in counts.items()}
+    return at_z + _least_count(counts)
 
 
-def _least_count(counts: dict[tuple[int, ...], int], rank: int) -> int:
+def _least_count(counts: dict[tuple[int, ...], int]) -> int:
     """Least #{y : w.y < 0} over the w orthogonal to no y, counting each
     distinct primitive vector y with its multiplicity ``counts[y]``; the
-    vectors span a space of dimension ``rank``.  A ``rank`` of 2 or less
-    may overstate it: all of those take the sweep.
+    vectors span R^r, r >= 2, for their length r.  At r = 2 it is the sweep.
 
     Every open cell has a facet on some hyperplane u^perp.  Next to it, the
     cell counts the vectors parallel to u on its side, plus the count at a
-    point of the facet, which sees only the projections of the other
-    vectors onto u^perp.
+    point w of the facet, which sees each other y only modulo u.  With u_p
+    the first nonzero entry of u, the map Q y = (u_p y_k - u_k y_p)_{k != p}
+    has kernel span(u), so it is a linear bijection of R^r / span(u) onto
+    R^(r-1), and every w in u^perp is Q^T w' for one w'.  Then
+    w.y = w'.(Q y): the count at w is the count at w' over the vectors Q y,
+    made primitive, and each cell maps onto a cell.  The vectors Q y span
+    R^(r-1), as the y span R^r, so no level of the recursion is empty.
     """
-    if rank <= 2:
-        return _planar_least_count(_plane_coords(counts))
+    if len(next(iter(counts))) == 2:
+        return _planar_least_count(counts)
     best = sum(counts.values())
     done: set[tuple[int, ...]] = set()
     for u, same in counts.items():
@@ -255,32 +260,19 @@ def _least_count(counts: dict[tuple[int, ...], int], rank: int) -> int:
         if opposite in done:
             continue
         done.add(u)
-        uu = sum(map(mul, u, u))
+        p = next(k for k, a in enumerate(u) if a)
+        up = u[p]
         rest: dict[tuple[int, ...], int] = {}
         for y, c in counts.items():
             if y != u and y != opposite:
-                uy = sum(map(mul, u, y))
-                p = primitive(tuple(uu * b - uy * a for a, b in zip(u, y)))
-                rest[p] = rest.get(p, 0) + c
+                yp = y[p]
+                q = [up * b - a * yp for a, b in zip(u, y)]
+                del q[p]
+                v = primitive(q)
+                rest[v] = rest.get(v, 0) + c
         parallel = min(same, counts.get(opposite, 0))
-        best = min(best, parallel + _least_count(rest, rank - 1))
+        best = min(best, parallel + _least_count(rest))
     return best
-
-
-def _plane_coords(counts: dict[tuple[int, ...], int]) -> dict[tuple[int, int], int]:
-    """Vectors spanning at most a plane, as primitive pairs (b1.y, b2.y) for
-    two of them, b1 and b2, that span it (b2 is zero when they span a line).
-    That map is a linear bijection of the span, so every count is kept."""
-    b1 = next(iter(counts))
-    if len(b1) == 2:
-        return counts
-    opposite = tuple(-c for c in b1)
-    b2 = next((y for y in counts if y != b1 and y != opposite), (0,) * len(b1))
-    plane: dict[tuple[int, int], int] = {}
-    for y, c in counts.items():
-        p = primitive((sum(map(mul, b1, y)), sum(map(mul, b2, y))))
-        plane[p] = plane.get(p, 0) + c
-    return plane
 
 
 def _planar_least_count(counts: dict[tuple[int, int], int]) -> int:

@@ -33,8 +33,8 @@ from fractions import Fraction
 from operator import itemgetter, mul
 
 from ._linalg import common_denominator, dot, primitive, ratio_sorted
-from .core import DataCloud, DualConeBasis, QuantileLevel, Vector
-from .errors import DimensionMismatch, EmptyBasis, InternalInvariantError
+from .core import DataCloud, DualConeBasis, QuantileLevel, Vector, _check_fit
+from .errors import EmptyBasis, InternalInvariantError
 from .polyhedra import IntVec, _PointedCone
 from .univariate import Projector, greedy_cut, key_quantile_and_loss, support_summer
 
@@ -143,12 +143,7 @@ def benson_dual_solve(
     the outer set *is* the dual image, and its vertices define the entries.
     """
     level.require_valid()
-    if cloud.dim != basis.dim:
-        raise DimensionMismatch(
-            f"data dimension {cloud.dim} does not match cone dimension {basis.dim}"
-        )
-    if level.n != cloud.n:
-        raise DimensionMismatch(f"level is for N={level.n} but the cloud has {cloud.n}")
+    _check_fit(cloud, level, basis.cone)
     d = basis.dim
     rows, den = cloud.int_form
     if basis.is_permuted:

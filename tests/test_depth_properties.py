@@ -1,11 +1,13 @@
 """Property tests of the direct Tukey and cone depths over small integer
 clouds, including the degenerate ones: duplicate points, collinear and
-coplanar clouds, N = 1 and d = 1.  The examples are fixed by the
-derandomized hypothesis profile in conftest.py."""
+coplanar clouds, N = 1 and d = 1, and matches against brute-force counts
+in the plane and an LP count in d = 3 and 4.  The examples are fixed by
+the derandomized hypothesis profile in conftest.py."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from hypothesis import assume, example, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from conequant import DataCloud, tukey_depth, validate_cone
 from conequant.core import homogeneous_point
+from conequant.lp import OPTIMAL, LinearProgram, simplex_solve
 from conequant.quantile import _depth
 from conftest import assert_depth_brackets, frac_rank
 
@@ -217,3 +220,85 @@ def test_cone_depth_positive_scaling_invariant(case, alpha, data):
     scaled = [tuple(alpha * a for a in p) for p in points]
     scaled_z = tuple(alpha * a for a in z)
     assert cone_depth(scaled, cone, scaled_z) == cone_depth(points, cone, z)
+
+
+def lp_depth(points, z, generators) -> int:
+    """Depth by sign vectors, with no sweep and no projection: the points
+    equal to z, plus the least #{i : s_i = -1} over the sign vectors s of
+    the nonzero y_i = x_i - z for which some w has s_i y_i.w >= 1 for every
+    i and g.w >= 1 for every nonzero generator g, decided by the simplex.
+
+    Such a w lies in an open cell of the arrangement {w.y_i = 0} inside the
+    dual cone, where #{i : w.y_i <= 0} is the number of -1 signs, and by
+    scaling every open cell inside the dual cone has one."""
+    ys = [tuple(a - b for a, b in zip(p, z)) for p in points]
+    nonzero = [y for y in ys if any(y)]
+    gens = [g for g in generators if any(g)]
+    dim = len(z)
+    for signs in sorted(product((1, -1), repeat=len(nonzero)), key=lambda s: s.count(-1)):
+        rows = [tuple(s * a for a in y) for s, y in zip(signs, nonzero)] + gens
+        lp = LinearProgram(
+            sense="min",
+            objective=(0,) * dim,
+            rows=tuple(rows),
+            relations=(">=",) * len(rows),
+            rhs=(1,) * len(rows),
+            bounds=((None, None),) * dim,
+        )
+        if not rows or simplex_solve(lp).status == OPTIMAL:
+            return len(ys) - len(nonzero) + signs.count(-1)
+    raise AssertionError("no open cell inside the dual cone")
+
+
+@st.composite
+def spatial_case(draw):
+    """2 to 6 points in d = 3 or 4 with coordinates in [-3, 3], in general
+    position or on an affine flat of dimension 1 or 2, often repeated; a
+    query that is a data point, the midpoint of two, which lies on their
+    flat, or any rational point; and no cone, or a validated cone, sometimes
+    with a zero generator."""
+    dim = draw(st.integers(3, 4))
+    flat = draw(st.sampled_from([dim, 1, 2, dim]))
+    if flat == dim:
+        points = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=2, max_size=6))
+    else:
+        unit = st.tuples(*[st.integers(-1, 1)] * dim)
+        base, dirs = draw(unit), draw(st.lists(unit, min_size=flat, max_size=flat))
+        coefs = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * flat), min_size=2, max_size=6))
+        points = [
+            tuple(b + sum(t * u[j] for t, u in zip(ts, dirs)) for j, b in enumerate(base))
+            for ts in coefs
+        ]
+    points += points[: draw(st.integers(0, 6 - len(points)))]
+    point = st.sampled_from(points)
+    query = draw(
+        st.one_of(
+            point.map(lambda p: tuple(map(F, p))),
+            st.tuples(point, point).map(lambda pq: tuple(F(a + b, 2) for a, b in zip(*pq))),
+            st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * dim),
+        )
+    )
+    generators = ()
+    if draw(st.booleans()):
+        generators = draw(nested_cones(dim))[0].generators
+        if draw(st.booleans()):
+            generators += ((0,) * dim,)
+    return points, query, generators
+
+
+SIMPLEX4 = [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3), (-3, -3, -3, -3), (1, -1, 2, 0)]
+ORTHANT4 = validate_cone([*(tuple(int(i == j) for j in range(4)) for i in range(4)), (0,) * 4])
+CLOUD3 = [(1, 2, -3), (-2, 1, 0), (3, -1, 1), (0, 0, 3), (-1, -2, -2), (2, 2, 2)]
+CONE3 = validate_cone([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+
+
+@settings(max_examples=120)
+@given(spatial_case())
+@example((SIMPLEX4, (F(1, 2), F(1, 3), F(1, 2), F(0)), ORTHANT4.generators))
+@example((SIMPLEX4, tuple(map(F, SIMPLEX4[5])), ()))
+@example((CLOUD3, (F(1, 3), F(1, 3), F(1, 2)), CONE3.generators))
+def test_depth_matches_lp_count_in_3d_and_4d(case):
+    points, z, generators = case
+    cloud = DataCloud.from_rows(points)
+    count = _depth(cloud, homogeneous_point(z, cloud.dim), generators)
+    assert count == lp_depth(points, z, generators)

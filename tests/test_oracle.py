@@ -16,6 +16,7 @@ from conequant import (
     QuantileLevel,
     QuantileRegion,
     basis_vertices,
+    benson_dual_solve,
     critical_directions,
     make_dual_basis,
     membership_sample,
@@ -447,3 +448,13 @@ class TestConeDimension:
         reg = quantile_region(self.CLOUD3, level, cone3)
         with pytest.raises(DimensionMismatch, match="data dimension 2 does not match cone dimension 3"):
             check_region(SQUARE, cone3, reg)
+
+    def test_benson_dual_solve(self):
+        """The solve checks the level's N before the cone's dimension."""
+        basis3 = make_dual_basis(validate_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        with pytest.raises(DimensionMismatch, match="data dimension 2 does not match cone dimension 3"):
+            benson_dual_solve(SQUARE, QuantileLevel(F(3, 10), 4), basis3)
+        with pytest.raises(DimensionMismatch, match="level is for N=5 but the cloud has 4"):
+            benson_dual_solve(self.CLOUD3, QuantileLevel(F(3, 10), 5), basis3)
+        with pytest.raises(DimensionMismatch, match="level is for N=5 but the cloud has 4"):
+            benson_dual_solve(SQUARE, QuantileLevel(F(3, 10), 5), basis3)

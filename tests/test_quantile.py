@@ -428,7 +428,7 @@ class TestTukeyDepth:
 
     def test_planar_depth_does_no_rank_elimination(self, monkeypatch):
         """In d <= 2 the count goes straight to the planar sweep: with
-        int_rank refusing, Tukey depths still bracket the regions of the
+        echelon refusing, Tukey depths still bracket the regions of the
         depth sweep's corpus and cone depths still decide membership in the
         solved regions.  A d = 3 query still eliminates."""
         import conequant.quantile as quantile
@@ -436,7 +436,7 @@ class TestTukeyDepth:
         def refuse(rows):
             raise AssertionError("depth eliminated for a rank")
 
-        monkeypatch.setattr(quantile, "int_rank", refuse)
+        monkeypatch.setattr(quantile, "echelon", refuse)
         rng = random.Random(65)
         for dim, n_max, clouds in ((1, 9, 6), (2, 9, 9)):
             region = tukey_region if dim == 1 else _oracle_region
