@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -58,6 +59,20 @@ class _Parser(argparse.ArgumentParser):
             # argparse reads a point such as -1,0 as an option
             message += "; put -- before a point that starts with '-': depth FILE -- -1,0"
         raise CliInputError(message)
+
+
+@contextmanager
+def _printable():
+    """Format exact results as text: an integer with more digits than
+    Python's integer string conversion allows is an input error.  Only
+    formatting runs inside, so the ValueError is that limit's."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliInputError(
+            f"a number in the result has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's integer string conversion limit; set PYTHONINTMAXSTRDIGITS=0 to lift it"
+        ) from exc
 
 
 def _read_text(path: str) -> str:
@@ -145,35 +160,36 @@ def region_document(
     requested_p: Fraction | None,
 ) -> dict:
     level = result.level
-    doc_input = {
-        "points": cloud.n,
-        "dim": cloud.dim,
-        "p": format_rational(level.p),
-        "ceil_np": level.ceil_np,
-        "cone": cone_echo,
-    }
-    if requested_p is not None:
-        doc_input["p_requested"] = format_rational(requested_p)
-        doc_input["nudged"] = True
     region = result.region
     vertices, rays = region._sorted_gens
     stats = result.stats
-    return {
-        "input": doc_input,
-        "provenance": result.provenance,
-        "empty": region.is_empty,
-        "halfspaces": [
-            {"w": [_ratio(v, s) for v in w], "t": _ratio(t, s)}
-            for *w, t, s in result.entry_records
-        ],
-        "vertices": [[_ratio(a, z0) for a in head] for *head, z0 in vertices],
-        "rays": [[str(a) for a in head] for *head, _ in rays],
-        "stats": {
-            "benson_rounds": stats.rounds if stats else None,
-            "cuts_added": stats.cuts_added if stats else None,
-            "scalarizations": stats.scalarizations if stats else None,
-        },
-    }
+    with _printable():
+        doc_input = {
+            "points": cloud.n,
+            "dim": cloud.dim,
+            "p": format_rational(level.p),
+            "ceil_np": level.ceil_np,
+            "cone": cone_echo,
+        }
+        if requested_p is not None:
+            doc_input["p_requested"] = format_rational(requested_p)
+            doc_input["nudged"] = True
+        return {
+            "input": doc_input,
+            "provenance": result.provenance,
+            "empty": region.is_empty,
+            "halfspaces": [
+                {"w": [_ratio(v, s) for v in w], "t": _ratio(t, s)}
+                for *w, t, s in result.entry_records
+            ],
+            "vertices": [[_ratio(a, z0) for a in head] for *head, z0 in vertices],
+            "rays": [[str(a) for a in head] for *head, _ in rays],
+            "stats": {
+                "benson_rounds": stats.rounds if stats else None,
+                "cuts_added": stats.cuts_added if stats else None,
+                "scalarizations": stats.scalarizations if stats else None,
+            },
+        }
 
 
 def document_bytes(doc: dict) -> str:
@@ -245,8 +261,9 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 def write_plot(result: QuantileRegion, path: str) -> bool:
     """Ordered vertex cycle as decimal lines, for 2-D nonempty bounded
-    regions only; returns whether a file was written.  When none is, a note
-    on stderr says why."""
+    regions whose vertex coordinates are within the float range only;
+    returns whether a file was written.  When none is, a note on stderr says
+    why."""
     region = result.region
     if region.dim != 2:
         skipped = f"the region is {region.dim}-dimensional, not 2-D"
@@ -256,16 +273,19 @@ def write_plot(result: QuantileRegion, path: str) -> bool:
         skipped = "the region is unbounded"
     else:
         skipped = None
+        verts = list(region.vertices)
+        if len(verts) > 2:
+            center = tuple(
+                sum((v[j] for v in verts), Fraction(0)) / len(verts) for j in range(2)
+            )
+            verts.sort(key=lambda v: angle_key((v[0] - center[0], v[1] - center[1])))
+        try:
+            lines = [f"{float(v[0])!r},{float(v[1])!r}" for v in verts]
+        except OverflowError:
+            skipped = "a vertex coordinate is beyond the float range"
     if skipped:
         print(f"note: plot {path} not written: {skipped}", file=sys.stderr)
         return False
-    verts = list(region.vertices)
-    if len(verts) > 2:
-        center = tuple(
-            sum((v[j] for v in verts), Fraction(0)) / len(verts) for j in range(2)
-        )
-        verts.sort(key=lambda v: angle_key((v[0] - center[0], v[1] - center[1])))
-    lines = [f"{float(v[0])!r},{float(v[1])!r}" for v in verts]
     _write_text(path, "\n".join(lines) + "\n")
     return True
 
@@ -282,6 +302,8 @@ def cmd_uniquantile(args) -> int:
         raise InternalInvariantError(
             "the pinball loss minimizer is not the direct quantile"
         )
+    with _printable():
+        q_text, loss_text = format_rational(q), format_rational(loss)
     suffix = ""
     if args.check:
         outcome = simplex_solve(build_lp_dual(cloud, level, (Fraction(1),)))
@@ -289,8 +311,8 @@ def cmd_uniquantile(args) -> int:
             print("LP cross-check disagreed with the direct quantile", file=sys.stderr)
             return EXIT_VERIFY
         suffix = " (LP verified)"
-    print(f"q={format_rational(q)}{suffix}")
-    print(f"min_loss={format_rational(loss)}")
+    print(f"q={q_text}{suffix}")
+    print(f"min_loss={loss_text}")
     return EXIT_OK
 
 
@@ -309,10 +331,11 @@ def cmd_region(args) -> int:
     gens, interior, cone = _cloud_cone(cloud, args.cone)
     level, requested = _parse_level(args.p, cloud.n, args.nudge)
     result = quantile_region(cloud, level, cone, interior)
-    echo = {
-        "generators": [[format_rational(x) for x in g] for g in gens],
-        "interior": [format_rational(x) for x in interior] if interior else None,
-    }
+    with _printable():
+        echo = {
+            "generators": [[format_rational(x) for x in g] for g in gens],
+            "interior": [format_rational(x) for x in interior] if interior else None,
+        }
     _emit(region_document(result, cloud, echo, requested), args.out)
     if args.plot:
         write_plot(result, args.plot)
@@ -349,7 +372,9 @@ def cmd_verify(args) -> int:
         result = tukey_region(cloud, level)
     else:
         result = quantile_region(cloud, level, cone, interior)
-    check = check_region(cloud, cone, result)
+    # its counts are exact integer work: only a refutation's text can fail
+    with _printable():
+        check = check_region(cloud, cone, result)
     if check.refutation:
         print(f"exact depth check: {check.refutation}", file=sys.stderr)
         return EXIT_VERIFY

@@ -13,17 +13,17 @@ same integers, vertices by a / z0 and rays by a, through one exact order
 that asks for them.
 
 Each conversion runs the double description method on one side's vectors
-and reads the other side off the extreme rays.  The vectors go to a pointed
-cone engine as they are; only when they turn out rank deficient does an
-exact integer kernel basis of the lineality space enter the same engine,
-each line as two opposite rows, and cut the lineality away.  The engine
-works on primitive ray vectors with zero sets as bitmasks, and keeps the
-cone's edge graph: a new row is located by an edge walk, touches only the
-rays it cuts off and their neighbours, and decides the new edges on its own
-facet by the exact combinatorial test.  The walk starts at a ray the caller
-names, such as the Benson vertex a cut was made from; a start removed since
-is replaced through the engine's map from each removed ray to a ray made by
-the insertion that removed it.
+and reads the other side off the extreme rays.  The engine is built from
+the vectors in one step; when they are rank deficient, it takes an exact
+integer kernel basis of the lineality space among its starting rows and
+each line's negation after the other rows, and so cuts the lineality away
+itself.  The engine works on primitive ray vectors with zero sets as
+bitmasks, and keeps the cone's edge graph: a new row is located by an edge
+walk, touches only the rays it cuts off and their neighbours, and decides
+the new edges on its own facet by the exact combinatorial test.  The walk
+starts at a ray the caller names, such as the Benson vertex a cut was made
+from; a start removed since is replaced through the engine's map from each
+removed ray to a ray made by the insertion that removed it.
 The intermediate cones depend on the row order.  A quantile region's rows
 are the dual solve's own, and they enter in the order its solver chose,
 likeliest facets first; every other conversion hands its vectors over in
@@ -79,19 +79,29 @@ class Halfspace:
 
 
 class _PointedCone:
-    """Double description for a pointed cone {x : row.x >= 0} under
-    incremental row insertion.  Rows and rays are primitive integer vectors.
+    """Double description for the cone {x : row.x >= 0} of the rows it is
+    built from, under incremental row insertion.  Rows and rays are
+    primitive integer vectors.
+
+    The bootstrap rows are the first ``dim`` linearly independent nonzero
+    rows, taken greedily in input order.  Rows of rank below ``dim`` leave
+    the lineality space L free; then ``lines`` is the primitive integer
+    kernel basis of the bootstrap rows, which span the row space, so it is
+    the kernel of all the rows, and a row space has one reduced echelon form,
+    so it is the same vectors in the same order as the basis read off all
+    the rows.  The lines join the bootstrap rows, their negations follow the
+    other rows, and ``rays`` are the extreme rays of the pointed cone of the
+    x orthogonal to L with row.x >= 0.
 
     A ray's zero set has bit k set exactly when ``processed[k]`` is zero on
-    it, over the rows kept.  The first ``dim`` linearly independent rows,
-    taken greedily in input order, bootstrap a simplicial cone; every later
-    row is inserted locally on the cone's edge graph (rays joined when they
-    span a 2-face), in the dual form of the beneath-beyond method.  A later
-    row that cuts off no ray leaves no trace: it is not kept, takes no bit
-    and marks no face.  The cone does not change, so the rows kept still
-    describe it, and the combinatorial adjacency test holds for any
-    H-description of a pointed cone, full-dimensional or not.  Only the
-    cone {0} keeps every row.
+    it, over the rows kept.  The bootstrap rows define a simplicial cone;
+    every later row is inserted locally on the cone's edge graph (rays
+    joined when they span a 2-face), in the dual form of the beneath-beyond
+    method.  A later row that cuts off no ray leaves no trace: it is not
+    kept, takes no bit and marks no face.  The cone does not change, so the
+    rows kept still describe it, and the combinatorial adjacency test holds
+    for any H-description of a pointed cone, full-dimensional or not.  Only
+    the cone {0} keeps every row.
 
     Rays carry ids; ``_ray``, ``_zs`` and ``_nbrs`` map an id to its vector,
     zero set and neighbour ids, and ``_height`` to its value on the sum e of
@@ -111,18 +121,51 @@ class _PointedCone:
     cut; with no live ray on that chain the walk starts at the newest ray.
     """
 
-    def __init__(self, dim: int) -> None:
+    def __init__(self, dim: int, rows) -> None:
         self.dim = dim
-        self.processed: list[IntVec] = []
         self._ray: dict[int, IntVec] = {}
         self._zs: dict[int, int] = {}
         self._nbrs: dict[int, set[int]] = {}
         self._height: dict[int, int] = {}
         self._heir: dict[int, int] = {}
         self._ids = count()
-        self._basis: list[IntVec] = []
-        self._pending: list[IntVec] = []
-        self._initialized = False
+        basis: list[IntVec] = []
+        rest: list[IntVec] = []
+        for row in map(tuple, rows):
+            if len(row) != dim:
+                raise DimensionMismatch("constraint row has the wrong width")
+            if not any(row):
+                continue
+            if len(basis) < dim and _linalg.int_rank(basis + [row]) > len(basis):
+                basis.append(row)
+            else:
+                rest.append(row)
+        self.lines: list[IntVec] = []
+        if len(basis) < dim:
+            self.lines = _linalg.kernel(*_linalg.echelon(basis), dim)
+            basis += self.lines
+            rest += map(_negated, self.lines)
+        # the independent rows B define a simplicial cone whose extreme rays
+        # are the columns of the inverse matrix, read off the right-hand
+        # block D B^-1 of [B | I] reduced; every two of them span a 2-face
+        red, pivots = _linalg.echelon(
+            [(*r, *(int(i == k) for k in range(dim))) for i, r in enumerate(basis)]
+        )
+        # B is square and invertible exactly when these are the pivots
+        if pivots != list(range(dim)):
+            raise InternalInvariantError("the bootstrap rows do not span the space")
+        self.processed = basis
+        e = tuple(map(sum, zip(*basis)))
+        full = (1 << dim) - 1
+        ids = []
+        for k in range(dim):
+            ray = _linalg.primitive([row[dim + k] for row in red])
+            ids.append(self._add_ray(ray, full & ~(1 << k), sum(map(mul, e, ray))))
+        for i in ids:
+            self._nbrs[i] = set(ids) - {i}
+        # through add_row, so that a wrapped add_row sees every row inserted
+        for row in rest:
+            self.add_row(row)
 
     @property
     def rays(self) -> list[IntVec]:
@@ -133,46 +176,12 @@ class _PointedCone:
         ray gets a larger id than every ray before it."""
         return self._ray.items()
 
-    def add_rows(self, rows) -> None:
-        for row in rows:
-            self.add_row(tuple(row))
-
     def add_row(self, row: IntVec, start: int | None = None) -> None:
         """Insert a row; ``start`` is a ray id to begin the walk at."""
         if len(row) != self.dim:
             raise DimensionMismatch("constraint row has the wrong width")
-        if all(v == 0 for v in row):
-            return
-        if self._initialized:
+        if any(row):
             self._insert(row, start)
-        elif _linalg.int_rank(self._basis + [row]) > len(self._basis):
-            self._basis.append(row)
-            if len(self._basis) == self.dim:
-                self._bootstrap()
-        else:
-            self._pending.append(row)
-
-    def _bootstrap(self) -> None:
-        # the independent rows B define a simplicial cone whose extreme rays
-        # are the columns of the inverse matrix, read off the right-hand
-        # block D B^-1 of [B | I] reduced; every two of them span a 2-face
-        n = self.dim
-        red, _ = _linalg.echelon(
-            [(*r, *(int(i == k) for k in range(n))) for i, r in enumerate(self._basis)]
-        )
-        self.processed = self._basis
-        e = tuple(map(sum, zip(*self._basis)))
-        full = (1 << n) - 1
-        ids = []
-        for k in range(n):
-            ray = _linalg.primitive([row[n + k] for row in red])
-            ids.append(self._add_ray(ray, full & ~(1 << k), sum(map(mul, e, ray))))
-        for i in ids:
-            self._nbrs[i] = set(ids) - {i}
-        self._initialized = True
-        rest, self._basis, self._pending = self._pending, [], []
-        for row in rest:
-            self._insert(row)
 
     def _add_ray(self, ray: IntVec, zs: int, height: int) -> int:
         i = next(self._ids)
@@ -181,10 +190,6 @@ class _PointedCone:
         self._nbrs[i] = set()
         self._height[i] = height
         return i
-
-    @property
-    def ready(self) -> bool:
-        return self._initialized
 
     def _insert(self, row: IntVec, start: int | None = None) -> None:
         ray, zs, nbrs, height = self._ray, self._zs, self._nbrs, self._height
@@ -300,28 +305,15 @@ def _dd_cone(
     fixed pseudo-random order, unless ``shuffle`` is off because the caller
     has ordered them already.  The rays come back in no particular order.
 
-    The pointed engine runs first, on the rows as they are, and finds full
-    rank itself.  When it never bootstraps, the rows leave the lineality
-    space L free; each line l of an integer kernel basis of L then enters
-    the same engine as the two rows l and -l.  The rows and L span the
-    space, so the engine bootstraps, and it ends with the pointed cone of
-    the x orthogonal to L with row.x >= 0.  The cone is L plus that cone,
-    whose extreme rays are the rays returned.
+    The engine cuts the lineality space L away itself (see ``_PointedCone``):
+    the cone is L plus the pointed cone of the x orthogonal to L with
+    row.x >= 0, whose extreme rays are the rays returned.
     """
     live = [r for r in rows if any(r)]
     if shuffle:
         random.Random(0).shuffle(live)
-    engine = _PointedCone(dim)
-    engine.add_rows(live)
-    if engine.ready:
-        return [], engine.rays
-    red, pivots = _linalg.echelon(live)
-    lines = _linalg.kernel(red, pivots, dim)
-    for line in lines:
-        engine.add_rows((line, _negated(line)))
-    if not engine.ready:
-        raise InternalInvariantError("the rows and their kernel basis do not span the space")
-    return lines, engine.rays
+    engine = _PointedCone(dim, live)
+    return engine.lines, engine.rays
 
 
 def _negated(row: IntVec) -> IntVec:

@@ -156,13 +156,10 @@ def benson_dual_solve(
     scd = basis.sigma * cd
     cut_scale = den * level.p.denominator * abs(c_last)
 
-    engine = _PointedCone(d + 1)
-    seen_rows = set()
-    for row in _box_rows(basis):
-        seen_rows.add(row)
-        engine.add_row(row)
-    engine.add_row(tuple([0] * d + [1]))
-    if not engine.ready:
+    box = _box_rows(basis)
+    seen_rows = set(box)
+    engine = _PointedCone(d + 1, [*box, (0,) * d + (1,)])
+    if engine.lines:
         raise InternalInvariantError("initial outer approximation is not pointed")
     if not any(ray[-1] > 0 for ray in engine.rays):
         raise EmptyBasis("dual-cone basis has no extreme points")

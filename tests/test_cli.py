@@ -401,14 +401,18 @@ class TestRegionDocuments:
             ),
             (["tukey", str(GOLDEN / "triangle.csv"), "--p", "2/5"], "the region is empty"),
             (["tukey", "CUBE", "--p", "3/16"], "the region is 3-dimensional, not 2-D"),
+            (["tukey", "HUGE", "--p", "1/6"], "a vertex coordinate is beyond the float range"),
         ],
-        ids=["unbounded", "empty", "3-D"],
+        ids=["unbounded", "empty", "3-D", "beyond-float"],
     )
     def test_plot_skip_is_noted(self, args, reason, tmp_path, capsys):
         cube = tmp_path / "cube.csv"
         corners = product((0, 1), repeat=3)
         cube.write_text("".join(",".join(map(str, c)) + "\n" for c in corners))
-        args = [str(cube) if a == "CUBE" else a for a in args]
+        huge = tmp_path / "huge.csv"
+        huge.write_text("0,0\n1e400,0\n0,1\n1,1\n")
+        files = {"CUBE": str(cube), "HUGE": str(huge)}
+        args = [files.get(a, a) for a in args]
         _, before, _ = run_cli(args, capsys)
         plot = tmp_path / "cycle.csv"
         code, out, err = run_cli(args + ["--plot", str(plot)], capsys)
@@ -775,6 +779,35 @@ class TestDepthAndVerify:
         assert proc.returncode == 1
         (line,) = proc.stderr.splitlines()
         assert line == "error: cannot parse rational from '1e20000000'"
+
+    @pytest.mark.parametrize(
+        "command,data,p,before,after",
+        [
+            ("tukey", "0,0\n1e4300,0\n0,1\n1,1\n", "1/6", '"', '"'),
+            ("uniquantile", "1e4300\n2\n3\n", "5/6", "q=", "\n"),
+        ],
+        ids=["tukey", "uniquantile"],
+    )
+    def test_result_past_the_digit_limit(self, command, data, p, before, after, tmp_path):
+        """A result integer of 10**4300, one digit longer than Python's
+        default integer string limit, is an input error with one line on
+        stderr, nothing on stdout and no --out file; with the limit lifted
+        the output holds it."""
+        big = before + "1" + "0" * 4300 + after
+        path = tmp_path / "big.csv"
+        path.write_text(data)
+        args = [command, str(path), "--p", p]
+        out = tmp_path / "doc.json"
+        extra = ["--out", str(out)] if command == "tukey" else []
+        proc = run_fresh("conequant", args + extra)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "PYTHONINTMAXSTRDIGITS=0" in line
+        assert proc.stdout == "" and not out.exists()
+        proc = run_fresh("conequant", args, flags=["-X", "int_max_str_digits=0"])
+        assert proc.returncode == 0, proc.stderr
+        assert big in proc.stdout
 
     def test_missing_file_exits_1(self, capsys):
         code, _, _ = run_cli(["depth", "nope.csv", "0,0"], capsys)

@@ -14,13 +14,15 @@ from conequant import (
     DataCloud,
     DimensionMismatch,
     Halfspace,
+    InternalInvariantError,
     Polyhedron,
     QuantileLevel,
     poly_contains,
     poly_equal,
     remove_redundant,
 )
-from conequant._linalg import primitive
+from conequant import polyhedra
+from conequant._linalg import echelon, kernel, primitive
 from conequant.lp import INFEASIBLE, LinearProgram, simplex_solve
 from conequant.oracle import oracle_region_2d
 from conequant.polyhedra import _dd_cone, _PointedCone
@@ -378,16 +380,38 @@ def _square_pyramid(dim):
     ]
 
 
+def _full_rank_prefix(rows, dim):
+    """The length of the shortest prefix of ``rows`` of rank ``dim``."""
+    return next(m for m in range(dim, len(rows) + 1) if frac_rank(rows[:m]) == dim)
+
+
+def _rank_deficient_rows(rng, dim, rank):
+    """Shuffled rows of rank ``rank`` in dimension ``dim``, with duplicates
+    and a zero row."""
+    rows = []
+    while frac_rank(rows) < rank or not rows:
+        basis = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rank)]
+        coefs = [
+            [rng.randint(-2, 2) for _ in basis]
+            for _ in range(rng.randint(rank, rank + 3))
+        ]
+        rows = [
+            tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(dim))
+            for cs in coefs
+        ]
+    rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))] + [(0,) * dim]
+    rng.shuffle(rows)
+    return rows
+
+
 class TestPointedConeEngine:
     """The incremental double description against brute force."""
 
     def _check(self, rows, dim):
-        engine = _PointedCone(dim)
-        engine.add_rows(rows)
-        return self._verify(engine, rows, dim)
+        return self._verify(_PointedCone(dim, rows), rows, dim)
 
     def _verify(self, engine, rows, dim):
-        assert engine.ready
+        assert engine.lines == []
         assert len(set(engine.rays)) == len(engine.rays)
         assert set(engine.rays) == _brute_force_rays(rows, dim)
         for rid, ray in engine.items():
@@ -457,11 +481,12 @@ class TestPointedConeEngine:
             rows = [(0,) * (dim - 1) + (1,)]
             while frac_rank(rows) < dim or len(rows) < dim + 8:
                 rows.append(tuple(rng.randint(-3, 3) for _ in range(dim - 1)) + (6,))
+            m = _full_rank_prefix(rows, dim)
             for how in ("live", "removed", "unknown"):
-                engine = _PointedCone(dim)
-                for row in rows:
+                engine = _PointedCone(dim, rows[:m])
+                for row in rows[m:]:
                     start = None
-                    if how == "live" and engine._ray:
+                    if how == "live":
                         start = rng.choice(list(engine._ray))
                     elif how == "removed":
                         gone = [i for i in engine._heir if i not in engine._ray]
@@ -537,20 +562,47 @@ class TestPointedConeEngine:
             rows += [rng.choice(rows) for _ in range(2)]
             rows.append(tuple(-v for v in rng.choice(rows[1:])))
             rng.shuffle(rows)
-            engine = _PointedCone(dim)
-            for row in rows:
-                engine.add_row(row)
-                if not engine.ready:
-                    continue
+            m = _full_rank_prefix(rows, dim)
+            engine = _PointedCone(dim, rows[:m])
+            # None checks the bootstrapped cone before the first insertion
+            for row in [None, *rows[m:]]:
+                if row is not None:
+                    engine.add_row(row)
                 e = tuple(map(sum, zip(*engine.processed[:dim])))
                 for rid, ray in engine.items():
                     assert math.gcd(*ray) == 1
                     assert engine._height[rid] == sum(map(mul, e, ray)) > 0
                     rays_checked += 1
-            other = _PointedCone(dim)
-            other.add_rows(rng.sample(rows, len(rows)))
+            other = _PointedCone(dim, rng.sample(rows, len(rows)))
             assert set(other.rays) == set(engine.rays)
         assert rays_checked >= 250
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_rank_deficient_rows(self, dim):
+        """Rows of every rank 0..dim-1, with zero rows and duplicates: the
+        lines are the kernel basis read off all the nonzero rows, and the
+        bootstrap rows are the greedy independent rows in input order
+        followed by the lines."""
+        rng = random.Random(1100 + dim)
+        for rank in range(dim):
+            for _ in range(4):
+                rows = _rank_deficient_rows(rng, dim, rank)
+                nonzero = [r for r in rows if any(r)]
+                greedy = []
+                for row in nonzero:
+                    if frac_rank(greedy + [row]) > len(greedy):
+                        greedy.append(row)
+                engine = _PointedCone(dim, rows)
+                assert engine.lines == kernel(*echelon(nonzero), dim)
+                assert len(greedy) == rank == dim - len(engine.lines)
+                assert engine.processed[:dim] == greedy + engine.lines
+
+    def test_short_kernel_is_an_invariant_failure(self, monkeypatch):
+        """Bootstrap rows that do not span the space are caught even under
+        python -O: here a kernel basis one line short."""
+        monkeypatch.setattr(polyhedra._linalg, "kernel", lambda *args: kernel(*args)[:-1])
+        with pytest.raises(InternalInvariantError):
+            _PointedCone(3, [(1, 0, 0), (2, 0, 0)])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -562,19 +614,7 @@ def test_dd_cone_cuts_lineality_away(dim):
     with_rays = 0
     for rank in range(dim):
         for _ in range(6):
-            rows = []
-            while frac_rank(rows) < rank or not rows:
-                basis = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rank)]
-                coefs = [
-                    [rng.randint(-2, 2) for _ in basis]
-                    for _ in range(rng.randint(rank, rank + 3))
-                ]
-                rows = [
-                    tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(dim))
-                    for cs in coefs
-                ]
-            rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))] + [(0,) * dim]
-            rng.shuffle(rows)
+            rows = _rank_deficient_rows(rng, dim, rank)
             lines, rays = _dd_cone(rows, dim)
             assert len(lines) == dim - rank == frac_rank(lines)
             assert all(sum(map(mul, row, ln)) == 0 for row in rows for ln in lines)
