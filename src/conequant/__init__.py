@@ -22,7 +22,6 @@ from .core import (
 from .errors import (
     ConequantError,
     ContainsLine,
-    DegenerateBasis,
     DimensionMismatch,
     DimensionNot2,
     EmptyBasis,
@@ -82,7 +81,6 @@ __all__ = [
     "ConequantError",
     "ContainsLine",
     "DataCloud",
-    "DegenerateBasis",
     "DimensionMismatch",
     "DimensionNot2",
     "DualConeBasis",

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over integers, and small vector helpers.
 
-All elimination is one fraction-free Gauss-Jordan routine, ``echelon``:
-rank, integer kernel bases and inverses (up to a positive scale) are read
-off its integer rows.  No pivoting heuristic beyond "first nonzero" is
-needed because the arithmetic is exact.
+All elimination is one fraction-free Gauss-Jordan step, ``bareiss_step``.
+``echelon`` runs it column by column: rank, integer kernel bases and
+inverses (up to a positive scale) are read off its integer rows.  The
+simplex tableau of ``lp`` pivots with it too.  No pivoting heuristic beyond
+"first nonzero" is needed because the arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -18,15 +19,37 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
+def bareiss_step(mat, r: int, col: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on the pivot mat[r][col], in
+    place (Bareiss, Math. Comp. 1968); returns the new pivot, the scale of
+    every row afterwards.
+
+    With ``prev`` > 0 the previous pivot, each other row becomes
+    (pv*row - f*prow) / prev, f = row[col]: exact, since every entry is a
+    minor of the input.  A negative pivot negates its row first, which
+    negates the whole result.  A row with f = 0 only scales by pv / prev,
+    so it is skipped when pv == prev.  A row shorter than the pivot row is
+    updated over its own length.
+    """
+    prow = mat[r]
+    if prow[col] < 0:
+        mat[r] = prow = [-a for a in prow]
+    pv = prow[col]
+    for i, row in enumerate(mat):
+        f = row[col]
+        if i != r and (f or pv != prev):
+            mat[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+    return pv
+
+
 def echelon(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss,
-    Math. Comp. 1968); returns the nonzero reduced rows and their pivot
-    columns.
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, one
+    ``bareiss_step`` per pivot; returns the nonzero reduced rows and their
+    pivot columns.
 
     Every pivot entry is the same D > 0 and every other entry of a pivot
     column is 0, so the rows are exactly D times the reduced row echelon
-    form.  Each step divides by the previous pivot, which is exact because
-    every entry is a minor of the input.
+    form.
     """
     mat = [list(r) for r in rows]
     m = len(mat)
@@ -40,18 +63,9 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
         if p is None:
             continue
         mat[r], mat[p] = mat[p], mat[r]
-        prow = mat[r]
-        pv = prow[col]
-        for i, row in enumerate(mat):
-            if i != r:
-                f = row[col]
-                mat[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = bareiss_step(mat, r, col, prev)
         pivots.append(col)
-        prev = pv
-    red = mat[: len(pivots)]
-    if prev < 0:
-        red = [[-a for a in row] for row in red]
-    return red, pivots
+    return mat[: len(pivots)], pivots
 
 
 def int_rank(rows) -> int:

@@ -36,7 +36,6 @@ from functools import cached_property
 from . import _linalg
 from .errors import (
     ContainsLine,
-    DegenerateBasis,
     DimensionMismatch,
     IntegralNp,
     NotFullDimensional,
@@ -93,6 +92,15 @@ def _ratio(n: int, s: int) -> str:
     writes it: reduced by one gcd."""
     g = math.gcd(n, s)
     return str(n // g) if g == s else f"{n // g}/{s // g}"
+
+
+def _vector_text(vec, name: str, sign: str = "") -> str:
+    """``sign`` and "(a, b, ...)" for an error message, or ``name`` when an
+    entry has more digits than Python's integer string conversion allows."""
+    try:
+        return f"{sign}({', '.join(map(format_rational, vec))})"
+    except ValueError:
+        return name
 
 
 def as_vector(values) -> Vector:
@@ -266,12 +274,10 @@ def validate_cone(generators) -> Cone:
             f"generators span a {d - len(lines)}-dimensional subspace of "
             f"R^{d}; the cone has empty interior"
         )
-    for g in rows:
+    for k, g in enumerate(rows, 1):
         if any(g) and all(_linalg.dot(g, r) == 0 for r in rays):
-            raise ContainsLine(
-                f"the cone is not free of lines: -({', '.join(map(format_rational, g))}) "
-                "is also in the cone"
-            )
+            neg = _vector_text(g, f"the negation of generator row {k}", "-")
+            raise ContainsLine(f"the cone is not free of lines: {neg} is also in the cone")
     return cone
 
 
@@ -343,10 +349,8 @@ def make_dual_basis(cone: Cone, c=None) -> DualConeBasis:
         c_vec = as_vector(c)
         if len(c_vec) != d:
             raise DimensionMismatch(f"interior point has dimension {len(c_vec)}, cone has {d}")
-    _certify_interior(cone, c_vec)
-    last_nonzero = max((j for j in range(d) if c_vec[j] != 0), default=None)
-    if last_nonzero is None:
-        raise DegenerateBasis("interior point is the zero vector")
+    _certify_interior(cone, c_vec)  # so c is nonzero
+    last_nonzero = max(j for j in range(d) if c_vec[j] != 0)
     perm = list(range(d))
     if last_nonzero != d - 1:
         perm[last_nonzero], perm[d - 1] = perm[d - 1], perm[last_nonzero]
@@ -365,7 +369,7 @@ def _certify_interior(cone: Cone, c: Vector) -> None:
         or any(_linalg.dot(c, r) <= 0 for r in rays)
     ):
         raise NotInterior(
-            f"({', '.join(map(format_rational, c))}) is not an interior point of the cone"
+            f"{_vector_text(c, 'the given interior point')} is not an interior point of the cone"
         )
 
 

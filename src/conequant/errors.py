@@ -21,13 +21,6 @@ class NotInterior(ConequantError):
     """Supplied point is not in the interior of the cone."""
 
 
-class DegenerateBasis(ConequantError):
-    """No coordinate permutation yields a nonzero last component of c.
-
-    Unreachable for a nonzero interior point; reported defensively.
-    """
-
-
 class EmptyBasis(ConequantError):
     """Dual cone basis is empty; cannot happen for a validated cone."""
 

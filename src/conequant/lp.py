@@ -1,18 +1,44 @@
-"""Exact rational simplex with native variable bounds and Bland's rule.
+"""Exact simplex with native variable bounds and Bland's rule.
 
-A dense two-phase tableau solver over Fractions, and the pinball-loss
-program that ``uniquantile --check`` solves with it as an independent check
-of the direct quantile.  Bland's smallest-index rule (applied to entering and
-leaving choices, with an entering variable's own opposite bound competing by
-its index) guarantees termination; determinism is total, identical inputs
+A dense two-phase tableau solver, and the pinball-loss program that
+``uniquantile --check`` solves with it as an independent check of the direct
+quantile.  Bland's smallest-index rule (applied to entering and leaving
+choices, with an entering variable's own opposite bound competing by its
+index) guarantees termination; determinism is total, identical inputs
 produce identical pivot sequences.
+
+The tableau holds only integers.  With D > 0 the absolute determinant of
+the basis B, it holds T = D B^-1 [A | I], the basic values X = D x_B and the
+reduced costs R = D r.  Each pivot is ``_linalg.bareiss_step``, the step
+that ``echelon`` takes.  The program is first made integral:
+
+- variable j becomes x'_j = s_j x_j, with s_j the lcm of its bound
+  denominators;
+- row i is multiplied by r_i, the lcm of the denominators of b_i and of
+  every A_ij / s_j, so its slack and its artificial become r_i times theirs;
+- artificial i gets the phase-1 cost M / r_i, with M = lcm(r);
+- the phase-2 objective c_j / s_j is multiplied by the lcm ``cden`` of its
+  denominators.
+
+Every variable is rescaled by a positive factor, and each phase's objective
+by one positive factor, so every reduced cost keeps its sign.  For one
+entering variable every step, its own range included, is multiplied by the
+same factor, so the steps keep their order and their ties.  The phase-1
+residuals keep their signs.  So Bland's rule makes the same choices as on
+the unscaled program, and the outcome is unscaled at the end:
+x_j = x'_j / s_j, y_i = flip r_i y'_i / cden (a Farkas y_i = r_i y'_i / M)
+and reduced_j = flip s_j R_j / (D cden), where flip is -1 for a max.
+Per-row and per-column scales keep the entries small; one global scale
+would be as exact, but it makes every entry and D far larger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
+from ._linalg import bareiss_step
 from .core import DataCloud, QuantileLevel, _check_fit, as_vector, project_data
 from .errors import InternalInvariantError, MalformedProgram
 
@@ -98,241 +124,184 @@ class LpOutcome:
     reduced_costs: tuple[Fraction, ...] | None = None
 
 
+def _scaled(v: Fraction | None, k: int) -> int | None:
+    """The integer v * k, or None for a missing bound."""
+    return None if v is None else v.numerator * k // v.denominator
+
+
 class _Simplex:
+    """The scaled program's tableau: ``tab`` holds the m rows of T, each
+    with its X entry appended, then R.  Columns are the structural
+    variables, one slack per inequality row and one artificial per row."""
+
     def __init__(self, lp: LinearProgram) -> None:
-        self.lp = lp
-        n, m = lp.nvars, lp.nrows
-        self.m = m
-        self.n_struct = n
-        lo: list[Fraction | None] = [b[0] for b in lp.bounds]
-        hi: list[Fraction | None] = [b[1] for b in lp.bounds]
-        cols: list[list[Fraction]] = [list(row) for row in lp.rows]
+        m = self.m = lp.nrows
+        s = self.s = [lcm(*(b.denominator for b in bnd if b is not None)) for bnd in lp.bounds]
+        self.rs = []
+        for row, b in zip(lp.rows, lp.rhs):
+            # a / s_j = p / (q s_j) has the denominator q s_j / gcd(p, s_j)
+            dens = (a.denominator * sj // gcd(a.numerator, sj) for a, sj in zip(row, s))
+            self.rs.append(lcm(b.denominator, *dens))
+        self.lo = [_scaled(lo, sj) for (lo, _), sj in zip(lp.bounds, s)]
+        self.hi = [_scaled(hi, sj) for (_, hi), sj in zip(lp.bounds, s)]
+        rows = [
+            [a.numerator * r // (a.denominator * sj) for a, sj in zip(row, s)]
+            for row, r in zip(lp.rows, self.rs)
+        ]
         for i, rel in enumerate(lp.relations):
-            if rel == "=":
-                continue
-            for k in range(m):
-                cols[k].append(Fraction(int(k == i)))
-            if rel == "<=":
-                lo.append(Fraction(0))
-                hi.append(None)
-            else:  # ">=": nonpositive slack
-                lo.append(None)
-                hi.append(Fraction(0))
-        self.n_real = len(lo)  # structural + slack
-        # one artificial per row
-        for i in range(m):
-            lo.append(Fraction(0))
-            hi.append(None)
-        self.lo = lo
-        self.hi = hi
+            if rel != "=":  # a slack, nonnegative for <= and nonpositive for >=
+                for k, row in enumerate(rows):
+                    row.append(int(k == i))
+                self.lo.append(0 if rel == "<=" else None)
+                self.hi.append(None if rel == "<=" else 0)
+        self.status = [
+            _AT_LO if lo is not None else _AT_UP if hi is not None else _FREE
+            for lo, hi in zip(self.lo, self.hi)
+        ] + [_BASIC] * m
+        self.n_real = len(self.lo)
         self.ncols = self.n_real + m
-        self.A = cols  # artificial columns appended during phase-1 setup
-        self.basis: list[int] = []
-        self.status: list[int] = []
-        self.signs: list[int] = []
-        self.T: list[list[Fraction]] = []
-        self.xb: list[Fraction] = []
-        self.r: list[Fraction] = []
+        self.lo += [0] * m
+        self.hi += [None] * m
+        self.basis = list(range(self.n_real, self.ncols))
+        self.D = 1
+        # artificial i has the column sign_i e_i that starts it at the
+        # absolute value of row i's residual; R is set per phase
+        self.signs, self.tab = [], []
+        for i, row in enumerate(rows):
+            resid = _scaled(lp.rhs[i], self.rs[i]) - sum(
+                a * self.value(j) for j, a in enumerate(row) if a
+            )
+            sign = 1 if resid >= 0 else -1
+            self.signs.append(sign)
+            unit = [int(k == i) for k in range(m)]
+            self.tab.append([sign * a for a in row] + unit + [abs(resid)])
+        self.tab.append([])
 
-    def _start_value(self, j: int) -> Fraction:
-        if self.lo[j] is not None:
-            return self.lo[j]
-        if self.hi[j] is not None:
-            return self.hi[j]
-        return Fraction(0)
-
-    def _nonbasic_status(self, j: int) -> int:
-        if self.lo[j] is not None:
-            return _AT_LO
-        if self.hi[j] is not None:
-            return _AT_UP
-        return _FREE
-
-    def setup_phase1(self) -> None:
-        m = self.m
-        resid = []
-        for i in range(m):
-            acc = self.lp.rhs[i]
-            row = self.A[i]
-            for j in range(self.n_real):
-                v = self._start_value(j)
-                if v != 0 and row[j] != 0:
-                    acc -= row[j] * v
-            resid.append(acc)
-        self.signs = signs = [1 if rv >= 0 else -1 for rv in resid]
-        for i in range(m):
-            for k in range(m):
-                self.A[k].append(Fraction(int(k == i) * signs[i]))
-        self.status = [self._nonbasic_status(j) for j in range(self.n_real)]
-        self.status += [_BASIC] * m
-        self.basis = [self.n_real + i for i in range(m)]
-        self.T = [[signs[i] * v for v in self.A[i]] for i in range(m)]
-        self.xb = [abs(rv) for rv in resid]
-        c1 = [Fraction(0)] * self.n_real + [Fraction(1)] * m
-        self.set_objective(c1)
-
-    def set_objective(self, c: list[Fraction]) -> None:
-        r = list(c)
-        for i in range(self.m):
-            cb = c[self.basis[i]]
-            if cb != 0:
-                row = self.T[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        r[j] -= cb * row[j]
-        self.r = r
-
-    def value_of(self, j: int) -> Fraction:
+    def value(self, j: int) -> int | Fraction:
+        """x'_j: X_i / D if j is basic in row i, else the bound its status
+        names, 0 for a free variable."""
         st = self.status[j]
         if st == _BASIC:
-            return self.xb[self.basis.index(j)]
-        if st == _AT_LO:
-            return self.lo[j]
-        if st == _AT_UP:
-            return self.hi[j]
-        return Fraction(0)
+            return Fraction(self.tab[self.basis.index(j)][-1], self.D)
+        return self.lo[j] if st == _AT_LO else self.hi[j] if st == _AT_UP else 0
+
+    def set_objective(self, cost: list[int]) -> None:
+        """R = D c - c_B T."""
+        self.cost = cost
+        tab, D = self.tab, self.D
+        R = [D * c for c in cost]
+        for i in range(self.m):
+            cb = cost[self.basis[i]]
+            if cb:
+                R = [v - cb * t for v, t in zip(R, tab[i])]
+        tab[-1] = R
 
     def iterate(self) -> str:
-        m, ncols = self.m, self.ncols
+        m, ncols, lo, hi, status = self.m, self.ncols, self.lo, self.hi, self.status
+        tab = self.tab
         while True:
-            enter = -1
-            dirn = 0
+            R = tab[-1]
             for j in range(ncols):
-                st = self.status[j]
-                if st == _BASIC:
+                st = status[j]
+                if st == _BASIC or (lo[j] is not None and lo[j] == hi[j]):
                     continue
-                if self.lo[j] is not None and self.lo[j] == self.hi[j]:
-                    continue  # fixed
-                rc = self.r[j]
-                if rc < 0 and st in (_AT_LO, _FREE):
-                    enter, dirn = j, 1
+                if R[j] < 0 and st != _AT_UP:
+                    dirn = 1
                     break
-                if rc > 0 and st in (_AT_UP, _FREE):
-                    enter, dirn = j, -1
+                if R[j] > 0 and st != _AT_LO:
+                    dirn = -1
                     break
-            if enter < 0:
+            else:
                 return OPTIMAL
-            j = enter
-            col = [self.T[i][j] for i in range(m)]
-            best: Fraction | None = None
-            if self.lo[j] is not None and self.hi[j] is not None:
-                best = self.hi[j] - self.lo[j]
-            blockers: list[tuple[Fraction, int, int, int]] = []  # delta, var, row, hit
+            # ratio test: the step until a basic variable hits a bound is
+            # num / eff; Bland takes the least step, then the least index,
+            # and the entering variable's own range competes as index j
+            leave, best = ncols, None
+            if lo[j] is not None and hi[j] is not None:
+                leave, best = j, (hi[j] - lo[j], 1)
+            D = self.D
             for i in range(m):
-                eff = dirn * col[i]
-                if eff == 0:
+                row = tab[i]
+                eff = dirn * row[j]
+                if not eff:
                     continue
-                bvar = self.basis[i]
-                if eff > 0 and self.lo[bvar] is not None:
-                    delta = (self.xb[i] - self.lo[bvar]) / eff
-                    blockers.append((delta, bvar, i, _AT_LO))
-                elif eff < 0 and self.hi[bvar] is not None:
-                    delta = (self.hi[bvar] - self.xb[i]) / (-eff)
-                    blockers.append((delta, bvar, i, _AT_UP))
-            for delta, _, _, _ in blockers:
-                if best is None or delta < best:
-                    best = delta
+                var = self.basis[i]
+                hit, bound = (_AT_LO, lo[var]) if eff > 0 else (_AT_UP, hi[var])
+                if bound is None:
+                    continue
+                num = row[-1] - D * bound
+                if eff < 0:
+                    num, eff = -num, -eff
+                if best is None or (
+                    num * best[1] < best[0] * eff
+                    or (num * best[1] == best[0] * eff and var < leave)
+                ):
+                    leave, best, leave_row, leave_hit, leave_bound = var, (num, eff), i, hit, bound
             if best is None:
                 return UNBOUNDED
-            # Bland: among blockers at the minimum step, smallest variable
-            # index wins; the entering variable's own opposite bound competes
-            # with index j.
-            leave_row = -1
-            leave_hit = 0
-            leave_var = (
-                j
-                if (self.lo[j] is not None and self.hi[j] is not None
-                    and self.hi[j] - self.lo[j] == best)
-                else ncols
-            )
-            for delta, bvar, i, hit in blockers:
-                if delta == best and bvar < leave_var:
-                    leave_var = bvar
-                    leave_row = i
-                    leave_hit = hit
-            delta = best
-            if delta != 0:
-                for i in range(m):
-                    if col[i] != 0:
-                        self.xb[i] -= dirn * delta * col[i]
-            if leave_row < 0:
-                # bound flip
-                self.status[j] = _AT_UP if dirn > 0 else _AT_LO
+            if leave == j:  # bound flip
+                step = dirn * best[0]
+                for row in tab[:m]:
+                    row[-1] -= step * row[j]
+                status[j] = _AT_UP if dirn > 0 else _AT_LO
                 continue
-            start = (
-                self.lo[j]
-                if self.status[j] == _AT_LO
-                else self.hi[j] if self.status[j] == _AT_UP else Fraction(0)
-            )
-            # a column where the pivot row is zero keeps its value in every
-            # row and in r, so only the pivot row's nonzeros are updated
-            prow = self.T[leave_row]
-            pv = prow[j]
-            nonzeros = []
-            for k, v in enumerate(prow):
-                if v != 0:
-                    if pv != 1:
-                        prow[k] = v = v / pv
-                    nonzeros.append((k, v))
-            for row in (*self.T[:leave_row], *self.T[leave_row + 1 :], self.r):
-                f = row[j]
-                if f != 0:
-                    for k, v in nonzeros:
-                        row[k] -= f * v
-            self.xb[leave_row] = start + dirn * delta
-            self.status[self.basis[leave_row]] = leave_hit
-            self.status[j] = _BASIC
+            # move x_j's value into the right-hand side, pivot, then move the
+            # leaving variable's bound value out of it
+            start = self.value(j)
+            if start:
+                for row in tab[:m]:
+                    row[-1] += start * row[j]
+            self.D = bareiss_step(tab, leave_row, j, D)
+            if leave_bound:
+                for row in tab[:m]:
+                    row[-1] -= leave_bound * row[leave]
+            status[leave] = leave_hit
+            status[j] = _BASIC
             self.basis[leave_row] = j
 
-    def duals(self, c_ext: list[Fraction]) -> list[Fraction]:
-        """y = B^-T c_B, read off the reduced costs c_i - y_i sign_i that the
-        tableau keeps for artificial i, whose column is sign_i e_i."""
-        art = self.n_real
-        return [(c_ext[art + i] - self.r[art + i]) * s for i, s in enumerate(self.signs)]
+    def duals(self, scale: int) -> tuple[Fraction, ...]:
+        """y = B^-T c_B of the unscaled program, whose objective is the
+        scaled one divided by ``scale``.  Artificial a of row i has the column
+        sign_i e_i and the reduced cost R_a / D = c_a - sign_i y'_i, so
+        y'_i = sign_i (c_a - R_a / D) and y_i = r_i y'_i / scale."""
+        a, D, R = self.n_real, self.D, self.tab[-1]
+        return tuple(
+            Fraction(r * sign * (self.cost[a + i] * D - R[a + i]), D * scale)
+            for i, (r, sign) in enumerate(zip(self.rs, self.signs))
+        )
 
 
 def simplex_solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; statuses are optimal, infeasible or unbounded."""
     sx = _Simplex(lp)
-    sx.setup_phase1()
-    outcome = sx.iterate()
-    if outcome != OPTIMAL:
+    art = range(sx.n_real, sx.ncols)
+    M = lcm(*sx.rs)
+    sx.set_objective([0] * sx.n_real + [M // r for r in sx.rs])
+    if sx.iterate() != OPTIMAL:
         raise InternalInvariantError(
             "phase 1 is bounded below by zero but did not end optimal"
         )
-    infeas = sum(
-        (sx.value_of(j) for j in range(sx.n_real, sx.ncols)), Fraction(0)
-    )
-    c1 = [Fraction(0)] * sx.n_real + [Fraction(1)] * sx.m
-    if infeas > 0:
-        y = sx.duals(c1)
-        return LpOutcome(status=INFEASIBLE, y=tuple(y))
+    if any(sx.value(j) for j in art):
+        return LpOutcome(status=INFEASIBLE, y=sx.duals(M))
     # pin artificials to zero and switch to the real objective
-    for j in range(sx.n_real, sx.ncols):
-        sx.lo[j] = Fraction(0)
-        sx.hi[j] = Fraction(0)
+    for j in art:
+        sx.lo[j] = sx.hi[j] = 0
         if sx.status[j] != _BASIC:
             sx.status[j] = _AT_LO
     flip = -1 if lp.sense == "max" else 1
-    c2 = [flip * c for c in lp.objective]
-    c2 += [Fraction(0)] * (sx.ncols - lp.nvars)
-    sx.set_objective(c2)
-    outcome = sx.iterate()
-    if outcome == UNBOUNDED:
+    cs = [c / s for c, s in zip(lp.objective, sx.s)]
+    cden = lcm(*(c.denominator for c in cs))
+    sx.set_objective([flip * _scaled(c, cden) for c in cs] + [0] * (sx.ncols - lp.nvars))
+    if sx.iterate() == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED)
-    x = tuple(sx.value_of(j) for j in range(lp.nvars))
-    value = sum((cj * xj for cj, xj in zip(lp.objective, x)), Fraction(0))
-    y_int = sx.duals(c2)
-    y = tuple(flip * yi for yi in y_int)
-    reduced = []
-    for j in range(lp.nvars):
-        acc = lp.objective[j]
-        for i in range(lp.nrows):
-            if y[i] != 0 and lp.rows[i][j] != 0:
-                acc -= y[i] * lp.rows[i][j]
-        reduced.append(acc)
+    x = tuple(Fraction(sx.value(j)) / s for j, s in enumerate(sx.s))
+    R = sx.tab[-1]
     return LpOutcome(
-        status=OPTIMAL, value=value, x=x, y=y, reduced_costs=tuple(reduced)
+        status=OPTIMAL,
+        value=sum((cj * xj for cj, xj in zip(lp.objective, x)), Fraction(0)),
+        x=x,
+        y=sx.duals(flip * cden),
+        reduced_costs=tuple(Fraction(flip * s * R[j], sx.D * cden) for j, s in enumerate(sx.s)),
     )
 
 

@@ -809,6 +809,33 @@ class TestDepthAndVerify:
         assert proc.returncode == 0, proc.stderr
         assert big in proc.stdout
 
+    @pytest.mark.parametrize("command", ["region", "verify"])
+    @pytest.mark.parametrize(
+        "cone,message",
+        [
+            (
+                "1e4300,0\n-1e4300,0\n0,1\n",
+                "the cone is not free of lines: the negation of generator row 1 "
+                "is also in the cone",
+            ),
+            (
+                "1,0\n0,1\ninterior: -1e4300,1\n",
+                "the given interior point is not an interior point of the cone",
+            ),
+        ],
+        ids=["line", "interior"],
+    )
+    def test_cone_error_past_the_digit_limit(self, command, cone, message, tmp_path):
+        """An invalid cone whose number has more digits than Python's integer
+        string limit is named, not printed: exit 2 with one error line."""
+        path = tmp_path / "big.txt"
+        path.write_text(cone)
+        args = [command, str(GOLDEN / "square.csv"), "--p", "1/3", "--cone", str(path)]
+        proc = run_fresh("conequant", args)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert proc.stdout == ""
+
     def test_missing_file_exits_1(self, capsys):
         code, _, _ = run_cli(["depth", "nope.csv", "0,0"], capsys)
         assert code == 1

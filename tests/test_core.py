@@ -393,7 +393,7 @@ def test_package_source_has_no_assert():
 # the oracles and the benchmark use
 PUBLIC = [
     "BensonStats", "Cone", "ConequantError", "ContainsLine", "DataCloud",
-    "DegenerateBasis", "DimensionMismatch", "DimensionNot2", "DualConeBasis",
+    "DimensionMismatch", "DimensionNot2", "DualConeBasis",
     "DualSolution", "EmptyBasis", "Halfspace", "INFEASIBLE",
     "IntegralNp", "InternalInvariantError", "LinearProgram", "LpOutcome",
     "MalformedProgram", "NotFullDimensional", "NotInterior", "OPTIMAL",

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,9 +24,37 @@ from conftest import build_lp, random_cloud, random_valid_level
 
 F = Fraction
 
+# sha256 of the outcome reprs over TestPinnedPivots' corpus, as the dense
+# Fraction tableau solved it
+PINNED_OUTCOMES_SHA = "6f17ed3e662008f2ea3f50a4fb88d5371204d0aedd7d9c207724113ef1776f8b"
+
 
 def box_lp(sense, c, bounds):
     return LinearProgram(sense, c, (), (), (), bounds)
+
+
+def random_program(rng):
+    """A program of up to 6 variables and 5 rows, every relation, with boxed,
+    one-sided, free and fixed bounds; every number's denominator is 1, 2, 3
+    or 7."""
+
+    def q(span):
+        return F(rng.randint(-span, span), rng.choice((1, 2, 3, 7)))
+
+    def bound():
+        lo, hi = sorted((q(5), q(5)))
+        return rng.choice(((lo, hi), (lo, None), (None, hi), (None, None), (lo, lo)))
+
+    n = rng.randint(1, 6)
+    m = rng.randint(0, 5)
+    return LinearProgram(
+        sense=rng.choice(("min", "max")),
+        objective=tuple(q(6) for _ in range(n)),
+        rows=tuple(tuple(q(4) for _ in range(n)) for _ in range(m)),
+        relations=tuple(rng.choice(("<=", "=", ">=")) for _ in range(m)),
+        rhs=tuple(q(8) for _ in range(m)),
+        bounds=tuple(bound() for _ in range(n)),
+    )
 
 
 class TestSimplexBasics:
@@ -121,28 +151,25 @@ class TestCertificates:
             elif lo is None and hi is None:
                 assert rc == 0
 
-    def test_random_programs(self):
+    @pytest.mark.parametrize("dens", [(1,), (1, 2, 3, 7)], ids=["integer", "rational"])
+    def test_random_programs(self, dens):
         rng = random.Random(31)
+
+        def q(lo, hi):
+            return F(rng.randint(lo, hi), rng.choice(dens))
+
         solved = 0
         while solved < 120:
             n = rng.randint(1, 5)
             m = rng.randint(0, 4)
             lp = LinearProgram(
                 sense=rng.choice(("min", "max")),
-                objective=tuple(F(rng.randint(-6, 6)) for _ in range(n)),
-                rows=tuple(
-                    tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(m)
-                ),
+                objective=tuple(q(-6, 6) for _ in range(n)),
+                rows=tuple(tuple(q(-4, 4) for _ in range(n)) for _ in range(m)),
                 relations=tuple(rng.choice(("<=", "=", ">=")) for _ in range(m)),
-                rhs=tuple(F(rng.randint(-8, 8)) for _ in range(m)),
+                rhs=tuple(q(-8, 8) for _ in range(m)),
                 bounds=tuple(
-                    rng.choice(
-                        (
-                            (F(rng.randint(-5, 0)), F(rng.randint(0, 5))),
-                            (F(0), None),
-                            (None, None),
-                        )
-                    )
+                    rng.choice(((q(-5, 0), q(0, 5)), (F(0), None), (None, None)))
                     for _ in range(n)
                 ),
             )
@@ -161,6 +188,29 @@ class TestCertificates:
         for _ in range(3):
             again = simplex_solve(lp)
             assert again == first
+
+
+class TestPinnedPivots:
+    """Bland's rule fixes every pivot, so the outcomes, certificates
+    included, are pinned by one digest over a seeded corpus: rational random
+    programs with some infeasible and some unbounded, and both quantile
+    programs on rational one-column clouds."""
+
+    def test_corpus_digest(self):
+        rng = random.Random(29)
+        lps = [random_program(rng) for _ in range(1000)]
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            cloud = DataCloud.from_rows(
+                [[F(rng.randint(-50, 50), rng.randint(1, 9))] for _ in range(n)]
+            )
+            level = random_valid_level(rng, n, max_den=20)
+            lps += [build_lp_dual(cloud, level, (F(1),)), build_lp(cloud, level, (F(1),))]
+        outcomes = [simplex_solve(lp) for lp in lps]
+        statuses = Counter(out.status for out in outcomes)
+        assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 20, statuses
+        digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+        assert digest == PINNED_OUTCOMES_SHA
 
 
 class TestBuilders:
