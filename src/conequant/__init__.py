@@ -61,7 +61,6 @@ from .quantile import (
     tukey_region,
 )
 from .univariate import (
-    ScalarSample,
     minimize_pinball_loss,
     pinball_loss,
     quantile_direct,
@@ -100,7 +99,6 @@ __all__ = [
     "QuantileLevel",
     "QuantileRegion",
     "Rational",
-    "ScalarSample",
     "UNBOUNDED",
     "basis_vertices",
     "benson_dual_solve",

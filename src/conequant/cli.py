@@ -40,7 +40,7 @@ from .errors import ConequantError, DimensionMismatch, IntegralNp, InternalInvar
 from .lp import OPTIMAL, build_lp_dual, simplex_solve
 from .oracle import check_region
 from .quantile import QuantileRegion, quantile_region, tukey_depth, tukey_region
-from .univariate import ScalarSample, minimize_pinball_loss, quantile_direct
+from .univariate import minimize_pinball_loss, quantile_direct
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -294,10 +294,9 @@ def cmd_uniquantile(args) -> int:
     cloud = load_points(args.file)
     if cloud.dim != 1:
         raise CliInputError("uniquantile needs a single-column input")
-    sample = ScalarSample(tuple(p[0] for p in cloud.points))
     level, _ = _parse_level(args.p, cloud.n, nudge=False)
-    q = quantile_direct(sample, level)
-    t_star, loss = minimize_pinball_loss(sample, level)
+    q = quantile_direct(cloud, level)
+    t_star, loss = minimize_pinball_loss(cloud, level)
     if t_star != q:
         raise InternalInvariantError(
             "the pinball loss minimizer is not the direct quantile"

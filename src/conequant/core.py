@@ -126,7 +126,8 @@ class DataCloud:
     positive denominator of all coordinates.  ``points`` is the same cloud as
     tuples of rationals, built the first time it is read, or the points the
     cloud was constructed from, each entry read by ``as_vector``.  Equality
-    and hashing are by value.
+    and hashing are by value.  A one-column cloud is a scalar sample, the
+    input of the univariate layer.
     """
 
     int_form: tuple[list[tuple[int, ...]], int]
@@ -238,6 +239,8 @@ class Cone:
 
     def dual_contains(self, w: Vector) -> bool:
         """Whether w is in the dual cone, i.e. g.w >= 0 for every generator."""
+        if len(w) != self.dim:
+            raise DimensionMismatch(f"direction has dimension {len(w)}, cone has {self.dim}")
         return all(_linalg.dot(g, w) >= 0 for g in self.generators)
 
     @cached_property

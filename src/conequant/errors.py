@@ -33,7 +33,7 @@ class MalformedProgram(ConequantError):
     """Linear program with inconsistent dimensions or crossed bounds."""
 
 
-class DimensionNot2(ConequantError):
+class DimensionNot2(DimensionMismatch):
     """The exact planar oracle only handles two-dimensional data."""
 
 

@@ -72,10 +72,12 @@ class Halfspace:
         return (*h.normal, h.offset)
 
     def holds(self, z: Vector) -> bool:
-        return _linalg.dot(self.normal, z) >= self.offset
+        *a, s = homogeneous_point(z, len(self.normal))
+        return _linalg.dot(self.normal, a) >= self.offset * s
 
     def holds_ray(self, r: Vector) -> bool:
-        return _linalg.dot(self.normal, r) >= 0
+        *a, _ = homogeneous_point(r, len(self.normal))
+        return _linalg.dot(self.normal, a) >= 0
 
 
 class _PointedCone:

@@ -1,6 +1,9 @@
 """Scalar machinery: empirical lower quantiles, the pinball loss, and the
 greedy exact solver for the direction-scalarized transport program.
 
+A scalar sample is a one-column ``DataCloud``: the quantile and the pinball
+loss read its integer column, and build Fractions only for their results.
+
 The greedy solver is the scalarization oracle of the Benson loop; its value
 always equals the pinball-loss minimum (strong duality, asserted exactly in
 the test suite against the simplex).
@@ -53,39 +56,12 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from operator import add, mul
 
-from ._linalg import common_denominator
-from .core import QuantileLevel
+from .core import DataCloud, QuantileLevel, _check_fit
 from .errors import DimensionMismatch
-
-
-@dataclass(frozen=True)
-class ScalarSample:
-    """A finite multiset of rationals, e.g. a projected data cloud."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise DimensionMismatch("a scalar sample needs at least one value")
-
-    @classmethod
-    def from_values(cls, values) -> "ScalarSample":
-        return cls(tuple(Fraction(v) for v in values))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @cached_property
-    def keys(self) -> tuple[list[int], int]:
-        """The values as integer keys over one common denominator."""
-        return common_denominator(self.values)
 
 
 # The integer scalar layer.  A cloud projected onto a rational direction is a
@@ -176,15 +152,6 @@ def key_quantile_and_loss(ka: list[int], tau: int, level: QuantileLevel) -> tupl
     return t, _loss_num(ka, tau, t, level.p)
 
 
-def quantile_and_loss(
-    ka: list[int], den: int, level: QuantileLevel
-) -> tuple[Fraction, Fraction]:
-    """The ceil(N p)-th smallest value and the pinball loss there, for sorted
-    keys over den."""
-    t, loss = key_quantile_and_loss(ka, 0, level)
-    return Fraction(t, den), Fraction(loss, den * level.p.denominator)
-
-
 def greedy_cut(ka: list[int], tau: int, p: Fraction) -> list[tuple[list[int], int]]:
     """The greedy optimum of the scalarized transport program as groups
     (indices, mass): every index of a group has u_i - v_i = mass, in integer
@@ -263,44 +230,43 @@ def support_summer(
     return support_sum
 
 
-def _check_count(sample: ScalarSample, level: QuantileLevel) -> None:
-    if level.n != sample.n:
-        raise DimensionMismatch(
-            f"level is for N={level.n} but the sample has {sample.n} values"
-        )
+def _sorted_column(cloud: DataCloud, level: QuantileLevel) -> tuple[list[int], int]:
+    """The sorted integer keys of a one-column cloud over its denominator,
+    after checking the column count and then the level's N."""
+    if cloud.dim != 1:
+        raise DimensionMismatch(f"a scalar sample has one column, the cloud has {cloud.dim}")
+    _check_fit(cloud, level, None)
+    rows, den = cloud.int_form
+    return sorted(row[0] for row in rows), den
 
 
-def quantile_direct(sample: ScalarSample, level: QuantileLevel) -> Fraction:
+def quantile_direct(cloud: DataCloud, level: QuantileLevel) -> Fraction:
     """Smallest sample value whose at-or-below count reaches ceil(N p).
 
     Defined for every p in (0,1); multiset counting, so duplicates matter.
     The result is always a member of the sample.
     """
-    _check_count(sample, level)
-    keys, den = sample.keys
-    return Fraction(sorted(keys)[level.ceil_np - 1], den)
+    keys, den = _sorted_column(cloud, level)
+    return Fraction(keys[level.ceil_np - 1], den)
 
 
-def pinball_loss(sample: ScalarSample, level: QuantileLevel, t) -> Fraction:
+def pinball_loss(cloud: DataCloud, level: QuantileLevel, t) -> Fraction:
     """sum_i p*(x_i - t)^+ + (1-p)*(x_i - t)^-  (always >= 0)."""
-    _check_count(sample, level)
+    keys, den = _sorted_column(cloud, level)
     t = Fraction(t)
-    keys, den = sample.keys
     # over the denominator den * t.denominator both t and every value are keys
-    scaled = [x * t.denominator for x in sorted(keys)]
+    scaled = [x * t.denominator for x in keys]
     num = _loss_num(scaled, 0, t.numerator * den, level.p)
     return Fraction(num, den * t.denominator * level.p.denominator)
 
 
-def minimize_pinball_loss(
-    sample: ScalarSample, level: QuantileLevel
-) -> tuple[Fraction, Fraction]:
+def minimize_pinball_loss(cloud: DataCloud, level: QuantileLevel) -> tuple[Fraction, Fraction]:
     """The unique pinball-loss minimizer and its value, by sorting.
 
     Requires N*p to be non-integral: that is what makes the minimizer unique
     and equal to the direct quantile.  Raises IntegralNp otherwise.
     """
-    _check_count(sample, level)
+    keys, den = _sorted_column(cloud, level)
     level.require_valid()
-    keys, den = sample.keys
-    return quantile_and_loss(sorted(keys), den, level)
+    t, loss = key_quantile_and_loss(keys, 0, level)
+    return Fraction(t, den), Fraction(loss, den * level.p.denominator)

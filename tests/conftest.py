@@ -39,6 +39,11 @@ def random_cloud(rng: random.Random, n: int, dim: int, span: int = 50) -> DataCl
     )
 
 
+def scalar_cloud(values) -> DataCloud:
+    """The one-column cloud of rational values: a scalar sample."""
+    return DataCloud.from_rows([[v] for v in values])
+
+
 def depth_level(k: int, n: int) -> QuantileLevel:
     """p = (k - 1/2)/N: always a valid level whose count threshold is k."""
     return QuantileLevel(Fraction(2 * k - 1, 2 * n), n)

@@ -26,7 +26,6 @@ from conequant import (
     Polyhedron,
     QuantileLevel,
     QuantileRegion,
-    ScalarSample,
     basis_vertices,
     benson_dual_solve,
     build_lp_dual,
@@ -55,6 +54,7 @@ from conftest import (
     random_hrep_polyhedron,
     random_valid_level,
     random_vrep_polyhedron,
+    scalar_cloud,
     solution_entries,
 )
 
@@ -77,9 +77,8 @@ def test_criterion_1_dual_lp_optimum_is_direct_quantile():
         level = random_valid_level(rng, n)
         out = simplex_solve(build_lp_dual(cloud, level, (F(1),)))
         assert out.status == OPTIMAL
-        sample = ScalarSample(tuple(p[0] for p in cloud.points))
-        assert out.x[0] == quantile_direct(sample, level)
-        assert out.value == minimize_pinball_loss(sample, level)[1]
+        assert out.x[0] == quantile_direct(cloud, level)
+        assert out.value == minimize_pinball_loss(cloud, level)[1]
     report(1, "1000 dual-LP optima equal the direct quantile exactly")
 
 
@@ -95,8 +94,8 @@ def test_criterion_2_scalarization_strong_duality():
         level = random_valid_level(rng, n)
         w = random_direction(rng, d)
         u, v = greedy_uv(cloud, level, w)
-        sample = ScalarSample(project_data(cloud, w))
-        greedy = sum(z * (a - b) for z, a, b in zip(sample.values, u, v))
+        sample = scalar_cloud(project_data(cloud, w))
+        greedy = sum(z * (a - b) for (z,), a, b in zip(sample.points, u, v))
         primal = simplex_solve(build_lp(cloud, level, w))
         assert primal.status == OPTIMAL
         minimum = minimize_pinball_loss(sample, level)[1]
@@ -286,7 +285,7 @@ def _check_soundness(sol, cloud, level) -> None:
         assert tuple(basis.sigma * x for x in basis.permute(w)[:-1]) == tuple(
             F(x, z0) for x in a
         )
-        _, loss = minimize_pinball_loss(ScalarSample(project_data(cloud, w)), level)
+        _, loss = minimize_pinball_loss(scalar_cloud(project_data(cloud, w)), level)
         assert loss == F(m, z0)
     # no cut is violated by any image vertex
     for ray in sol.vertex_rays:

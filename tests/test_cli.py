@@ -197,8 +197,9 @@ class TestLoadPoints:
         assert err == f"error: {data}:4: cannot parse rational from '0x10'\n"
 
     def test_commands_build_no_fraction_cloud(self, monkeypatch, capsys):
-        """depth, tukey, region and verify work on the integer rows alone;
-        only uniquantile reads the cloud's rational points."""
+        """depth, tukey, region, verify and uniquantile work on the integer
+        rows alone; only uniquantile --check reads the cloud's rational
+        points, to build the LP it cross-checks against."""
 
         def refuse(cloud):
             raise AssertionError("built the rational points of a cloud")
@@ -228,11 +229,11 @@ class TestLoadPoints:
             0, "exact depth check: 1 vertices at cone depth >= 2, 2 halfspaces at their quantiles\n"
         )
         uni = ["uniquantile", str(GOLDEN / "univariate.csv"), "--p", "1/2"]
+        assert run_cli(uni, capsys) == (0, "q=3\nmin_loss=3\n", "")
         with pytest.raises(AssertionError, match="rational points"):
-            main(uni)
+            main([*uni, "--check"])
         monkeypatch.undo()
-        code, out, _ = run_cli(uni, capsys)
-        assert code == 0 and out.startswith("q=")
+        assert run_cli([*uni, "--check"], capsys) == (0, "q=3 (LP verified)\nmin_loss=3\n", "")
 
 
 class TestRegionDocuments:

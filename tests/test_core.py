@@ -210,6 +210,14 @@ class TestValidateCone:
         cone = validate_cone([[1, 1], [1, -1]])
         assert cone.dual_contains((Fraction(1), Fraction(0)))
 
+    def test_dual_contains_rejects_a_wrong_length(self):
+        # a shorter or longer direction is not read against a prefix
+        cone = validate_cone([[1, 0], [0, 1]])
+        with pytest.raises(DimensionMismatch, match="direction has dimension 3, cone has 2"):
+            cone.dual_contains((1, 1, 7))
+        with pytest.raises(DimensionMismatch, match="direction has dimension 1, cone has 2"):
+            cone.dual_contains((-1,))
+
 
 class TestMakeDualBasis:
     def test_orthant_explicit_interior(self):
@@ -397,7 +405,7 @@ PUBLIC = [
     "DualSolution", "EmptyBasis", "Halfspace", "INFEASIBLE",
     "IntegralNp", "InternalInvariantError", "LinearProgram", "LpOutcome",
     "MalformedProgram", "NotFullDimensional", "NotInterior", "OPTIMAL",
-    "Polyhedron", "QuantileLevel", "QuantileRegion", "Rational", "ScalarSample",
+    "Polyhedron", "QuantileLevel", "QuantileRegion", "Rational",
     "UNBOUNDED", "basis_vertices", "benson_dual_solve", "build_lp_dual",
     "critical_directions", "format_rational", "lift_dataset",
     "make_dual_basis", "membership_sample", "minimize_pinball_loss",
@@ -409,7 +417,8 @@ PUBLIC = [
 
 
 @pytest.mark.parametrize(
-    "caller", ["contains", "membership_sample", "tukey_depth", "region_membership"]
+    "caller",
+    ["contains", "membership_sample", "tukey_depth", "region_membership", "holds", "holds_ray"],
 )
 def test_point_dimension_has_one_text(caller):
     """Every conversion of a rational point to integers checks its dimension
@@ -421,9 +430,14 @@ def test_point_dimension_has_one_text(caller):
         "membership_sample": lambda z: conequant.membership_sample(cloud, level, None, z),
         "tukey_depth": lambda z: conequant.tukey_depth(cloud, z),
         "region_membership": lambda z: conequant.region_membership(cloud, level, None, z),
+        "holds": lambda z: conequant.Halfspace((1, -1), 0).holds(z),
+        "holds_ray": lambda z: conequant.Halfspace((1, -1), 0).holds_ray(z),
     }
     with pytest.raises(DimensionMismatch, match=r"^point has dimension 3, expected 2$"):
         calls[caller]((0, 0, 0))
+    # a shorter point is not read against a prefix of the normal either
+    with pytest.raises(DimensionMismatch, match=r"^point has dimension 1, expected 2$"):
+        calls[caller]((3,))
 
 
 def test_public_surface_is_pinned():

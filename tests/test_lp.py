@@ -17,7 +17,6 @@ from conequant import (
     UNBOUNDED,
     build_lp_dual,
     quantile_direct,
-    ScalarSample,
     simplex_solve,
 )
 from conftest import build_lp, random_cloud, random_valid_level
@@ -235,8 +234,7 @@ class TestBuilders:
             cloud = random_cloud(rng, rng.randint(1, 12), 1, span=25)
             lvl = random_valid_level(rng, cloud.n, max_den=50)
             out = simplex_solve(build_lp_dual(cloud, lvl, (F(1),)))
-            s = ScalarSample(tuple(p[0] for p in cloud.points))
-            assert out.x[0] == quantile_direct(s, lvl)
+            assert out.x[0] == quantile_direct(cloud, lvl)
 
     def test_integral_np_optimal_set_contains_quantile(self):
         # when N*p is integral the minimizer set is an interval; the direct
@@ -253,11 +251,10 @@ class TestBuilders:
             cloud = random_cloud(rng, n, 1, span=20)
             lvl = QuantileLevel(p, n)
             out = simplex_solve(build_lp_dual(cloud, lvl, (F(1),)))
-            s = ScalarSample(tuple(pt[0] for pt in cloud.points))
-            q = quantile_direct(s, lvl)
+            q = quantile_direct(cloud, lvl)
             # evaluate the dual objective at t = q: must equal the optimum
             loss_at_q = sum(
-                p * max(v - q, 0) + (1 - p) * max(q - v, 0) for v in s.values
+                p * max(v - q, 0) + (1 - p) * max(q - v, 0) for (v,) in cloud.points
             )
             assert loss_at_q == out.value
             checked += 1

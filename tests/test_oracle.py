@@ -24,13 +24,12 @@ from conequant import (
     poly_equal,
     quantile_direct,
     quantile_region,
-    ScalarSample,
     project_data,
     tukey_region,
     validate_cone,
 )
 from conequant.oracle import check_region
-from conftest import random_cloud, random_cone, random_direction, random_valid_level
+from conftest import random_cloud, random_cone, random_direction, random_valid_level, scalar_cloud
 
 F = Fraction
 
@@ -72,6 +71,15 @@ class TestOracleFixtures:
         cloud = DataCloud.from_rows([[1, 2, 3]])
         with pytest.raises(DimensionNot2):
             oracle_region_2d(cloud, QuantileLevel(F(1, 3), 1), None)
+
+    def test_both_entry_points_raise_dimension_mismatch(self):
+        # a caller that catches DimensionMismatch catches a non-planar cloud
+        # in either entry point
+        cloud = DataCloud.from_rows([[1, 2, 3], [0, 1, 0]])
+        with pytest.raises(DimensionMismatch, match="2-dimensional data, got 3"):
+            oracle_region_2d(cloud, QuantileLevel(F(1, 3), 2), None)
+        with pytest.raises(DimensionMismatch, match="2-dimensional data, got 3"):
+            critical_directions(cloud, None)
 
 
 class TestCriticalDirections:
@@ -115,10 +123,7 @@ class TestCriticalDirections:
                 w = (rng.randint(-9, 9), rng.randint(-9, 9))
                 if w == (0, 0):
                     continue
-                sample = ScalarSample(
-                    tuple(w[0] * p[0] + w[1] * p[1] for p in cloud.points)
-                )
-                q = quantile_direct(sample, level)
+                q = quantile_direct(scalar_cloud(project_data(cloud, w)), level)
                 cut = Polyhedron.from_hrep(
                     list(reg.region.halfspaces) + [Halfspace((F(w[0]), F(w[1])), q)],
                     dim=2,
@@ -289,7 +294,7 @@ class TestCheckRegion:
         level = QuantileLevel(F(15, 16), 8)
         reg = quantile_region(cube, level, cone)
         w = (F(1), F(-1), F(0))
-        q = quantile_direct(ScalarSample(project_data(cube, w)), level)
+        q = quantile_direct(scalar_cloud(project_data(cube, w)), level)
         assert q == 1
         entries = tuple(
             (w, q) if e[0] == (1, 0, 0) else e for e in reg.defining_entries

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conequant import (
     DataCloud,
+    DimensionMismatch,
     IntegralNp,
     OPTIMAL,
     QuantileLevel,
-    ScalarSample,
     build_lp_dual,
     minimize_pinball_loss,
     pinball_loss,
@@ -29,7 +29,6 @@ from conequant.univariate import (
     Projector,
     greedy_cut,
     key_quantile_and_loss,
-    quantile_and_loss,
     support_summer,
 )
 from conftest import (
@@ -41,11 +40,12 @@ from conftest import (
     random_cloud,
     random_direction,
     random_valid_level,
+    scalar_cloud,
 )
 
 
-def sample(*values) -> ScalarSample:
-    return ScalarSample.from_values(values)
+def sample(*values) -> DataCloud:
+    return scalar_cloud(values)
 
 
 def level(p, n) -> QuantileLevel:
@@ -66,7 +66,7 @@ class TestQuantileDirect:
         rng = random.Random(21)
         for _ in range(200):
             values = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 12))]
-            s = ScalarSample.from_values(values)
+            s = scalar_cloud(values)
             lvl = random_valid_level(rng, s.n)
             assert quantile_direct(s, lvl) in values
 
@@ -81,7 +81,7 @@ class TestPinballLoss:
         rng = random.Random(22)
         for _ in range(200):
             values = [rng.randint(-20, 20) for _ in range(rng.randint(1, 10))]
-            s = ScalarSample.from_values(values)
+            s = scalar_cloud(values)
             lvl = random_valid_level(rng, s.n)
             t = Fraction(rng.randint(-25, 25), rng.randint(1, 4))
             assert pinball_loss(s, lvl, t) >= 0
@@ -90,7 +90,7 @@ class TestPinballLoss:
         rng = random.Random(23)
         for _ in range(200):
             values = [rng.randint(-20, 20) for _ in range(rng.randint(1, 10))]
-            s = ScalarSample.from_values(values)
+            s = scalar_cloud(values)
             lvl = random_valid_level(rng, s.n)
             t1 = Fraction(rng.randint(-25, 25), rng.randint(1, 4))
             t2 = Fraction(rng.randint(-25, 25), rng.randint(1, 4))
@@ -101,7 +101,7 @@ class TestPinballLoss:
             ) + (1 - lam) * pinball_loss(s, lvl, t2)
 
 
-def right_slope(s: ScalarSample, lvl: QuantileLevel, t) -> Fraction:
+def right_slope(s: DataCloud, lvl: QuantileLevel, t) -> Fraction:
     """The pinball loss's slope just right of t, over a step of 1/2: its
     right derivative #{x <= t} - N p for integer data and integer t."""
     h = Fraction(1, 2)
@@ -118,7 +118,7 @@ class TestRightDerivative:
         rng = random.Random(24)
         for _ in range(200):
             values = [rng.randint(-15, 15) for _ in range(rng.randint(1, 10))]
-            s = ScalarSample.from_values(values)
+            s = scalar_cloud(values)
             lvl = random_valid_level(rng, s.n)
             t_star, _ = minimize_pinball_loss(s, lvl)
             assert right_slope(s, lvl, t_star) > 0
@@ -140,7 +140,7 @@ class TestMinimize:
         rng = random.Random(25)
         for _ in range(100):
             values = sorted(rng.randint(-12, 12) for _ in range(rng.randint(1, 8)))
-            s = ScalarSample.from_values(values)
+            s = scalar_cloud(values)
             lvl = random_valid_level(rng, s.n)
             t_star, g = minimize_pinball_loss(s, lvl)
             grid = set(values)
@@ -157,6 +157,34 @@ class TestMinimize:
     def test_integral_np_rejected(self):
         with pytest.raises(IntegralNp):
             minimize_pinball_loss(sample(1, 2, 3, 4), level("1/2", 4))
+
+
+# each univariate function with its other arguments fixed
+UNIVARIATE = {
+    "quantile_direct": quantile_direct,
+    "pinball_loss": lambda cloud, lvl: pinball_loss(cloud, lvl, 0),
+    "minimize_pinball_loss": minimize_pinball_loss,
+}
+
+
+@pytest.mark.parametrize("call", UNIVARIATE.values(), ids=UNIVARIATE)
+class TestSampleChecks:
+    def test_level_for_another_n(self, call):
+        # N is checked before N*p: 4 * 1/2 is integral
+        with pytest.raises(DimensionMismatch, match="level is for N=4 but the cloud has 3"):
+            call(sample(1, 2, 3), level("1/2", 4))
+
+    def test_two_columns(self, call):
+        cloud = DataCloud.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(DimensionMismatch, match="one column, the cloud has 2"):
+            call(cloud, level("1/3", 2))
+        # the column count is checked before N
+        with pytest.raises(DimensionMismatch, match="one column, the cloud has 2"):
+            call(cloud, level("1/2", 4))
+
+    def test_empty_sample(self, call):
+        with pytest.raises(DimensionMismatch, match="at least one point"):
+            call(sample(), level("1/3", 1))
 
 
 def greedy_value(cloud, w, u, v) -> Fraction:
@@ -182,7 +210,7 @@ class TestGreedyScalarization:
         cloud = DataCloud.from_rows([[0, 0], [1, 1]])
         w = (Fraction(1, 2), Fraction(1, 2))
         u, v = greedy_uv(cloud, level("3/4", 2), w)
-        s = ScalarSample.from_values([0, 1])
+        s = scalar_cloud([0, 1])
         assert greedy_value(cloud, w, u, v) == minimize_pinball_loss(s, level("3/4", 2))[1]
 
     def test_feasibility_invariants(self):
@@ -208,7 +236,7 @@ class TestStrongDuality:
             lvl = random_valid_level(rng, cloud.n, max_den=20)
             w = random_direction(rng, cloud.dim)
             greedy = greedy_value(cloud, w, *greedy_uv(cloud, lvl, w))
-            s = ScalarSample(project_data(cloud, w))
+            s = scalar_cloud(project_data(cloud, w))
             _, g = minimize_pinball_loss(s, lvl)
             assert greedy == g
             primal = simplex_solve(build_lp(cloud, lvl, w))
@@ -227,7 +255,7 @@ class TestStrongDuality:
             y = dense_support_sum(cloud.points, *greedy_uv(cloud, lvl, w))
             for _ in range(10):
                 w2 = random_direction(rng, cloud.dim)
-                s2 = ScalarSample(project_data(cloud, w2))
+                s2 = scalar_cloud(project_data(cloud, w2))
                 _, g2 = minimize_pinball_loss(s2, lvl)
                 assert g2 >= sum(a * b for a, b in zip(w2, y))
 
@@ -252,7 +280,8 @@ def test_sort_perm_matches_brute_force(span):
     rng = random.Random(3)
     for _ in range(200):
         vals = random_values(rng, rng.randint(1, 12), span)
-        keys, den = ScalarSample(tuple(vals)).keys
+        rows, den = scalar_cloud(vals).int_form
+        keys = [x for (x,) in rows]
         assert [Fraction(x, den) for x in keys] == vals
         expected = sorted(range(len(vals)), key=lambda i: (vals[i], i))
         projector = Projector([(x,) for x in keys])
@@ -269,14 +298,15 @@ def test_kth_count_pinball_match_fractions(span):
     for _ in range(200):
         n = rng.randint(1, 10)
         vals = random_values(rng, n, span)
-        sample = ScalarSample(tuple(vals))
-        keys, den = sample.keys
+        sample = scalar_cloud(vals)
+        rows, den = sample.int_form
+        keys = [x for (x,) in rows]
         p = Fraction(rng.randint(1, 7), 8)
         level = QuantileLevel(p, n)
         expect_kth = sorted(vals)[level.ceil_np - 1]
-        t, loss = quantile_and_loss(sorted(keys), den, level)
-        assert t == expect_kth
-        assert loss == pinball(vals, p, expect_kth)
+        t, loss = key_quantile_and_loss(sorted(keys), 0, level)
+        assert Fraction(t, den) == expect_kth
+        assert Fraction(loss, den * p.denominator) == pinball(vals, p, expect_kth)
         # thresholds on, between and outside the values
         for t in (vals[rng.randrange(n)] + Fraction(rng.randint(-2, 2), 3),
                   min(vals) - 1, max(vals)):

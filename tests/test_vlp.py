@@ -19,7 +19,6 @@ from conequant import (
     InternalInvariantError,
     Polyhedron,
     QuantileLevel,
-    ScalarSample,
     basis_vertices,
     benson_dual_solve,
     format_rational,
@@ -40,6 +39,7 @@ from conftest import (
     random_cloud,
     random_cone,
     random_valid_level,
+    scalar_cloud,
     solution_cuts,
     solution_entries,
 )
@@ -147,8 +147,7 @@ class TestBensonSolve:
         basis = make_dual_basis(validate_cone([[1]]), (1,))
         sol = benson_dual_solve(cloud, QuantileLevel(F(1, 2), 5), basis)
         assert solution_entries(sol) == (((F(1),), F(3)),)
-        s = ScalarSample(tuple(p[0] for p in cloud.points))
-        _, g = minimize_pinball_loss(s, QuantileLevel(F(1, 2), 5))
+        _, g = minimize_pinball_loss(cloud, QuantileLevel(F(1, 2), 5))
         *_, m, z0 = sol.vertex_rays[0]
         assert F(m, z0) == g
 
@@ -195,13 +194,13 @@ class TestBensonSolve:
                     F(x, z0) for x in a
                 )
                 # t is the direct quantile, the value m/z0 the loss minimum
-                s = ScalarSample(project_data(cloud, w))
+                s = scalar_cloud(project_data(cloud, w))
                 assert t == quantile_direct(s, level)
                 t2, g = minimize_pinball_loss(s, level)
                 assert t2 == t and g == F(m, z0)
                 # first-order conditions at the entry's t: the loss's right
                 # derivative #{x <= t} - N p is positive
-                assert sum(1 for x in s.values if x <= t) > level.n * level.p
+                assert sum(1 for (x,) in s.points if x <= t) > level.n * level.p
             # cut soundness: the confirmed image points satisfy every cut
             for ray in sol.vertex_rays:
                 for row in sol.cut_rows:
