@@ -377,10 +377,14 @@ def _certify_interior(cone: Cone, c: Vector) -> None:
 
 
 def project_data(cloud: DataCloud, w) -> tuple[Fraction, ...]:
-    """The scalar data set of inner products w.x for every point x."""
+    """The scalar data set of inner products w.x for every point x, read
+    from the cloud's integer rows: W.row over den w_den, with w = W / w_den."""
     w_vec = as_vector(w)
     if len(w_vec) != cloud.dim:
         raise DimensionMismatch(
             f"direction has dimension {len(w_vec)}, data has {cloud.dim}"
         )
-    return tuple(_linalg.dot(w_vec, p) for p in cloud.points)
+    wn, w_den = _linalg.common_denominator(w_vec)
+    rows, den = cloud.int_form
+    scale = den * w_den
+    return tuple(Fraction(_linalg.dot(wn, row), scale) for row in rows)

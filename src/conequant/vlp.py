@@ -196,7 +196,7 @@ def benson_dual_solve(
             # alike; one sort serves the quantile, the loss and the cut
             slots, shift = projector.keys(weight)
             ka = sorted(slots)
-            t, loss = key_quantile_and_loss(ka, tau, level)
+            t, loss = key_quantile_and_loss(ka, tau, level, projector.key_total(weight, shift))
             loss_den = abs(c_last) * z * den * level.p.denominator
             cache[key] = (weight, t - shift, loss, loss_den)
             scalarizations += 1

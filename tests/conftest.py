@@ -191,11 +191,15 @@ def greedy_uv(cloud: DataCloud, level: QuantileLevel, w) -> tuple[list, list]:
     rows, den = cloud.int_form
     projector = Projector(rows)
     slots, _ = projector.keys(common_denominator(w)[0])
-    u, v = [Fraction(0)] * cloud.n, [Fraction(0)] * cloud.n
-    for idx, mass in greedy_cut(sorted(slots), projector.tau, level.p):
+    rest, groups = greedy_cut(sorted(slots), projector.tau, level.p)
+    grouped = [i for idx, _ in groups for i in idx]
+    assert len(grouped) == len(set(grouped)), "an index is in two groups"
+    diff = [rest] * cloud.n
+    for idx, mass in groups:
         for i in idx:
-            (u if mass > 0 else v)[i] = Fraction(abs(mass), level.p.denominator)
-    return u, v
+            diff[i] += mass
+    pd = level.p.denominator
+    return [Fraction(max(m, 0), pd) for m in diff], [Fraction(max(-m, 0), pd) for m in diff]
 
 
 # The greedy transport loop that ``univariate.greedy_cut`` replaced, kept

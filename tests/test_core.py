@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -470,3 +471,28 @@ def test_traced_entry_points_exist(module, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _readme_value(text: str):
+    """A value as the README quick start prints it or names it in a comment:
+    a Python literal in which a Fraction is ``Fraction(a, b)`` or ``a/b``."""
+    text = re.sub(r"(-?\d+)/(\d+)", r"Fraction(\1, \2)", text)
+    return eval(text, {"__builtins__": {}, "Fraction": Fraction})
+
+
+def test_readme_quick_start(capsys):
+    """The README's library quick start runs, and each print gives the value
+    its comment names (the text before an optional ':' remark)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    named = [
+        line.split("#", 1)[1].split(":", 1)[0].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    exec(compile(block, "README.md", "exec"), {"__name__": "quick_start"})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(named) == 9
+    for out, want in zip(printed, named):
+        assert _readme_value(out) == _readme_value(want), (out, want)

@@ -304,7 +304,7 @@ def test_kth_count_pinball_match_fractions(span):
         p = Fraction(rng.randint(1, 7), 8)
         level = QuantileLevel(p, n)
         expect_kth = sorted(vals)[level.ceil_np - 1]
-        t, loss = key_quantile_and_loss(sorted(keys), 0, level)
+        t, loss = key_quantile_and_loss(sorted(keys), 0, level, sum(keys))
         assert Fraction(t, den) == expect_kth
         assert Fraction(loss, den * p.denominator) == pinball(vals, p, expect_kth)
         # thresholds on, between and outside the values
@@ -510,42 +510,84 @@ SMALL_LEVELS = sorted({Fraction(a, b) for b in range(2, 21) for a in range(1, b)
 
 @st.composite
 def tied_keys_and_rows(draw):
-    """1 to 12 keys in -2..2, so that ties are frequent, and integer rows in
-    d = 1 to 3 that the masses are summed over."""
-    n = draw(st.integers(1, 12))
-    keys = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    """1 to 40 keys in -s..s for s drawn from 0 to 3, so that ties are
+    frequent and tie runs long, and integer rows in d = 1 to 3 that the
+    masses are summed over."""
+    n = draw(st.integers(1, 40))
+    spread = draw(st.integers(0, 3))
+    keys = draw(st.lists(st.integers(-spread, spread), min_size=n, max_size=n))
     d = draw(st.integers(1, 3))
     row = st.tuples(*[st.integers(-9, 9)] * d)
     rows = draw(st.lists(row, min_size=n, max_size=n))
     return keys, rows
 
 
-@settings(max_examples=200)
-@given(tied_keys_and_rows())
-def test_greedy_cut_matches_the_loop(case):
-    """The closed-form greedy cut gives the loop's dense (u, v), support sum,
-    quantile key and loss numerator at every level with denominator <= 20."""
-    keys, rows = case
-    n = len(keys)
-    asc = sorted(range(n), key=lambda i: (keys[i], i))
-    line = DataCloud.from_rows([[k] for k in keys])
-    projector = Projector([(k,) for k in keys])
-    tau = projector.tau
-    slots, shift = projector.keys((1,))
-    # the packed slots, shifted, and the direct form, signed
-    tagged = [
-        (sorted(slots), shift),
-        (sorted(univariate._direct_keys([tuple(keys)], (1,), tau)), 0),
-    ]
-    for p in SMALL_LEVELS:
-        level = QuantileLevel(p, n)
-        u, v = greedy_masses(keys, asc, p)
-        pd = p.denominator
-        assert greedy_uv(line, level, (1,)) == (
-            [Fraction(a, pd) for a in u], [Fraction(b, pd) for b in v]
-        ), (keys, p)
-        for ka, ka_shift in tagged:
-            groups = greedy_cut(ka, tau, p)
-            assert support_summer(rows, pd)(groups) == dense_support_sum(rows, u, v)
-            t, loss = key_quantile_and_loss(ka, tau, level)
-            assert (t - ka_shift, loss) == loop_quantile_and_loss(keys, asc, level)
+def test_greedy_cut_matches_the_loop():
+    """The closed-form greedy cut gives the loop's dense (u, v) and support
+    sum, and ``key_quantile_and_loss`` the loop's quantile key and loss
+    numerator, at every level with denominator <= 20, on the packed slots
+    and on the direct ones of a wide weight.  The cut lists only the
+    shorter of its u and v sides, the untransferred middle and the longer
+    side's remainder receiver.  The drawn cases reach every branch: a tie
+    across the gap at M0 - 1, the least mass at which the two receivers'
+    positions meet, either side shorter, a nonempty middle, N = 1, and the
+    loss's shorter slice below and above its split on both projector
+    branches."""
+    reached = set()
+
+    @settings(max_examples=150)
+    @given(tied_keys_and_rows())
+    @example(([4], [(1, -2)]))
+    def check(case):
+        keys, rows = case
+        n = len(keys)
+        asc = sorted(range(n), key=lambda i: (keys[i], i))
+        line = DataCloud.from_rows([[k] for k in keys])
+        # a unit column: weight (1, 0) packs the keys, and (1, 2^63) takes
+        # the direct products, with every key offset by 2^63
+        projector = Projector([(k, 1) for k in keys])
+        tau = projector.tau
+        forms = []
+        for branch, weight in (("packed", (1, 0)), ("direct", (1, 2**63))):
+            slots, shift = projector.keys(weight)
+            assert shift == (max(map(abs, keys)) if branch == "packed" else 0)
+            offset = shift + weight[1]
+            forms.append((branch, sorted(slots), offset, projector.key_total(weight, shift)))
+        if n == 1:
+            reached.add("N = 1")
+        summers = {pd: support_summer(rows, pd) for pd in range(2, 21)}
+        for p in SMALL_LEVELS:
+            level = QuantileLevel(p, n)
+            u, v = greedy_masses(keys, asc, p)
+            pd = p.denominator
+            assert greedy_uv(line, level, (1,)) == (
+                [Fraction(a, pd) for a in u], [Fraction(b, pd) for b in v]
+            ), (keys, p)
+            mass, nu, nv = sum(u), sum(map(bool, u)), sum(map(bool, v))
+            cu, cv = p.numerator, pd - p.numerator
+            m0 = next(m for m in range(n * pd + 1) if m // cu + m // cv >= n - 1)
+            if mass < m0:
+                reached.add("tie at M0 - 1")
+            if mass:
+                reached.add("u side shorter" if nu <= nv else "v side shorter")
+                if nu + nv < n:
+                    reached.add("nonempty middle")
+            expect_y = dense_support_sum(rows, u, v)
+            expect_t, expect_loss = loop_quantile_and_loss(keys, asc, level)
+            below = sum(1 for k in keys if k < expect_t)
+            for branch, ka, offset, total in forms:
+                rest, groups = greedy_cut(ka, tau, p)
+                # the shorter side, the middle and the longer side's remainder
+                longer_rem = (mass % cv if nu <= nv else mass % cu) > 0
+                listed = sum(len(idx) for idx, _ in groups)
+                assert listed == (min(nu, nv) + n - nu - nv + longer_rem if mass else 0)
+                assert summers[pd]((rest, groups)) == expect_y
+                t, loss = key_quantile_and_loss(ka, tau, level, total)
+                assert (t - offset, loss) == (expect_t, expect_loss)
+                reached.add((branch, "below" if 2 * below <= n else "above"))
+
+    check()
+    assert reached == {
+        "tie at M0 - 1", "u side shorter", "v side shorter", "nonempty middle", "N = 1",
+        ("packed", "below"), ("packed", "above"), ("direct", "below"), ("direct", "above"),
+    }
