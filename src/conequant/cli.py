@@ -18,6 +18,7 @@ call parses into a fresh namespace.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -244,19 +245,30 @@ def _write_json(value, newline: str, emit) -> None:
         raise TypeError(f"{type(value).__name__} is not a document value")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(text: str, path: str | None = None) -> None:
+    """Write text to the file at path, or to stdout when there is none; a
+    failed write is an output error.  Stdout is flushed at once, so it fails
+    here and not at exit.  The process's own stdout is then pointed at the
+    null device, as the ``signal`` module's note on SIGPIPE advises, so its
+    buffered text cannot fail a second time at exit."""
     try:
-        Path(path).write_text(text)
+        if path:
+            Path(path).write_text(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise CliInputError(f"cannot write {path}: {exc}") from exc
+        if not path and sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliInputError(f"cannot write {path or 'to stdout'}: {exc}") from exc
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    payload = document_bytes(doc)
-    if out_path:
-        _write_text(out_path, payload)
-    else:
-        sys.stdout.write(payload)
+def _emit(result: QuantileRegion, cloud: DataCloud, cone_echo, requested, args) -> int:
+    """Write the region's document, and its plot when one is asked for."""
+    _write(document_bytes(region_document(result, cloud, cone_echo, requested)), args.out)
+    if args.plot:
+        write_plot(result, args.plot)
+    return EXIT_OK
 
 
 def write_plot(result: QuantileRegion, path: str) -> bool:
@@ -286,7 +298,7 @@ def write_plot(result: QuantileRegion, path: str) -> bool:
     if skipped:
         print(f"note: plot {path} not written: {skipped}", file=sys.stderr)
         return False
-    _write_text(path, "\n".join(lines) + "\n")
+    _write("\n".join(lines) + "\n", path)
     return True
 
 
@@ -310,8 +322,7 @@ def cmd_uniquantile(args) -> int:
             print("LP cross-check disagreed with the direct quantile", file=sys.stderr)
             return EXIT_VERIFY
         suffix = " (LP verified)"
-    print(f"q={q_text}{suffix}")
-    print(f"min_loss={loss_text}")
+    _write(f"q={q_text}{suffix}\nmin_loss={loss_text}\n")
     return EXIT_OK
 
 
@@ -335,20 +346,13 @@ def cmd_region(args) -> int:
             "generators": [[format_rational(x) for x in g] for g in gens],
             "interior": [format_rational(x) for x in interior] if interior else None,
         }
-    _emit(region_document(result, cloud, echo, requested), args.out)
-    if args.plot:
-        write_plot(result, args.plot)
-    return EXIT_OK
+    return _emit(result, cloud, echo, requested, args)
 
 
 def cmd_tukey(args) -> int:
     cloud = load_points(args.file)
     level, requested = _parse_level(args.p, cloud.n, args.nudge)
-    result = tukey_region(cloud, level)
-    _emit(region_document(result, cloud, "tukey", requested), args.out)
-    if args.plot:
-        write_plot(result, args.plot)
-    return EXIT_OK
+    return _emit(tukey_region(cloud, level), cloud, "tukey", requested, args)
 
 
 def cmd_depth(args) -> int:
@@ -357,7 +361,7 @@ def cmd_depth(args) -> int:
         point = tuple(parse_rational(tok) for tok in args.point.split(","))
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    print(tukey_depth(cloud, point))
+    _write(f"{tukey_depth(cloud, point)}\n")
     return EXIT_OK
 
 
@@ -378,9 +382,9 @@ def cmd_verify(args) -> int:
         print(f"exact depth check: {check.refutation}", file=sys.stderr)
         return EXIT_VERIFY
     depth = "tukey_depth" if cone is None else "cone depth"
-    print(
+    _write(
         f"exact depth check: {check.vertices} vertices at {depth} >= {level.ceil_np}, "
-        f"{check.halfspaces} halfspaces at their quantiles"
+        f"{check.halfspaces} halfspaces at their quantiles\n"
     )
     return EXIT_OK
 
@@ -433,7 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated coordinates in the data syntax; "
         "put -- before a point that starts with '-'",
     )
-    command("verify", cmd_verify, "check a region against the oracles", "file", "--p", "--cone")
+    command(
+        "verify", cmd_verify, "check a region exactly, by its definition", "file", "--p", "--cone"
+    )
 
     return parser
 

@@ -24,10 +24,10 @@ the new edges on its own facet by the exact combinatorial test.  The walk
 starts at a ray the caller names, such as the Benson vertex a cut was made
 from; a start removed since is replaced through the engine's map from each
 removed ray to a ray made by the insertion that removed it.
-The intermediate cones depend on the row order.  A quantile region's rows
-are the dual solve's own, and they enter in the order its solver chose,
-likeliest facets first; every other conversion hands its vectors over in
-one fixed pseudo-random order.
+The intermediate cones depend on the row order.  ``quantile._region``
+makes a quantile region's rows from its entries and orders them by
+distance from the data centroid, likeliest facets first; every other
+conversion hands its vectors over in one fixed pseudo-random order.
 """
 
 from __future__ import annotations

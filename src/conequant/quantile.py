@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import InternalInvariantError
 from .polyhedra import Polyhedron
-from .vlp import BensonStats, benson_dual_solve, entry_pairs, entry_records
+from .vlp import BensonStats, benson_dual_solve, entry_pairs
 
 TUKEY_PROVENANCE = "tukey-lifted"
 CONE_PROVENANCE = "cone-quantile"
@@ -42,10 +42,10 @@ class QuantileRegion:
     intersection.  A record need not be in lowest terms: the document
     reduces each scalar with one gcd.  ``defining_entries`` reads the
     records as (w, t) pairs of Fractions, built when first read, and
-    ``from_pairs`` makes a region from such pairs.  A solved region is made
-    from the entries' primitive integer rows, and its ``halfspaces`` are
-    those rows: the entries' halfspaces at a positive integer scale, in the
-    order the double description took them.
+    ``from_pairs`` makes a region from such pairs.  A solved region's
+    polyhedron is made from the records (see ``_region``), so its
+    ``halfspaces`` are the entries' halfspaces at primitive integer scale,
+    in the order the double description took them.
     """
 
     region: Polyhedron
@@ -84,8 +84,7 @@ def quantile_region(
     """
     basis = make_dual_basis(cone, c)
     sol = benson_dual_solve(cloud, level, basis)
-    records = entry_records(sol.rows, basis.c)
-    return _region(cloud, level, sol.rows, records, CONE_PROVENANCE, sol.stats)
+    return _region(cloud, level, sol.records, CONE_PROVENANCE, sol.stats)
 
 
 def lift_dataset(cloud: DataCloud) -> DataCloud:
@@ -101,13 +100,12 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
 
     The lifted cloud is solved against the nonnegative orthant with the
     all-ones interior point (its last component is 1, so no permutation is
-    ever needed).  Each entry's integer row r over (lifted z, 1) is unlifted
-    in integers, to the primitive row of ((r_j - r_d)_{j<d}, r_last); the
-    entry's record is ((r_j - r_d)_{j<d}, -r_last, c.r_head).  A
-    zero unlifted normal with t <= 0 is a vacuous constraint and is dropped.
-    One with t > 0 cannot occur: the only weight that unlifts to zero
-    projects every lifted point to 0, so its t is 0.  It raises
-    InternalInvariantError.
+    ever needed).  Each entry's record (n, m, s) is unlifted in integers to
+    ((n_j - n_d)_{j<d}, m, s): the lifted weight w = n / s unlifts to
+    lambda_j = w_j - w_d, and the offset and scale stay.  A zero lambda
+    with t <= 0 is a vacuous constraint and is dropped.  One with t > 0
+    cannot occur: the only weight that unlifts to zero projects every lifted
+    point to 0, so its t is 0.  It raises InternalInvariantError.
     """
     lifted = lift_dataset(cloud)
     d1 = lifted.dim
@@ -115,41 +113,42 @@ def tukey_region(cloud: DataCloud, level: QuantileLevel) -> QuantileRegion:
     basis = make_dual_basis(orthant, (1,) * d1)
     sol = benson_dual_solve(lifted, level, basis)
     records = []
-    rows = []
-    for *head, last in sol.rows:
+    for *head, m, s in sol.records:
         lam = [v - head[-1] for v in head[:-1]]
         if not any(lam):
-            if last < 0:
+            if m > 0:
                 raise InternalInvariantError(
                     "an entry with a zero unlifted normal has a positive offset"
                 )
             continue
-        records.append((*lam, -last, sum(head)))  # c.r_head, with c all ones
-        rows.append(primitive((*lam, last)))
-    return _region(cloud, level, rows, tuple(records), TUKEY_PROVENANCE, sol.stats)
+        records.append((*lam, m, s))
+    return _region(cloud, level, tuple(records), TUKEY_PROVENANCE, sol.stats)
 
 
 def _region(
-    cloud: DataCloud, level: QuantileLevel, rows, records, provenance: str, stats
+    cloud: DataCloud, level: QuantileLevel, records, provenance: str, stats
 ) -> QuantileRegion:
-    """The region {z : r.(z, 1) >= 0 for each row r} of the entry records, its
-    rows ordered for the double description: ascending in the signed squared
-    distance from the data centroid m to the row's hyperplane, so the rows
-    the centroid violates most come first and then the nearest ones, which
-    are the likeliest facets.  With M = N den m in integers, the key is that
+    """The region of the entry records (n, m, s), the intersection of the
+    halfspaces (n / s).z >= m / s: each record's row is primitive((n, -m))
+    over (z, 1).  The rows are ordered for the double description:
+    ascending in the signed squared distance from the data centroid to the
+    row's hyperplane, so the rows the centroid violates most come first and
+    then the nearest ones, which are the likeliest facets.  With the
+    centroid scaled by N den to the integer column sums, the key is that
     distance times (N den)^2, floored, so it is exact and never overflows.
     """
     points, den = cloud.int_form
-    m = [sum(col) for col in zip(*points)]
+    total = [sum(col) for col in zip(*points)]
     nden = cloud.n * den
 
     def key(r):
-        s = sum(map(mul, m, r)) + nden * r[-1]
+        s = sum(map(mul, total, r)) + nden * r[-1]
         q = s * s // sum(v * v for v in r[:-1])
         return q if s >= 0 else -q
 
     if any(rec[-1] <= 0 for rec in records):
         raise InternalInvariantError("an entry's weight has c.w <= 0")
+    rows = [primitive((*n, -m)) for *n, m, _ in records]
     region = Polyhedron._from_rows(sorted(rows, key=key), dim=cloud.dim)
     return QuantileRegion(region, records, level, provenance, stats)
 

@@ -52,36 +52,25 @@ class BensonStats:
 class DualSolution:
     """The irredundant optimal solution of the geometric dual, in integers.
 
-    ``rows`` hold one primitive row r per entry, in the caller's coordinate
-    frame: the entry's halfspace w.z >= t is r.(z, 1) >= 0.
-    ``entry_records(rows, c)`` reads them as integer records of the (w, t)
-    pairs, w = r_head / (c.r_head) and t = -r_last / (c.r_head): w lies on
-    the dual-cone basis exactly (Y w >= 0 and c.w = 1) and t is the direct
-    lower quantile of the projected sample.
-    The dual image is kept in the solver's homogeneous integers (see the
-    module docstring): ``vertex_rays`` are its vertices as
+    ``records`` hold one integer record (n, m, s) with s > 0 per entry, in
+    entry order and in the caller's coordinate frame: the entry is
+    (w, t) = (n / s, m / s) and its halfspace is w.z >= t.  w lies on the
+    dual-cone basis exactly (Y w >= 0 and c.w = 1) and t is the direct
+    lower quantile of the projected sample.  A record keeps the scale the
+    solve found it at (see the module docstring): n = den W, unpermuted,
+    m is the quantile's key W.x and s = D den.  The dual image is kept in
+    the solver's homogeneous integers: ``vertex_rays`` are its vertices as
     rays (a, m, z0), one per entry and in entry order, so the entry's
     solver-frame weight has coords a/z0 and its loss minimum is m/z0;
     ``cut_rows`` are the cuts as rows r, in the order they were made, each
     with r.v >= 0 at every vertex ray v.
     """
 
-    rows: tuple[IntVec, ...]
+    records: tuple[IntVec, ...]
     basis: DualConeBasis
     stats: BensonStats
     vertex_rays: tuple[IntVec, ...]
     cut_rows: tuple[IntVec, ...]
-
-
-def entry_records(rows, c) -> tuple[IntVec, ...]:
-    """The entries of primitive rows r, w = r_head / (c.r_head) and
-    t = -r_last / (c.r_head), as integer records (n, m, s) with w = n / s,
-    t = m / s and s > 0: with c = cn / cd over one denominator, n = cd r_head,
-    m = -cd r_last and s = cn.r_head."""
-    cn, cd = common_denominator(c)
-    return tuple(
-        (*(cd * v for v in head), -cd * last, sum(map(mul, cn, head))) for *head, last in rows
-    )
 
 
 def entry_pairs(records) -> tuple[tuple[Vector, Fraction], ...]:
@@ -229,16 +218,18 @@ def benson_dual_solve(
             "dual image recession cone is not the upward value ray"
         )
     final = ratio_sorted(vertices, itemgetter(0))
-    # w.z >= t with w = W/D and t = key/(D den) is (den W).z - key >= 0
-    entry_rows = []
+    # w = W/D and t = key/(D den) as the record (den W, key, D den); the
+    # loss denominator is D den pden
+    pden = level.p.denominator
+    records = []
     for key, _ in final:
-        weight, t, _, _ = cache[key]
-        entry_rows.append(primitive((*basis.unpermute([den * wj for wj in weight]), -t)))
+        weight, t, _, loss_den = cache[key]
+        records.append((*basis.unpermute([den * wj for wj in weight]), t, loss_den // pden))
     stats = BensonStats(
         rounds=rounds, cuts_added=len(cut_rows), scalarizations=scalarizations
     )
     return DualSolution(
-        rows=tuple(entry_rows),
+        records=tuple(records),
         basis=basis,
         stats=stats,
         vertex_rays=tuple(ray for _, ray in final),

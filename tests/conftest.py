@@ -398,10 +398,10 @@ def lp_remove_redundant(p):
 
 def solution_entries(sol):
     """A dual solution's entries as (w, t) pairs of rationals, read from its
-    integer rows in entry order."""
-    from conequant.vlp import entry_pairs, entry_records
+    integer records in entry order."""
+    from conequant.vlp import entry_pairs
 
-    return entry_pairs(entry_records(sol.rows, sol.basis.c))
+    return entry_pairs(sol.records)
 
 
 def solution_cuts(sol):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -32,6 +35,7 @@ from conequant.cli import CliInputError, _build_parser, document_bytes, load_poi
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def run_cli(args, capsys):
@@ -40,19 +44,22 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_fresh(module, args, *, flags=(), timeout=None):
+def run_fresh(module, args, *, flags=(), timeout=None, stdout=subprocess.PIPE, env=()):
     """``python flags -m module args`` in a new interpreter that imports the
-    package under test, also when it is imported from a checkout; it is
-    killed, failing the test, after ``timeout`` seconds."""
+    package under test, also when it is imported from a checkout, with the
+    extra environment ``env``; it is killed, failing the test, after
+    ``timeout`` seconds.  Its stderr is captured, and so is its stdout
+    unless ``stdout`` names another target."""
     import conequant
 
     src = str(Path(conequant.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *flags, "-m", module, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **dict(env)},
         timeout=timeout,
     )
 
@@ -884,6 +891,76 @@ class TestDeterminism:
         proc = run_fresh("conequant", [*args, "--cone", str(GOLDEN / "orthant2.txt")], flags=["-O"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "twopoint_orthant_p3_4.json").read_text()
+
+
+class _FullStdout:
+    """A stdout on a full disk: every write and flush fails."""
+
+    def write(self, *_):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    flush = write
+
+
+FULL_ERROR = f"error: cannot write to stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+class TestFullStdout:
+    """A failed write to stdout is an output error: exit 1 and one error
+    line, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["uniquantile", "region", "tukey", "depth", "verify"])
+    def test_every_command_exits_1(self, command, uni, square, orthant_file, monkeypatch, capsys):
+        args = {
+            "uniquantile": [uni, "--p", "1/2"],
+            "region": [square, "--p", "3/10", "--cone", orthant_file],
+            "tukey": [square, "--p", "3/10"],
+            "depth": [square, "1/2,1/2"],
+            "verify": [square, "--p", "3/10"],
+        }[command]
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", _FullStdout())
+            code = main([command, *args])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [FULL_ERROR]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_full_device_exits_1(self, flags):
+        """A document sent to /dev/full: the failure shows when the text is
+        flushed, and the interpreter's own flush at exit adds nothing."""
+        args = ["tukey", str(GOLDEN / "square.csv"), "--p", "3/10"]
+        with open("/dev/full", "w") as full:
+            proc = run_fresh(
+                "conequant", args, flags=flags, stdout=full, env={"PYTHONUNBUFFERED": ""}
+            )
+        assert (proc.returncode, proc.stderr.splitlines()) == (1, [FULL_ERROR])
+
+
+def test_benchmark_outputs_match_their_digests(tmp_path, monkeypatch, capsys):
+    """Every seed-0 benchmark case, run through ``main`` on the inputs that
+    ``perfbench/workloads.py`` writes, gives the output whose sha256 is in
+    ``perfbench/expected.json``: the document file, and stdout for depth."""
+    # loaded from its path without writing bytecode, so perfbench/ stays as it is
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = PERFBENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    assert expected["seed"] == workloads.DEFAULT_SEED
+    got = {}
+    for workload in workloads.WORKLOADS:
+        workdir = tmp_path / workload
+        got[workload] = {}
+        for case in workloads.write_inputs(workload, expected["seed"], workdir):
+            code, out, err = run_cli(case.argv(workdir), capsys)
+            assert (code, err) == (0, ""), case.name
+            path = case.output_path(workdir)
+            data = out.encode() if path is None else path.read_bytes()
+            got[workload][case.name] = hashlib.sha256(data).hexdigest()
+    assert got == expected["digests"]
 
 
 class TestRepeatedCalls:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 import random
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from conequant import (
     make_dual_basis,
     poly_contains,
     poly_equal,
+    project_data,
+    quantile_direct,
     quantile_region,
     region_membership,
     remove_redundant,
@@ -28,6 +31,7 @@ from conequant import (
     tukey_region,
     validate_cone,
 )
+from conequant._linalg import primitive
 from conequant.cli import region_document
 from conequant.oracle import check_region, oracle_region_2d
 from conftest import (
@@ -36,6 +40,7 @@ from conftest import (
     random_cloud,
     random_cone,
     random_valid_level,
+    scalar_cloud,
 )
 
 F = Fraction
@@ -151,10 +156,10 @@ class TestTukeyRegion:
 
         def with_bad_entry(cloud, level, basis):
             sol = real(cloud, level, basis)
-            # the apex weight (1/d, ..., 1/d) with t = 1, as the row r with
-            # r.(z, 1) = d (w.z - t)
-            apex = (1,) * cloud.dim + (-cloud.dim,)
-            return dataclasses.replace(sol, rows=sol.rows + (apex,))
+            # the apex weight (1/d, ..., 1/d) with t = 1, as the record
+            # (1, ..., 1, d, d)
+            apex = (1,) * cloud.dim + (cloud.dim, cloud.dim)
+            return dataclasses.replace(sol, records=sol.records + (apex,))
 
         monkeypatch.setattr(quantile, "benson_dual_solve", with_bad_entry)
         with pytest.raises(InternalInvariantError):
@@ -228,16 +233,35 @@ class TestIntegerRows:
         assert 0 < empty < 10
 
 
-def _fan(dim):
-    """The cone of e_1 +- e_j, j >= 2 (the ray e_1 when dim is 1): its
-    generator sum, the default interior point, ends in 0 for dim >= 2, so
-    its dual basis is permuted."""
+def _fan(dim, sign=1):
+    """The cone of sign (e_1 +- e_j), j >= 2 (the ray sign e_1 when dim is
+    1): its generator sum, the default interior point, ends in 0 for
+    dim >= 2, so its dual basis is permuted, and the solver frame's last
+    c-component has the given sign."""
     if dim == 1:
-        return validate_cone([[1]])
+        return validate_cone([[sign]])
     unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
     return validate_cone(
-        [[a + s * b for a, b in zip(unit[0], unit[j])] for j in range(1, dim) for s in (1, -1)]
+        [
+            [sign * (a + s * b) for a, b in zip(unit[0], unit[j])]
+            for j in range(1, dim)
+            for s in (1, -1)
+        ]
     )
+
+
+def _vertex_entries(cloud, level, basis, sol):
+    """The entries (w, t) of a dual solution rebuilt from its vertex rays
+    (a, m, z0), not from its records: the solver-frame weight has the
+    signed coords w_j = sigma a_j / z0, j < d, and c.w = 1 fixes w_d; w is
+    unpermuted, and t is the direct quantile of the cloud projected on w."""
+    c = basis.solver_c
+    entries = []
+    for *a, _, z0 in sol.vertex_rays:
+        head = [basis.sigma * F(v, z0) for v in a]
+        w = basis.unpermute((*head, (1 - sum(map(operator.mul, c, head))) / c[-1]))
+        entries.append((w, quantile_direct(scalar_cloud(project_data(cloud, w)), level)))
+    return entries
 
 
 class TestEntryRecords:
@@ -245,15 +269,16 @@ class TestEntryRecords:
     pairs are built when ``defining_entries`` is first read, and the
     document formats the records straight to the same strings."""
 
-    def test_lazy_pairs_match_the_dual_rows(self):
+    def test_lazy_pairs_match_the_vertex_rays(self):
         """On seeded rational clouds in d = 1-4, Tukey regions and cone
-        regions on a permuted basis: the pairs equal w = r_head / (c.r_head)
-        and t = -r_last / (c.r_head) over the dual solve's rows r, computed
-        in Fractions (unlifted as lambda_j = w_j - w_d for Tukey regions),
-        and the document's halfspaces are those pairs as format_rational
-        writes them."""
+        regions on bases with sigma = 1 and -1, permuted for d >= 2: the
+        pairs equal the entries rebuilt from the dual solve's vertex rays
+        (unlifted as lambda_j = w_j - w_d for Tukey regions, with the zero
+        lambda dropped and its t 0), every row of the region is its
+        record's primitive((n, -m)), and the document's halfspaces are those
+        pairs as format_rational writes them."""
         rng = random.Random(92)
-        permuted = entries = 0
+        permuted = negative = entries = 0
         for dim in (1, 2, 3, 4):
             for _ in range(3):
                 n = rng.randint(4, 7)
@@ -262,25 +287,32 @@ class TestEntryRecords:
                 ]
                 cloud = DataCloud.from_rows(points)
                 level = random_valid_level(rng, n, max_den=12)
+                lifted = lift_dataset(cloud)
                 tukey_basis = make_dual_basis(orthant(dim + 1), (1,) * (dim + 1))
+                sol = benson_dual_solve(lifted, level, tukey_basis)
                 want_tukey = []
-                for *head, last in benson_dual_solve(lift_dataset(cloud), level, tukey_basis).rows:
-                    s = F(sum(head))
-                    lam = tuple(v / s - head[-1] / s for v in head[:-1])
+                for w, t in _vertex_entries(lifted, level, tukey_basis, sol):
+                    lam = tuple(v - w[-1] for v in w[:-1])
                     if any(lam):
-                        want_tukey.append((lam, -last / s))
-                cone = _fan(dim)
-                basis = make_dual_basis(cone)
-                permuted += basis.is_permuted
-                want_cone = []
-                for *head, last in benson_dual_solve(cloud, level, basis).rows:
-                    s = sum(c * v for c, v in zip(basis.c, head))
-                    want_cone.append((tuple(v / s for v in head), -last / s))
-                for reg, want, echo in (
-                    (tukey_region(cloud, level), want_tukey, "tukey"),
-                    (quantile_region(cloud, level, cone), want_cone, None),
-                ):
+                        t_lam = quantile_direct(scalar_cloud(project_data(cloud, lam)), level)
+                        assert t_lam == t
+                        want_tukey.append((lam, t))
+                    else:
+                        assert t == 0
+                solves = [(tukey_region(cloud, level), want_tukey, "tukey")]
+                for sign in (1, -1):
+                    cone = _fan(dim, sign)
+                    basis = make_dual_basis(cone)
+                    permuted += basis.is_permuted
+                    negative += basis.sigma < 0
+                    sol = benson_dual_solve(cloud, level, basis)
+                    want = _vertex_entries(cloud, level, basis, sol)
+                    solves.append((quantile_region(cloud, level, cone), want, None))
+                for reg, want, echo in solves:
                     assert all(rec[-1] > 0 for rec in reg.entry_records)
+                    assert sorted(reg.region._rows) == sorted(
+                        primitive((*w, -t)) for *w, t, _ in reg.entry_records
+                    )
                     assert "defining_entries" not in vars(reg)
                     doc = region_document(reg, cloud, echo, None)
                     assert "defining_entries" not in vars(reg)
@@ -292,7 +324,7 @@ class TestEntryRecords:
                     again = QuantileRegion.from_pairs(reg.region, want, level, reg.provenance)
                     assert again.defining_entries == reg.defining_entries
                     entries += len(want)
-        assert permuted == 9 and entries >= 100
+        assert (permuted, negative) == (18, 12) and entries >= 100
 
 
 class TestMembership:
